@@ -23,7 +23,6 @@ from .fbm import Ensemble
 
 __all__ = [
     "LevelGrid",
-    "QuantileSurface",
     "RemainderField",
     "TieStats",
     "tie_bound_m",
@@ -32,7 +31,6 @@ __all__ = [
     "empirical_process",
     "empirical_quantile",
     "quantile_process",
-    "quantile_surface",
     "tie_stats",
     "bk_remainder_field",
     "weighted_sup_empirical",
@@ -153,37 +151,6 @@ def _fn_at(sv: np.ndarray, x: np.ndarray) -> np.ndarray:
     for j in range(J):
         out[:, j] = np.searchsorted(sv[:, j], x[:, j], side="right")
     return out / n
-
-
-# ---------------------------------------------------------------------------
-# Quantile surface
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuantileSurface:
-    """Empirical and true quantiles with the scaled difference u_n over a grid."""
-    times: tuple[float, ...]
-    levels: LevelGrid
-    tau_n: np.ndarray  # (levels, times)
-    tau: np.ndarray
-    u_n: np.ndarray
-    n: int
-    H: float
-
-
-def quantile_surface(ensemble: Ensemble, levels: LevelGrid,
-                     times=None) -> QuantileSurface:
-    """Evaluate tau^n, tau and u_n = sqrt(n)(tau^n - tau) on times x levels."""
-    ts, cols = _select_times(ensemble, times, None, None)
-    sv = _sorted_columns(ensemble, cols)
-    lv = levels.array
-    tau_n = _tau_n_matrix(sv, lv)
-    z = analytic.std_normal_quantile(lv)
-    tau = np.outer(z, ts**ensemble.H)
-    u_n = math.sqrt(ensemble.n) * (tau_n - tau)
-    return QuantileSurface(times=tuple(float(t) for t in ts), levels=levels,
-                           tau_n=tau_n, tau=tau, u_n=u_n,
-                           n=ensemble.n, H=ensemble.H)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,23 @@ def _run_tasks(worker, tasks: list, workers: int) -> list:
     return [worker(t) for t in tasks]
 
 
+def _replicate(worker, seed: int, ns, R: int, args: tuple,
+               workers: int) -> tuple[list[list], float, tuple[str, ...]]:
+    """Run R replications of ``worker`` at each sample size in ``ns``.
+
+    Replication r at size n is the task ``(derive_seed(seed, n, r), n,
+    *args)``; the worker returns ``(value, tie_violation, warnings)``.
+    Returns the values grouped per n in ladder order, the largest tie
+    violation and the sorted union of the warnings.
+    """
+    tasks = [(derive_seed(seed, n, r), n) + args for n in ns for r in range(R)]
+    out = _run_tasks(worker, tasks, workers)
+    values = [[o[0] for o in out[i * R:(i + 1) * R]] for i in range(len(ns))]
+    tie_violation = max(o[1] for o in out)
+    warnings = tuple(sorted(set().union(*(o[2] for o in out))))
+    return values, tie_violation, warnings
+
+
 def _study_grid(T: float, M_t: int) -> GridSpec:
     return GridSpec.uniform_grid(T, M_t, include_zero=True)
 
@@ -170,13 +187,18 @@ def _study_grid(T: float, M_t: int) -> GridSpec:
 # Remainder-rate studies
 # ---------------------------------------------------------------------------
 
+def _window_floor(n: int, gamma0: float, eta: float) -> float:
+    return min(1.0, gamma0 * float(n) ** (-eta))
+
+
 def _bk_worker(args) -> tuple[float, float, tuple]:
-    (seed, n, H, T, M_t, rho, M_alpha, t_min, weighted, sampler_id) = args
+    (seed, n, H, T, M_t, rho, M_alpha, gamma0, eta, weighted, sampler_id) = args
     grid = _study_grid(T, M_t)
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
     levels = LevelGrid.uniform(rho, M_alpha)
+    t_min = None if weighted else _window_floor(n, gamma0, eta)
     fld = empirical.bk_remainder_field(ens, levels, weighted=weighted,
-                                       t_min=None if weighted else t_min)
+                                       t_min=t_min)
     ties = empirical.tie_stats(ens, levels)
     return fld.sup_norm, ties.max_violation, ens.warnings
 
@@ -190,24 +212,16 @@ def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
             f"eta must satisfy 0 <= eta < 1/(2H) = {1.0 / (2.0 * H):.6g}; got {eta}")
     if not 1.0 < T:
         raise DomainError(f"study horizon must satisfy T > 1; got {T}")
-    gamma_ns = {n: min(1.0, gamma0 * float(n) ** (-eta)) for n in ladder.ns}
-    tasks = [(derive_seed(seed, n, r), n, H, T, M_t, rho, M_alpha,
-              gamma_ns[n], weighted, sampler_id)
-             for n in ladder.ns for r in range(ladder.replications)]
-    out = _run_tasks(_bk_worker, tasks, workers)
     R = ladder.replications
-    per_n, means, tie_violation = [], [], -math.inf
+    sups, tie_violation, warnings = _replicate(
+        _bk_worker, seed, ladder.ns, R,
+        (H, T, M_t, rho, M_alpha, gamma0, eta, weighted, sampler_id), workers)
     stat_name = "sup_weighted_remainder" if weighted else "sup_bk_remainder"
-    for i, n in enumerate(ladder.ns):
-        sups = np.array([out[i * R + r][0] for r in range(R)])
-        tie_violation = max(tie_violation,
-                            max(out[i * R + r][1] for r in range(R)))
-        per_n.append(_summarize(n, sups, stat_name))
-        means.append(sups.mean())
+    per_n = [_summarize(n, s, stat_name) for n, s in zip(ladder.ns, sups)]
+    means = [np.mean(s) for s in sups]
     fit = loglog_fit(ladder.ns, means) if len(ladder.ns) >= 3 else None
     flags = {"tie_bound_ok": tie_violation <= 0.0,
              "means_decreasing": means[-1] < means[0]}
-    warnings: tuple[str, ...] = tuple(sorted(set().union(*(o[2] for o in out))))
     if fit is not None:
         if weighted:
             flags["slope_at_most_minus_0.08"] = fit.slope <= WEIGHTED_SLOPE_MAX
@@ -221,7 +235,8 @@ def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
     config = {"H": H, "T": T, "rho": rho, "eta": eta, "gamma0": gamma0,
               "M_t": M_t, "M_alpha": M_alpha, "sampler_id": sampler_id,
               "ns": list(ladder.ns), "replications": R, "master_seed": seed}
-    tables = {"gamma_n": {str(n): gamma_ns[n] for n in ladder.ns},
+    tables = {"gamma_n": {str(n): _window_floor(n, gamma0, eta)
+                          for n in ladder.ns},
               "tie_max_violation": tie_violation,
               "tie_bound_m": empirical.tie_bound_m(H)}
     return StudyResult(study=study, config=config, per_n=tuple(per_n), fit=fit,
@@ -261,12 +276,11 @@ def weighted_bk_rate_study(ladder: NLadder, H: float = 0.5, T: float = 2.0,
 # Kernel validation
 # ---------------------------------------------------------------------------
 
-def _kernel_worker(args) -> tuple[np.ndarray, np.ndarray, float, tuple]:
+def _kernel_worker(args) -> tuple[tuple[np.ndarray, np.ndarray], float, tuple]:
     (seed, n, H, times, x_nodes, alpha_nodes, sampler_id) = args
     grid = GridSpec.from_times(times)
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
     sqrt_n = math.sqrt(n)
-    m = empirical.tie_bound_m(H)
     v_vals = np.array([
         sqrt_n * (np.count_nonzero(ens.values_at(t) <= x) / n
                   - float(analytic.marginal_cdf(t, x, H)))
@@ -276,11 +290,12 @@ def _kernel_worker(args) -> tuple[np.ndarray, np.ndarray, float, tuple]:
     for i, (t, a) in enumerate(alpha_nodes):
         vals = np.sort(ens.values_at(t))
         tau_n = vals[empirical.order_index(a, n) - 1]
-        gap = np.searchsorted(vals, tau_n, side="right") / n - a
-        violation = max(violation, gap - m / n, -gap - 1e-9 / n)
+        _, _, gap_violation = empirical._tie_stats_from_sorted(
+            vals[:, None], np.array([a]), H)
+        violation = max(violation, gap_violation)
         tau = analytic.true_quantile(t, a, H)
         fu_vals[i] = analytic.density_quantile(t, a, H) * sqrt_n * (tau_n - tau)
-    return v_vals, fu_vals, violation, ens.warnings
+    return (v_vals, fu_vals), violation, ens.warnings
 
 
 def _cov_table(samples: np.ndarray, nodes, kernel_fn) -> list[dict]:
@@ -318,12 +333,11 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
     if any(t <= 0.0 for t, _ in x_nodes + alpha_nodes):
         raise DomainError("kernel validation nodes need t > 0")
     times = tuple(sorted({t for t, _ in x_nodes} | {t for t, _ in alpha_nodes}))
-    tasks = [(derive_seed(seed, n, r), n, H, times, tuple(x_nodes),
-              tuple(alpha_nodes), sampler_id) for r in range(R)]
-    out = _run_tasks(_kernel_worker, tasks, workers)
-    v_samples = np.vstack([o[0] for o in out])
-    fu_samples = np.vstack([o[1] for o in out])
-    tie_violation = max(o[2] for o in out)
+    (out,), tie_violation, warns = _replicate(
+        _kernel_worker, seed, (n,), R,
+        (H, times, tuple(x_nodes), tuple(alpha_nodes), sampler_id), workers)
+    v_samples = np.vstack([v for v, _ in out])
+    fu_samples = np.vstack([fu for _, fu in out])
     v_rows = _cov_table(v_samples, x_nodes,
                         lambda a, b: analytic.limit_kernel_G(a[0], a[1], b[0], b[1], H))
     u_rows = _cov_table(fu_samples, alpha_nodes,
@@ -342,7 +356,6 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
               "alpha_nodes": [list(p) for p in alpha_nodes], "master_seed": seed}
     tables = {"v_pairs": v_rows, "u_pairs": u_rows,
               "tie_max_violation": tie_violation}
-    warns = tuple(sorted(set().union(*(o[3] for o in out))))
     return StudyResult(study="kernel_validation", config=config, per_n=per_n,
                        fit=None, pass_flags=flags, tables=tables, warnings=warns)
 
@@ -375,10 +388,9 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     times = tuple(float(t) for t in times)
     if any(t <= 0.0 for t in times):
         raise DomainError("median study times must be positive")
-    tasks = [(derive_seed(seed, n, r), n, times, sampler_id) for r in range(R)]
-    out = _run_tasks(_swanson_worker, tasks, workers)
-    med = np.vstack([o[0] for o in out])  # (R, times)
-    tie_violation = max(o[1] for o in out)
+    (out,), tie_violation, warns = _replicate(
+        _swanson_worker, seed, (n,), R, (times, sampler_id), workers)
+    med = np.vstack(out)  # (R, times)
     var_rows, cov_rows = [], []
     for i, t in enumerate(times):
         mc = float(med[:, i].var(ddof=1))
@@ -408,7 +420,6 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     tables = {"variance": var_rows, "covariance": cov_rows,
               "tie_max_violation": tie_violation,
               "lil_constant_sqrt_T_pi_over_2": math.sqrt(max(times) * math.pi / 2.0)}
-    warns = tuple(sorted(set().union(*(o[2] for o in out))))
     return StudyResult(study="swanson", config=config, per_n=per_n, fit=None,
                        pass_flags=flags, tables=tables, warnings=warns)
 
@@ -417,12 +428,13 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
 # Iterated-logarithm traces
 # ---------------------------------------------------------------------------
 
-def _lil_worker(args) -> tuple[float, tuple]:
+def _lil_worker(args) -> tuple[float, float, tuple]:
     (seed, n, H, kappa, T, M_t, sampler_id) = args
     grid = _study_grid(T, M_t)
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
     sup = empirical.weighted_sup_empirical(ens, kappa)
-    return sup / math.sqrt(2.0 * math.log(math.log(n))), ens.warnings
+    # no tie statistics on this path: report no violation
+    return sup / math.sqrt(2.0 * math.log(math.log(n))), -math.inf, ens.warnings
 
 
 def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
@@ -439,17 +451,12 @@ def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
     if any(n < 16 for n in ladder.ns):
         raise DomainError("iterated-logarithm trace needs n >= 16 on the ladder")
     _, sigma_kappa = analytic.lil_constants(1.0, T, kappa)
-    tasks = [(derive_seed(seed, n, r), n, H, kappa, T, M_t, sampler_id)
-             for n in ladder.ns for r in range(ladder.replications)]
-    out = _run_tasks(_lil_worker, tasks, workers)
-    warns = tuple(sorted(set().union(*(o[1] for o in out))))
-    out = [o[0] for o in out]
     R = ladder.replications
-    per_n, trace = [], []
-    for i, n in enumerate(ladder.ns):
-        vals = np.array(out[i * R:(i + 1) * R])
-        per_n.append(_summarize(n, vals, "normalized_weighted_sup"))
-        trace.append(float(vals.mean()))
+    out, _, warns = _replicate(_lil_worker, seed, ladder.ns, R,
+                               (H, kappa, T, M_t, sampler_id), workers)
+    per_n = [_summarize(n, vals, "normalized_weighted_sup")
+             for n, vals in zip(ladder.ns, out)]
+    trace = [float(np.mean(vals)) for vals in out]
     ratios = [t / sigma_kappa for t in trace]
     flags = {
         "traces_positive_finite": all(0.0 < t < math.inf for t in trace),
@@ -469,7 +476,7 @@ def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
 # Classical (time-free) representation constant
 # ---------------------------------------------------------------------------
 
-def _classical_worker(args) -> float:
+def _classical_worker(args) -> tuple[float, float, tuple]:
     (seed, n) = args
     rng = generator_for(seed)
     u = np.sort(rng.random(n))
@@ -491,7 +498,8 @@ def _classical_worker(args) -> float:
     cands.append(cnt_l / n - u + u[idx - 1] - u)    # left limit of F_n
     sup = math.sqrt(n) * max(float(np.max(np.abs(c))) for c in cands)
     lln = math.log(math.log(n))
-    return n**0.25 * sup / (lln**0.25 * math.log(n) ** 0.5)
+    # no tie check and no sampler here: no violation, no warnings
+    return n**0.25 * sup / (lln**0.25 * math.log(n) ** 0.5), -math.inf, ()
 
 
 def classical_bk_study(ladder: NLadder, seed: int = 0,
@@ -502,15 +510,11 @@ def classical_bk_study(ladder: NLadder, seed: int = 0,
     has almost-sure limsup 2^{-1/4} ~ 0.8409; per-n means are compared to the
     band ``CLASSICAL_BAND`` and the normalized sequence should be flat.
     """
-    tasks = [(derive_seed(seed, n, r), n)
-             for n in ladder.ns for r in range(ladder.replications)]
-    out = _run_tasks(_classical_worker, tasks, workers)
     R = ladder.replications
-    per_n, means = [], []
-    for i, n in enumerate(ladder.ns):
-        vals = np.array(out[i * R:(i + 1) * R])
-        per_n.append(_summarize(n, vals, "normalized_bk_constant"))
-        means.append(float(vals.mean()))
+    out, _, _ = _replicate(_classical_worker, seed, ladder.ns, R, (), workers)
+    per_n = [_summarize(n, vals, "normalized_bk_constant")
+             for n, vals in zip(ladder.ns, out)]
+    means = [float(np.mean(vals)) for vals in out]
     fit = loglog_fit(ladder.ns, means) if len(ladder.ns) >= 3 else None
     lo, hi = CLASSICAL_BAND
     flags = {"nonnegative": all(m >= 0.0 for m in means),
@@ -576,18 +580,13 @@ def deviation_stability_study(ladder: NLadder, delta: float, H: float = 0.5,
     Medians across replications must stay within a factor
     ``DEVIATION_RATIO_MAX`` between the smallest and largest ladder size.
     """
-    tasks = [(derive_seed(seed, n, r), n, H, T, M_t, rho, delta, C, sampler_id)
-             for n in ladder.ns for r in range(ladder.replications)]
-    out = _run_tasks(_deviation_worker, tasks, workers)
-    warns = tuple(sorted(set().union(*(o[2] for o in out))))
-    tie_violation = max(o[1] for o in out)
-    out = [o[0] for o in out]
     R = ladder.replications
-    per_n, medians = [], []
-    for i, n in enumerate(ladder.ns):
-        vals = np.array(out[i * R:(i + 1) * R])
-        per_n.append(_summarize(n, vals, "quantile_deviation"))
-        medians.append(float(np.median(vals)))
+    out, tie_violation, warns = _replicate(
+        _deviation_worker, seed, ladder.ns, R,
+        (H, T, M_t, rho, delta, C, sampler_id), workers)
+    per_n = [_summarize(n, vals, "quantile_deviation")
+             for n, vals in zip(ladder.ns, out)]
+    medians = [float(np.median(vals)) for vals in out]
     ratio = max(medians) / min(medians) if min(medians) > 0 else math.inf
     flags = {"all_positive_finite": all(0.0 < m < math.inf for m in medians),
              "median_ratio_lt_3": ratio < DEVIATION_RATIO_MAX,

@@ -15,8 +15,8 @@ exponential tail fit of the ensemble supremum.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,11 +26,8 @@ from .seeding import derive_seed, normal_matrix
 
 __all__ = [
     "GridSpec",
-    "FbmPath",
     "Ensemble",
     "TailFit",
-    "cholesky_sample",
-    "circulant_sample",
     "make_ensemble",
     "modulus_statistic",
     "tail_fit",
@@ -136,14 +133,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class FbmPath:
-    """One sampled trajectory on a grid."""
-    H: float
-    grid: GridSpec
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """n independent paths sharing one grid and Hurst index.
 
@@ -161,9 +150,6 @@ class Ensemble:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def path(self, i: int) -> FbmPath:
-        return FbmPath(H=self.H, grid=self.grid, values=self.values[i].copy())
-
     def values_at(self, t: float) -> np.ndarray:
         return self.values[:, self.grid.index_of(t)]
 
@@ -172,18 +158,15 @@ class Ensemble:
 # Cholesky sampler
 # ---------------------------------------------------------------------------
 
-_factor_cache: dict = {}
-_spectrum_cache: dict = {}
-_cache_lock = threading.Lock()
+# Each process keeps the factors and spectra of its last few (grid, H)
+# pairs.  The bound keeps a long-lived process small: a 4096-point Cholesky
+# factor takes about 134 MB, and every pool worker holds its own cache.
+_CACHE_SIZE = 4
 _JITTER_REL = 1e-12
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _cholesky_factor(grid: GridSpec, H: float) -> tuple[np.ndarray, tuple[str, ...]]:
-    key = (grid.times, H)
-    with _cache_lock:
-        hit = _factor_cache.get(key)
-    if hit is not None:
-        return hit
     pos = grid.array[grid.array > 0.0]
     cov = analytic.fbm_covariance(pos[:, None], pos[None, :], H)
     warns: tuple[str, ...] = ()
@@ -200,8 +183,6 @@ def _cholesky_factor(grid: GridSpec, H: float) -> tuple[np.ndarray, tuple[str, .
             raise NumericError(
                 f"covariance factorization failed beyond jitter tolerance; "
                 f"smallest pivot {pivot:.3e}") from None
-    with _cache_lock:
-        _factor_cache[key] = (L, warns)
     return L, warns
 
 
@@ -236,13 +217,9 @@ def _fgn_autocov(lags: np.ndarray, step: float, H: float) -> np.ndarray:
     return step**h2 * 0.5 * ((k + 1.0) ** h2 + np.abs(k - 1.0) ** h2 - 2.0 * k**h2)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _fgn_spectrum(n_inc: int, step: float, H: float) -> tuple[np.ndarray, tuple[str, ...]]:
     """Eigenvalues of the minimal circulant embedding (size 2*n_inc - 2)."""
-    key = (n_inc, step, H)
-    with _cache_lock:
-        hit = _spectrum_cache.get(key)
-    if hit is not None:
-        return hit
     g = n_inc - 1
     gamma = _fgn_autocov(np.arange(n_inc), step, H)
     row = np.concatenate([gamma, gamma[g - 1:0:-1]])  # size 2g
@@ -258,8 +235,6 @@ def _fgn_spectrum(n_inc: int, step: float, H: float) -> tuple[np.ndarray, tuple[
         warns = (f"circulant: clipped {int((eig < 0).sum())} spectrum "
                  f"eigenvalue(s) in [{emin:.3e}, 0) to 0",)
         eig = np.maximum(eig, 0.0)
-    with _cache_lock:
-        _spectrum_cache[key] = (eig, warns)
     return eig, warns
 
 
@@ -305,18 +280,6 @@ def _circulant_matrix(grid: GridSpec, H: float,
 _SAMPLERS = {"cholesky": _cholesky_matrix, "circulant": _circulant_matrix}
 
 
-def cholesky_sample(grid: GridSpec, H: float, seed: int) -> FbmPath:
-    """One exact fBm path via Cholesky factorization of the grid covariance."""
-    vals, _ = _cholesky_matrix(grid, H, np.asarray([seed], dtype=np.uint64))
-    return FbmPath(H=float(H), grid=grid, values=vals[0])
-
-
-def circulant_sample(grid: GridSpec, H: float, seed: int) -> FbmPath:
-    """One exact fBm path via circulant embedding of the increment process."""
-    vals, _ = _circulant_matrix(grid, H, np.asarray([seed], dtype=np.uint64))
-    return FbmPath(H=float(H), grid=grid, values=vals[0])
-
-
 def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant",
                   master_seed: int = 0) -> Ensemble:
     """n mutually independent paths; path i uses seed derive_seed(master_seed, i).
@@ -348,25 +311,25 @@ def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant
 # Path diagnostics
 # ---------------------------------------------------------------------------
 
-def modulus_statistic(path: FbmPath, maxlag: int | None = None) -> float:
-    """Largest gauge-normalized oscillation over grid pairs:
+def modulus_statistic(ensemble: Ensemble, maxlag: int | None = None) -> np.ndarray:
+    """Largest gauge-normalized oscillation over grid pairs, one per path:
 
     max_{s < t} |B(t) - B(s)| / f_H(t - s)
 
     The scan is O(M^2); ``maxlag`` restricts pairs to index distance <= maxlag
     for very fine grids.
     """
-    ts = path.grid.array
-    vals = np.asarray(path.values, dtype=float)
+    ts = ensemble.grid.array
+    vals = ensemble.values
     M = len(ts)
     if M < 2:
         raise DomainError("modulus statistic needs at least 2 grid points")
     lags = range(1, M if maxlag is None else min(M, maxlag + 1))
-    best = 0.0
+    best = np.zeros(ensemble.n)
     for k in lags:
-        dv = np.abs(vals[k:] - vals[:-k])
-        gauge = analytic.modulus_gauge(ts[k:] - ts[:-k], path.H)
-        best = max(best, float(np.max(dv / gauge)))
+        dv = np.abs(vals[:, k:] - vals[:, :-k])
+        gauge = analytic.modulus_gauge(ts[k:] - ts[:-k], ensemble.H)
+        best = np.maximum(best, np.max(dv / gauge, axis=1))
     return best
 
 

@@ -19,7 +19,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,34 +28,14 @@ import numpy as np
 from . import __version__, analytic, experiments
 from .empirical import RemainderField, TieStats
 from .errors import ConfigError, DataError, DomainError, NumericError
-from .experiments import NLadder, StudyResult
+from .experiments import NLadder
 from .fbm import Ensemble, GridSpec, make_ensemble
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run_study",
            "export_remainder_field", "export_tie_stats", "export_ensemble",
            "main"]
 
-STUDIES = ("bk_rate", "weighted_bk_rate", "kernel_validation", "swanson",
-           "lil_trace", "classical_bk", "fbm_gen", "kernel_eval", "tail_fit")
-
 ENV_OUT_DIR = "TQPROC_OUT"
-
-_LADDER_DEFAULTS = {
-    "bk_rate": ([2**k for k in range(8, 14)], 50),
-    "weighted_bk_rate": ([2**k for k in range(8, 14)], 50),
-    "lil_trace": ([2**k for k in range(8, 13)], 4),
-    "classical_bk": ([2**k for k in range(12, 17)], 20),
-}
-
-_N_DEFAULTS = {"swanson": 1001, "kernel_validation": 500,
-               "tail_fit": 100_000, "fbm_gen": 100}
-_R_DEFAULTS = {"swanson": 5000, "kernel_validation": 4000}
-
-_DEFAULT_SWANSON_TIMES = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
-_DEFAULT_X_NODES = [[t, x * t**0.5] for t in (0.5, 1.0, 2.0, 4.0)
-                    for x in (-1.0, 0.0, 1.0)]
-_DEFAULT_ALPHA_NODES = [[1.0, 0.5], [4.0, 0.5], [1.0, 0.25], [4.0, 0.75]]
-_DEFAULT_TAIL_LEVELS = [1.5, 2.0, 2.5, 3.0]
 
 
 @dataclass(frozen=True)
@@ -67,9 +48,6 @@ class RunConfig:
     eta: float
     gamma0: float
     kappa: float
-    delta: float
-    C: float
-    c1: float
     ladder: NLadder | None
     n: int | None
     R: int | None
@@ -87,12 +65,9 @@ class RunConfig:
     kernel_nodes: tuple[tuple, ...] | None
 
 
-_KNOWN_KEYS = {
-    "study", "H", "T", "rho", "eta", "gamma0", "kappa", "delta", "C", "c1",
-    "ladder", "n", "R", "M_t", "M_alpha", "sampler_id", "master_seed",
-    "threads", "out_dir", "times", "x_nodes", "alpha_nodes", "levels_y",
-    "kind", "kernel_nodes",
-}
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
+# read by the runner itself for every study; --threads may override any run
+_RUN_KEYS = frozenset({"study", "threads", "out_dir"})
 
 
 def _want(cfg: dict, key: str, typ, default, check=None, msg: str = ""):
@@ -110,22 +85,53 @@ def _want(cfg: dict, key: str, typ, default, check=None, msg: str = ""):
     return val
 
 
-def _pair_list(cfg: dict, key: str, default):
-    raw = cfg.get(key, default)
+def _numbers(cfg: dict, key: str):
+    raw = cfg.get(key)
     if raw is None:
         return None
     try:
-        pairs = tuple((float(a), float(b)) for a, b in raw)
+        return tuple(float(v) for v in raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of [t, value] pairs") from exc
-    return pairs
+        raise ConfigError(f"{key} must be a list of numbers") from exc
+
+
+def _nodes(cfg: dict, key: str, width: int, shape: str):
+    raw = cfg.get(key)
+    if raw is None:
+        return None
+    try:
+        nodes = tuple(tuple(float(v) for v in row) for row in raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a list of {shape}") from exc
+    if any(len(row) != width for row in nodes):
+        raise ConfigError(f"{key} must be a list of {shape}")
+    return nodes
+
+
+def _ladder(cfg: dict, default: dict) -> NLadder:
+    raw = cfg.get("ladder")
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError('ladder must be an object {"ns": [...], '
+                          '"replications": int}')
+    extra = set(raw) - {"ns", "replications"}
+    if extra:
+        raise ConfigError(f"unknown ladder key(s): {sorted(extra)}")
+    raw = {**default, **raw}
+    try:
+        return NLadder(ns=tuple(int(v) for v in raw["ns"]),
+                       replications=int(raw["replications"]))
+    except (DomainError, TypeError, ValueError) as exc:
+        raise ConfigError(f"ladder: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration, applying study defaults.
 
-    Unknown keys are rejected; every module precondition on the numeric
-    parameters is re-validated here with a message naming the field.
+    Unknown keys, and keys the chosen study does not read, are rejected;
+    every module precondition on the numeric parameters is re-validated
+    here with a message naming the field.
     """
     try:
         cfg = json.loads(text)
@@ -133,25 +139,24 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not well-formed JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - _KNOWN_KEYS
+    unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
 
     study = cfg.get("study")
     if study not in STUDIES:
         raise ConfigError(f"study must be one of {list(STUDIES)}; got {study!r}")
+    spec = STUDIES[study]
+    unread = set(cfg) - _RUN_KEYS - set(spec.keys)
+    if unread:
+        raise ConfigError(f"study {study!r} does not read config key(s) "
+                          f"{sorted(unread)}; it reads {sorted(spec.keys)}")
+    cfg = {**spec.defaults, **cfg}
 
     H = _want(cfg, "H", float, 0.5, lambda v: 0.0 < v < 1.0,
               "must satisfy 0 < H < 1")
-    if study == "swanson":
-        if "H" in cfg and cfg["H"] != 0.5:
-            raise ConfigError("swanson fixes H = 0.5 (Brownian ensembles); "
-                              f"got H={cfg['H']}")
-        H = 0.5
-    T_default = 1.0 if study == "tail_fit" else 2.0
-    T = _want(cfg, "T", float, T_default, lambda v: v > 0.0, "must be positive")
-    if study in ("bk_rate", "weighted_bk_rate") and not T > 1.0:
-        raise ConfigError(f"T must exceed 1 for the remainder-rate studies; got {T}")
+    T = _want(cfg, "T", float, 2.0, lambda v: v > spec.T_floor,
+              f"must exceed {spec.T_floor:g} for study {study!r}")
     rho = _want(cfg, "rho", float, 0.1, lambda v: 0.0 < v < 0.5,
                 "must lie in (0, 1/2)")
     eta = _want(cfg, "eta", float, 0.0,
@@ -160,37 +165,11 @@ def parse_config(text: str) -> RunConfig:
     gamma0 = _want(cfg, "gamma0", float, 0.25, lambda v: 0.0 < v <= 1.0,
                    "must lie in (0, 1]")
     kappa = _want(cfg, "kappa", float, 0.5, lambda v: v > 0.0, "must be positive")
-    delta = _want(cfg, "delta", float, H / 4.0, lambda v: 0.0 < v <= H,
-                  f"must satisfy 0 < delta <= H = {H}")
-    C = _want(cfg, "C", float, 1.0, lambda v: v > 0.0, "must be positive")
-    c1 = _want(cfg, "c1", float, 1.0, lambda v: v > 0.0, "must be positive")
-
     ladder = None
-    if study in _LADDER_DEFAULTS:
-        raw = cfg.get("ladder")
-        if raw is None:
-            ns, reps = _LADDER_DEFAULTS[study]
-        else:
-            if not isinstance(raw, dict):
-                raise ConfigError('ladder must be an object {"ns": [...], '
-                                  '"replications": int}')
-            extra = set(raw) - {"ns", "replications"}
-            if extra:
-                raise ConfigError(f"unknown ladder key(s): {sorted(extra)}")
-            ns = raw.get("ns", _LADDER_DEFAULTS[study][0])
-            reps = raw.get("replications", _LADDER_DEFAULTS[study][1])
-        try:
-            ladder = NLadder(ns=tuple(int(v) for v in ns), replications=int(reps))
-        except (DomainError, TypeError, ValueError) as exc:
-            raise ConfigError(f"ladder: {exc}") from exc
-    elif "ladder" in cfg:
-        raise ConfigError(f"study {study!r} does not take a ladder "
-                          "(use n/R instead)")
-
-    n = _want(cfg, "n", int, _N_DEFAULTS.get(study),
-              lambda v: v >= 1, "must be >= 1")
-    R = _want(cfg, "R", int, _R_DEFAULTS.get(study),
-              lambda v: v >= 1, "must be >= 1")
+    if "ladder" in spec.keys:
+        ladder = _ladder(cfg, spec.defaults["ladder"])
+    n = _want(cfg, "n", int, None, lambda v: v >= 1, "must be >= 1")
+    R = _want(cfg, "R", int, None, lambda v: v >= 1, "must be >= 1")
     M_t = _want(cfg, "M_t", int, 64, lambda v: 2 <= v <= 4096,
                 "must lie in [2, 4096]")
     M_alpha = _want(cfg, "M_alpha", int, 21, lambda v: v >= 1, "must be >= 1")
@@ -204,66 +183,37 @@ def parse_config(text: str) -> RunConfig:
                     lambda v: v >= 1, "must be >= 1")
     out_dir = _want(cfg, "out_dir", str, "tqproc_out")
 
-    times = cfg.get("times", _DEFAULT_SWANSON_TIMES if study == "swanson" else None)
-    if times is not None:
-        try:
-            times = tuple(float(t) for t in times)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("times must be a list of numbers") from exc
-        if any(t <= 0.0 for t in times) or list(times) != sorted(set(times)):
-            raise ConfigError("times must be positive, strictly increasing")
-
-    x_nodes = _pair_list(cfg, "x_nodes",
-                         _DEFAULT_X_NODES if study == "kernel_validation" else None)
-    alpha_nodes = _pair_list(
-        cfg, "alpha_nodes",
-        _DEFAULT_ALPHA_NODES if study == "kernel_validation" else None)
-
-    levels_y = cfg.get("levels_y",
-                       _DEFAULT_TAIL_LEVELS if study == "tail_fit" else None)
-    if levels_y is not None:
-        try:
-            levels_y = tuple(float(y) for y in levels_y)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("levels_y must be a list of numbers") from exc
-        if len(levels_y) < 3:
-            raise ConfigError("levels_y needs at least 3 levels")
-
-    kind = _want(cfg, "kind", str,
-                 "swanson" if study == "kernel_eval" else None,
+    times = _numbers(cfg, "times")
+    if times is not None and (any(t <= 0.0 for t in times)
+                              or list(times) != sorted(set(times))):
+        raise ConfigError("times must be positive, strictly increasing")
+    x_nodes = _nodes(cfg, "x_nodes", 2, "[t, x] pairs")
+    alpha_nodes = _nodes(cfg, "alpha_nodes", 2, "[t, alpha] pairs")
+    levels_y = _numbers(cfg, "levels_y")
+    if levels_y is not None and len(levels_y) < 3:
+        raise ConfigError("levels_y needs at least 3 levels")
+    kind = _want(cfg, "kind", str, None,
                  lambda v: v in analytic.KERNEL_KINDS,
                  f"must be one of {list(analytic.KERNEL_KINDS)}")
-    kernel_nodes = cfg.get("kernel_nodes")
-    if kernel_nodes is not None:
-        kernel_nodes = tuple(tuple(float(x) for x in row) for row in kernel_nodes)
+    if kind == "swanson":
+        kernel_nodes = _nodes(cfg, "kernel_nodes", 2, "[t1, t2] pairs")
+    else:
+        kernel_nodes = _nodes(cfg, "kernel_nodes", 4,
+                              "[t1, a1, t2, a2] quadruples")
 
     return RunConfig(study=study, H=H, T=T, rho=rho, eta=eta, gamma0=gamma0,
-                     kappa=kappa, delta=delta, C=C, c1=c1, ladder=ladder,
-                     n=n, R=R, M_t=M_t, M_alpha=M_alpha, sampler_id=sampler_id,
+                     kappa=kappa, ladder=ladder, n=n, R=R, M_t=M_t,
+                     M_alpha=M_alpha, sampler_id=sampler_id,
                      master_seed=master_seed, threads=threads, out_dir=out_dir,
                      times=times, x_nodes=x_nodes, alpha_nodes=alpha_nodes,
                      levels_y=levels_y, kind=kind, kernel_nodes=kernel_nodes)
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    d = {"study": cfg.study, "H": cfg.H, "T": cfg.T, "rho": cfg.rho,
-         "eta": cfg.eta, "gamma0": cfg.gamma0, "kappa": cfg.kappa,
-         "delta": cfg.delta, "C": cfg.C, "c1": cfg.c1,
-         "M_t": cfg.M_t, "M_alpha": cfg.M_alpha, "sampler_id": cfg.sampler_id,
-         "master_seed": cfg.master_seed, "threads": cfg.threads,
-         "out_dir": cfg.out_dir}
-    if cfg.ladder is not None:
-        d["ladder"] = {"ns": list(cfg.ladder.ns),
-                       "replications": cfg.ladder.replications}
-    for key in ("n", "R", "kind"):
-        if getattr(cfg, key) is not None:
-            d[key] = getattr(cfg, key)
-    for key in ("times", "levels_y"):
-        if getattr(cfg, key) is not None:
-            d[key] = list(getattr(cfg, key))
-    for key in ("x_nodes", "alpha_nodes", "kernel_nodes"):
-        if getattr(cfg, key) is not None:
-            d[key] = [list(p) for p in getattr(cfg, key)]
+    d = {key: val for key, val in asdict(cfg).items() if val is not None}
+    # delta, C and c1 were config keys that reached no CLI study; their
+    # defaults stay in the echo so result.json keeps its bytes.
+    d.update(delta=cfg.H / 4.0, C=1.0, c1=1.0)
     return d
 
 
@@ -282,7 +232,9 @@ def _numeric_config(cfg: RunConfig) -> dict:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical JSON of the resolved configuration (round-trips through parse)."""
-    return canonical_json(_config_dict(cfg))
+    keys = _RUN_KEYS | set(STUDIES[cfg.study].keys)
+    return canonical_json({key: val for key, val in _config_dict(cfg).items()
+                           if key in keys})
 
 
 # ---------------------------------------------------------------------------
@@ -334,82 +286,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical_json(_numeric_config(cfg))
                           .encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Study dispatch
-# ---------------------------------------------------------------------------
-
-def _dispatch(cfg: RunConfig) -> StudyResult:
-    w = cfg.threads
-    s = cfg.master_seed
-    if cfg.study == "bk_rate":
-        return experiments.bk_rate_study(cfg.ladder, H=cfg.H, T=cfg.T,
-                                         rho=cfg.rho, eta=cfg.eta,
-                                         gamma0=cfg.gamma0, M_t=cfg.M_t,
-                                         M_alpha=cfg.M_alpha,
-                                         sampler_id=cfg.sampler_id,
-                                         seed=s, workers=w)
-    if cfg.study == "weighted_bk_rate":
-        return experiments.weighted_bk_rate_study(cfg.ladder, H=cfg.H, T=cfg.T,
-                                                  rho=cfg.rho, M_t=cfg.M_t,
-                                                  M_alpha=cfg.M_alpha,
-                                                  sampler_id=cfg.sampler_id,
-                                                  seed=s, workers=w)
-    if cfg.study == "kernel_validation":
-        return experiments.kernel_validation_study(cfg.x_nodes, cfg.alpha_nodes,
-                                                   H=cfg.H, n=cfg.n, R=cfg.R,
-                                                   sampler_id=cfg.sampler_id,
-                                                   seed=s, workers=w)
-    if cfg.study == "swanson":
-        return experiments.swanson_median_study(times=cfg.times, n=cfg.n,
-                                                R=cfg.R,
-                                                sampler_id=cfg.sampler_id,
-                                                seed=s, workers=w)
-    if cfg.study == "lil_trace":
-        return experiments.lil_trace_study(cfg.ladder, H=cfg.H, kappa=cfg.kappa,
-                                           T=cfg.T, M_t=cfg.M_t,
-                                           sampler_id=cfg.sampler_id,
-                                           seed=s, workers=w)
-    if cfg.study == "classical_bk":
-        return experiments.classical_bk_study(cfg.ladder, seed=s, workers=w)
-    if cfg.study == "tail_fit":
-        return experiments.tail_fit_study(levels_y=cfg.levels_y, H=cfg.H,
-                                          T=cfg.T, n=cfg.n, M_t=cfg.M_t,
-                                          sampler_id=cfg.sampler_id,
-                                          seed=s, workers=w)
-    raise ConfigError(f"study {cfg.study!r} has no Monte Carlo dispatch")
-
-
-def _default_kernel_nodes(kind: str) -> list[tuple]:
-    ts = [0.4 * k for k in range(1, 11)]
-    if kind == "swanson":
-        return [(t1, None, t2, None) for t1 in ts for t2 in ts if t1 <= t2]
-    if kind in ("K", "weightedK"):
-        return [(t1, 0.5, t2, 0.5) for t1 in ts for t2 in ts if t1 <= t2]
-    return [(t1, 0.0, t2, 0.0) for t1 in ts for t2 in ts if t1 <= t2]
-
-
-def _kernel_rows(cfg: RunConfig) -> list[list]:
-    if cfg.kernel_nodes is not None:
-        nodes = []
-        for row in cfg.kernel_nodes:
-            if cfg.kind == "swanson":
-                if len(row) != 2:
-                    raise ConfigError("swanson kernel nodes are [t1, t2] pairs")
-                nodes.append((row[0], None, row[1], None))
-            else:
-                if len(row) != 4:
-                    raise ConfigError(f"{cfg.kind} kernel nodes are "
-                                      "[t1, a1, t2, a2] quadruples")
-                nodes.append(tuple(row))
-    else:
-        nodes = _default_kernel_nodes(cfg.kind)
-    rows = []
-    for t1, a1, t2, a2 in nodes:
-        ev = analytic.kernel_eval(cfg.kind, t1, a1, t2, a2, H=cfg.H)
-        rows.append([ev.kind, ev.t1, ev.a1, ev.t2, ev.a2, ev.value])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +346,129 @@ def export_ensemble(ens: Ensemble, path) -> list[str]:
     return [str(path), str(_sidecar(path))]
 
 
-def _planned_outputs(cfg: RunConfig) -> list[str]:
-    if cfg.study == "fbm_gen":
-        return ["ensemble.csv", "ensemble.manifest.json", "manifest.json"]
-    if cfg.study == "kernel_eval":
-        return ["kernels.csv", "manifest.json"]
-    return ["result.json", "summary.csv", "manifest.json"]
+# ---------------------------------------------------------------------------
+# Studies
+# ---------------------------------------------------------------------------
+
+def _write_result(cfg: RunConfig, out_dir: Path):
+    """Run a Monte Carlo study; write result.json and summary.csv."""
+    spec = STUDIES[cfg.study]
+    kwargs = {("seed" if key == "master_seed" else key): getattr(cfg, key)
+              for key in spec.keys}
+    # looked up at call time, so a wrapper set on the module is called
+    result = getattr(experiments, spec.function)(**kwargs, workers=cfg.threads)
+    payload = result.to_dict()
+    payload["config_echo"] = _numeric_config(cfg)
+    _write_atomic(out_dir / "result.json", canonical_json(payload))
+    _write_csv(out_dir / "summary.csv",
+               ["n", "mean", "median", "se", "statistic"],
+               [[r["n"], r["mean"], r["median"], r["se"], r["statistic"]]
+                for r in result.per_n])
+    return ([out_dir / "result.json", out_dir / "summary.csv"],
+            list(result.warnings), result.pass_flags)
+
+
+def _write_ensemble(cfg: RunConfig, out_dir: Path):
+    """Sample one ensemble; write ensemble.csv with its sidecar."""
+    grid = GridSpec.uniform_grid(cfg.T, cfg.M_t, include_zero=True)
+    ens = make_ensemble(cfg.n, grid, cfg.H, sampler_id=cfg.sampler_id,
+                        master_seed=cfg.master_seed)
+    files = export_ensemble(ens, out_dir / "ensemble.csv")
+    return [Path(f) for f in files], list(ens.warnings), {}
+
+
+def _default_kernel_nodes(kind: str) -> list[tuple]:
+    ts = [0.4 * k for k in range(1, 11)]
+    a = {"swanson": None, "K": 0.5, "weightedK": 0.5}.get(kind, 0.0)
+    return [(t1, a, t2, a) for t1 in ts for t2 in ts if t1 <= t2]
+
+
+def _write_kernels(cfg: RunConfig, out_dir: Path):
+    """Evaluate a limit kernel over node pairs; write kernels.csv."""
+    if cfg.kernel_nodes is None:
+        nodes = _default_kernel_nodes(cfg.kind)
+    elif cfg.kind == "swanson":
+        nodes = [(t1, None, t2, None) for t1, t2 in cfg.kernel_nodes]
+    else:
+        nodes = cfg.kernel_nodes
+    rows = []
+    for t1, a1, t2, a2 in nodes:
+        ev = analytic.kernel_eval(cfg.kind, t1, a1, t2, a2, H=cfg.H)
+        rows.append([ev.kind, ev.t1, ev.a1, ev.t2, ev.a2, ev.value])
+    _write_csv(out_dir / "kernels.csv",
+               ["kind", "t1", "a1", "t2", "a2", "value"], rows)
+    return [out_dir / "kernels.csv"], [], {}
+
+
+@dataclass(frozen=True)
+class Study:
+    """How the runner drives one study.
+
+    ``keys`` are the config keys the study reads besides ``study``,
+    ``threads`` and ``out_dir``; parse_config rejects any other key.
+    ``defaults`` override, for this study, the defaults parse_config gives
+    every study (a study with a ladder key must give its default ladder).
+    ``write`` runs the study into an output directory and returns (files
+    written, warnings, pass flags); for a Monte Carlo study it calls the
+    ``tqproc.experiments`` function named by ``function`` with the keys as
+    keyword arguments (``master_seed`` as ``seed``).  ``outputs`` are the
+    files ``write`` creates, which a run will not overwrite unforced.
+    """
+    keys: tuple[str, ...]
+    defaults: dict
+    function: str | None = None
+    write: Callable = _write_result
+    outputs: tuple[str, ...] = ("result.json", "summary.csv")
+    T_floor: float = 0.0   # T must exceed it
+
+
+_RATE_KEYS = ("ladder", "H", "T", "rho", "M_t", "M_alpha", "sampler_id",
+              "master_seed")
+_RATE_LADDER = {"ns": [2**k for k in range(8, 14)], "replications": 50}
+
+STUDIES = {
+    "bk_rate": Study(
+        function="bk_rate_study", keys=_RATE_KEYS + ("eta", "gamma0"),
+        defaults={"ladder": _RATE_LADDER}, T_floor=1.0),
+    "weighted_bk_rate": Study(
+        function="weighted_bk_rate_study", keys=_RATE_KEYS,
+        defaults={"ladder": _RATE_LADDER}, T_floor=1.0),
+    "kernel_validation": Study(
+        function="kernel_validation_study",
+        keys=("x_nodes", "alpha_nodes", "H", "n", "R", "sampler_id",
+              "master_seed"),
+        defaults={"n": 500, "R": 4000,
+                  "x_nodes": [[t, x * t**0.5] for t in (0.5, 1.0, 2.0, 4.0)
+                              for x in (-1.0, 0.0, 1.0)],
+                  "alpha_nodes": [[1.0, 0.5], [4.0, 0.5], [1.0, 0.25],
+                                  [4.0, 0.75]]}),
+    # Brownian ensembles only: H is fixed at 1/2
+    "swanson": Study(
+        function="swanson_median_study",
+        keys=("times", "n", "R", "sampler_id", "master_seed"),
+        defaults={"n": 1001, "R": 5000,
+                  "times": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]}),
+    "lil_trace": Study(
+        function="lil_trace_study",
+        keys=("ladder", "H", "kappa", "T", "M_t", "sampler_id", "master_seed"),
+        defaults={"ladder": {"ns": [2**k for k in range(8, 13)],
+                             "replications": 4}}),
+    "classical_bk": Study(
+        function="classical_bk_study", keys=("ladder", "master_seed"),
+        defaults={"ladder": {"ns": [2**k for k in range(12, 17)],
+                             "replications": 20}}),
+    "fbm_gen": Study(
+        keys=("n", "H", "T", "M_t", "sampler_id", "master_seed"),
+        defaults={"n": 100}, write=_write_ensemble,
+        outputs=("ensemble.csv", "ensemble.manifest.json")),
+    "kernel_eval": Study(
+        keys=("kind", "kernel_nodes", "H"), defaults={"kind": "swanson"},
+        write=_write_kernels, outputs=("kernels.csv",)),
+    "tail_fit": Study(
+        function="tail_fit_study",
+        keys=("levels_y", "H", "T", "n", "M_t", "sampler_id", "master_seed"),
+        defaults={"T": 1.0, "n": 100_000, "levels_y": [1.5, 2.0, 2.5, 3.0]}),
+}
 
 
 def run_study(cfg: RunConfig, force: bool = False,
@@ -486,47 +479,24 @@ def run_study(cfg: RunConfig, force: bool = False,
     2 when any pass flag is false.  Existing output files abort the run
     unless ``force`` is given.
     """
+    spec = STUDIES[cfg.study]
     out_dir = Path(os.environ.get(ENV_OUT_DIR) or cfg.out_dir)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     out_dir.mkdir(parents=True, exist_ok=True)
-    planned = [out_dir / name for name in _planned_outputs(cfg)]
     if not force:
-        existing = [str(p) for p in planned if p.exists()]
+        existing = [str(out_dir / name)
+                    for name in spec.outputs + ("manifest.json",)
+                    if (out_dir / name).exists()]
         if existing:
             raise ConfigError(
                 f"output file(s) already exist: {existing}; pass --force to overwrite")
 
-    warnings: list[str] = []
-    written: list[Path] = []
+    written, warnings, pass_flags = spec.write(cfg, out_dir)
     exit_code = 0
-
-    if cfg.study == "fbm_gen":
-        grid = GridSpec.uniform_grid(cfg.T, cfg.M_t, include_zero=True)
-        ens = make_ensemble(cfg.n, grid, cfg.H, sampler_id=cfg.sampler_id,
-                            master_seed=cfg.master_seed)
-        warnings += list(ens.warnings)
-        for f in export_ensemble(ens, out_dir / "ensemble.csv"):
-            written.append(Path(f))
-    elif cfg.study == "kernel_eval":
-        _write_csv(out_dir / "kernels.csv",
-                   ["kind", "t1", "a1", "t2", "a2", "value"], _kernel_rows(cfg))
-        written.append(out_dir / "kernels.csv")
-    else:
-        result = _dispatch(cfg)
-        warnings += list(result.warnings)
-        payload = result.to_dict()
-        payload["config_echo"] = _numeric_config(cfg)
-        _write_atomic(out_dir / "result.json", canonical_json(payload))
-        written.append(out_dir / "result.json")
-        _write_csv(out_dir / "summary.csv",
-                   ["n", "mean", "median", "se", "statistic"],
-                   [[r["n"], r["mean"], r["median"], r["se"], r["statistic"]]
-                    for r in result.per_n])
-        written.append(out_dir / "summary.csv")
-        if check and not all(result.pass_flags.values()):
-            failed = sorted(k for k, v in result.pass_flags.items() if not v)
-            print(f"check failed: {failed}", file=sys.stderr)
-            exit_code = 2
+    if check and not all(pass_flags.values()):
+        failed = sorted(k for k, v in pass_flags.items() if not v)
+        print(f"check failed: {failed}", file=sys.stderr)
+        exit_code = 2
 
     manifest = {
         "config_hash": _config_hash(cfg),

@@ -120,8 +120,9 @@ class TestEmpiricalQuantile:
         grid = GridSpec.uniform_grid(2.0, 8)
         e = make_ensemble(37, grid, 0.4, master_seed=6)
         lv = LevelGrid.uniform(0.05, 33)
-        surf = empirical.quantile_surface(e, lv)
-        assert np.all(np.diff(surf.tau_n, axis=0) >= 0.0)
+        for t in grid.times:
+            tau_n = [empirical.empirical_quantile(e, t, a) for a in lv.levels]
+            assert np.all(np.diff(tau_n) >= 0.0)
 
     def test_galois_inversion(self):
         grid = GridSpec.uniform_grid(1.0, 4)

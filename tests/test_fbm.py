@@ -7,7 +7,7 @@ import pytest
 
 from tqproc import analytic, fbm
 from tqproc.errors import DataError, DomainError
-from tqproc.fbm import GridSpec, FbmPath, make_ensemble
+from tqproc.fbm import Ensemble, GridSpec, make_ensemble
 from tqproc.seeding import derive_seed, splitmix64
 
 
@@ -87,28 +87,47 @@ class TestCholesky:
 
     def test_seed_determinism(self):
         g = GridSpec.uniform_grid(1.0, 8)
-        p1 = fbm.cholesky_sample(g, 0.4, seed=123)
-        p2 = fbm.cholesky_sample(g, 0.4, seed=123)
+        p1 = make_ensemble(1, g, 0.4, sampler_id="cholesky", master_seed=123)
+        p2 = make_ensemble(1, g, 0.4, sampler_id="cholesky", master_seed=123)
         assert np.array_equal(p1.values, p2.values)
-        p3 = fbm.cholesky_sample(g, 0.4, seed=124)
+        p3 = make_ensemble(1, g, 0.4, sampler_id="cholesky", master_seed=124)
         assert not np.array_equal(p1.values, p3.values)
 
     def test_point_cap(self):
+        # rejected before any covariance is built
         g = GridSpec.uniform_grid(1.0, 4097)
-        with pytest.raises(DomainError):
-            fbm.cholesky_sample(g, 0.5, seed=0)
+        with pytest.raises(DomainError, match="4096"):
+            make_ensemble(1, g, 0.5, sampler_id="cholesky", master_seed=0)
+
+    def test_caches_are_bounded(self):
+        # a 4096-point factor is ~134 MB, so neither cache may grow unbounded
+        for cached in (fbm._cholesky_factor, fbm._fgn_spectrum):
+            assert cached.cache_info().maxsize == fbm._CACHE_SIZE <= 8
+        for M in range(2, 2 * fbm._CACHE_SIZE + 3):
+            make_ensemble(1, GridSpec.uniform_grid(1.0, M), 0.5,
+                          sampler_id="cholesky")
+        assert fbm._cholesky_factor.cache_info().currsize <= fbm._CACHE_SIZE
+
+    def test_cached_warnings_repeat(self):
+        # near-coincident times need jitter; a cache hit repeats the warning
+        g = GridSpec.from_times([1.0, 1.0 + 1e-9, 1.0 + 2e-9])
+        first = make_ensemble(2, g, 0.9, sampler_id="cholesky")
+        again = make_ensemble(2, g, 0.9, sampler_id="cholesky")
+        assert fbm._cholesky_factor.cache_info().hits >= 1
+        assert len(first.warnings) == 1 and "jitter" in first.warnings[0]
+        assert again.warnings == first.warnings
 
 
 class TestCirculant:
     def test_requires_uniform(self):
         g = GridSpec.from_times([0.1, 0.25, 0.4])
-        with pytest.raises(DomainError):
-            fbm.circulant_sample(g, 0.5, seed=0)
+        with pytest.raises(DomainError, match="uniform"):
+            make_ensemble(1, g, 0.5, sampler_id="circulant", master_seed=0)
 
     def test_seed_determinism(self):
         g = GridSpec.uniform_grid(2.0, 32)
-        p1 = fbm.circulant_sample(g, 0.7, seed=5)
-        p2 = fbm.circulant_sample(g, 0.7, seed=5)
+        p1 = make_ensemble(1, g, 0.7, sampler_id="circulant", master_seed=5)
+        p2 = make_ensemble(1, g, 0.7, sampler_id="circulant", master_seed=5)
         assert np.array_equal(p1.values, p2.values)
 
     def test_brownian_increments_uncorrelated(self):
@@ -143,10 +162,13 @@ class TestCirculant:
 
 class TestEnsemble:
     def test_single_path_reduces_to_sampler(self):
+        # row i is the single path drawn from stream derive_seed(master, i)
         g = GridSpec.uniform_grid(1.0, 8)
-        e = make_ensemble(1, g, 0.5, sampler_id="circulant", master_seed=9)
-        p = fbm.circulant_sample(g, 0.5, seed=derive_seed(9, 0))
-        assert np.array_equal(e.values[0], p.values)
+        e = make_ensemble(3, g, 0.5, sampler_id="circulant", master_seed=9)
+        for i in range(3):
+            seed = np.asarray([derive_seed(9, i)], dtype=np.uint64)
+            path, _ = fbm._circulant_matrix(g, 0.5, seed)
+            assert np.array_equal(e.values[i], path[0])
 
     def test_bytewise_determinism(self):
         g = GridSpec.uniform_grid(2.0, 16, include_zero=True)
@@ -196,22 +218,28 @@ class TestEnsemble:
 
 
 class TestModulusStatistic:
+    @staticmethod
+    def _paths(g: GridSpec, rows) -> Ensemble:
+        return Ensemble(H=0.5, grid=g, values=np.asarray(rows, dtype=float),
+                        master_seed=0, sampler_id="circulant")
+
     def test_constant_path(self):
         g = GridSpec.uniform_grid(1.0, 5, include_zero=True)
-        p = FbmPath(H=0.5, grid=g, values=np.full(5, 2.2))
-        assert fbm.modulus_statistic(p) == 0.0
+        stat = fbm.modulus_statistic(self._paths(g, [np.full(5, 2.2)]))
+        assert stat.tolist() == [0.0]
 
     def test_single_pair_unit_gauge(self):
         g = GridSpec.from_times([0.0, 1.0])
-        p = FbmPath(H=0.5, grid=g, values=np.array([0.0, 1.0]))
-        assert fbm.modulus_statistic(p) == pytest.approx(1.0, abs=1e-15)
+        stat = fbm.modulus_statistic(self._paths(g, [[0.0, 1.0], [0.0, -2.0]]))
+        assert stat == pytest.approx([1.0, 2.0], abs=1e-15)
 
     def test_maxlag_restriction(self):
         g = GridSpec.uniform_grid(1.0, 64, include_zero=True)
-        p = fbm.circulant_sample(g, 0.5, seed=77)
-        full = fbm.modulus_statistic(p)
-        capped = fbm.modulus_statistic(p, maxlag=4)
-        assert capped <= full
+        e = make_ensemble(8, g, 0.5, master_seed=77)
+        full = fbm.modulus_statistic(e)
+        capped = fbm.modulus_statistic(e, maxlag=4)
+        assert full.shape == (8,)
+        assert np.all(capped <= full)
 
     def test_distribution_stability_across_resolution(self):
         # median of the statistic stable within 25% between M=256 and M=1024
@@ -219,13 +247,7 @@ class TestModulusStatistic:
         for M in (256, 1024):
             g = GridSpec.uniform_grid(1.0, M, include_zero=True)
             e = make_ensemble(1000, g, 0.5, master_seed=99)
-            ts = g.array
-            best = np.zeros(e.n)
-            for k in range(1, M):
-                gauge = analytic.modulus_gauge(ts[k:] - ts[:-k], 0.5)
-                dv = np.abs(e.values[:, k:] - e.values[:, :-k]) / gauge
-                best = np.maximum(best, dv.max(axis=1))
-            meds.append(np.median(best))
+            meds.append(np.median(fbm.modulus_statistic(e)))
         assert abs(meds[1] - meds[0]) / meds[0] <= 0.25
 
 

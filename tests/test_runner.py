@@ -1,12 +1,15 @@
 """Configuration parsing, CLI surface, persistence, and determinism."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from tqproc import experiments
 from tqproc.errors import ConfigError
-from tqproc.runner import main, parse_config, run_study, serialize_config
+from tqproc.runner import (STUDIES, RunConfig, main, parse_config, run_study,
+                           serialize_config)
 
 
 TINY_SWANSON = {"study": "swanson", "master_seed": 42, "n": 51, "R": 30,
@@ -81,6 +84,66 @@ class TestParseConfig:
             parse_config('{"study": "swanson", "M_t": "many"}')
         with pytest.raises(ConfigError, match="master_seed"):
             parse_config('{"study": "swanson", "master_seed": -3}')
+
+    @pytest.mark.parametrize("study", ["swanson", "kernel_eval"])
+    def test_unread_key_rejected(self, study):
+        with pytest.raises(ConfigError, match=f"{study}.*kappa"):
+            parse_config(json.dumps({"study": study, "kappa": 0.7}))
+
+    @pytest.mark.parametrize("key", ["delta", "C", "c1"])
+    def test_retired_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"unknown.*{key}"):
+            parse_config(json.dumps({"study": "bk_rate", key: 0.1}))
+
+    @pytest.mark.parametrize("nodes", [[["a", 1, 2, 3]], 5, "K", [[1, 2]],
+                                       [[1, 0.5, 2]]])
+    def test_kernel_nodes_malformed(self, nodes):
+        with pytest.raises(ConfigError, match="kernel_nodes"):
+            parse_config(json.dumps({"study": "kernel_eval", "kind": "K",
+                                     "kernel_nodes": nodes}))
+
+    def test_kernel_nodes_arity_follows_kind(self):
+        cfg = parse_config('{"study": "kernel_eval", "kernel_nodes": [[1, 2]]}')
+        assert cfg.kind == "swanson" and cfg.kernel_nodes == ((1.0, 2.0),)
+        with pytest.raises(ConfigError, match="kernel_nodes"):
+            parse_config('{"study": "kernel_eval", "kernel_nodes": [[1, 0, 2, 0]]}')
+
+    def test_bad_nodes_leave_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"study": "kernel_eval", "kind": "K",
+                                        "kernel_nodes": [[1, 2]],
+                                        "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "kernel_nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestStudyRegistry:
+    def test_keys_are_config_fields(self):
+        names = {f.name for f in fields(RunConfig)}
+        assert len(names) == 22
+        for spec in STUDIES.values():
+            assert set(spec.keys) <= names
+            assert set(spec.defaults) <= set(spec.keys)
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_round_trip_every_study(self, study):
+        cfg = parse_config(json.dumps({"study": study}))
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_study_function_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        calls = []
+        inner = experiments.swanson_median_study
+
+        def wrapped(*args, **kwargs):
+            calls.append(kwargs)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "swanson_median_study", wrapped)
+        _run_tiny(tmp_path, "wrapped")
+        assert len(calls) == 1
+        assert calls[0]["seed"] == 42 and calls[0]["workers"] == 1
 
 
 def _run_tiny(tmp_path, name, extra=None, force=False, check=False):
