@@ -15,6 +15,7 @@ fitting the exact rate sequence itself (see ``loglog_fit``).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -154,7 +155,11 @@ def _summarize(n: int, values: np.ndarray, statistic: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _run_tasks(worker, tasks: list, workers: int) -> list:
-    """Map worker over tasks, preserving order; results never depend on pool size."""
+    """Map worker over tasks, preserving order; results never depend on pool size.
+
+    The pool never has more processes than the machine has CPUs.
+    """
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:

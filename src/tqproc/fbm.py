@@ -294,8 +294,7 @@ def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant
                           f"expected one of {sorted(_SAMPLERS)}")
     if not 0.0 < H < 1.0:
         raise DomainError(f"Hurst index must satisfy 0 < H < 1; got {H}")
-    seeds = np.asarray([derive_seed(master_seed, i) for i in range(n)],
-                       dtype=np.uint64)
+    seeds = derive_seed(master_seed, np.arange(n, dtype=np.uint64))
     try:
         values, warns = _SAMPLERS[sampler_id](grid, H, seeds)
     except NumericError as exc:

@@ -90,9 +90,12 @@ def _numbers(cfg: dict, key: str):
     if raw is None:
         return None
     try:
-        return tuple(float(v) for v in raw)
+        values = tuple(float(v) for v in raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be a list of numbers") from exc
+    if not values:
+        raise ConfigError(f"{key} must be a non-empty list of numbers")
+    return values
 
 
 def _nodes(cfg: dict, key: str, width: int, shape: str):
@@ -103,15 +106,13 @@ def _nodes(cfg: dict, key: str, width: int, shape: str):
         nodes = tuple(tuple(float(v) for v in row) for row in raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be a list of {shape}") from exc
-    if any(len(row) != width for row in nodes):
-        raise ConfigError(f"{key} must be a list of {shape}")
+    if not nodes or any(len(row) != width for row in nodes):
+        raise ConfigError(f"{key} must be a non-empty list of {shape}")
     return nodes
 
 
 def _ladder(cfg: dict, default: dict) -> NLadder:
-    raw = cfg.get("ladder")
-    if raw is None:
-        raw = {}
+    raw = cfg["ladder"]
     if not isinstance(raw, dict):
         raise ConfigError('ladder must be an object {"ns": [...], '
                           '"replications": int}')
@@ -151,6 +152,11 @@ def parse_config(text: str) -> RunConfig:
     if unread:
         raise ConfigError(f"study {study!r} does not read config key(s) "
                           f"{sorted(unread)}; it reads {sorted(spec.keys)}")
+    # null never means "use the default": omitting the key does that
+    nulls = sorted(key for key, val in cfg.items() if val is None)
+    if nulls:
+        raise ConfigError(f"config key(s) {nulls} must not be null; omit a "
+                          f"key to use its default")
     cfg = {**spec.defaults, **cfg}
 
     H = _want(cfg, "H", float, 0.5, lambda v: 0.0 < v < 1.0,
@@ -482,6 +488,8 @@ def run_study(cfg: RunConfig, force: bool = False,
     spec = STUDIES[cfg.study]
     out_dir = Path(os.environ.get(ENV_OUT_DIR) or cfg.out_dir)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    # the directories this run creates, deepest first
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     if not force:
         existing = [str(out_dir / name)
@@ -491,7 +499,16 @@ def run_study(cfg: RunConfig, force: bool = False,
             raise ConfigError(
                 f"output file(s) already exist: {existing}; pass --force to overwrite")
 
-    written, warnings, pass_flags = spec.write(cfg, out_dir)
+    try:
+        written, warnings, pass_flags = spec.write(cfg, out_dir)
+    except BaseException:
+        # a failed study leaves behind no empty directory it created
+        for d in created:
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        raise
     exit_code = 0
     if check and not all(pass_flags.values()):
         failed = sorted(k for k, v in pass_flags.items() if not v)

@@ -13,6 +13,30 @@ from tqproc.experiments import (NLadder, bk_rate_study, classical_bk_study,
                                 tail_fit_study, weighted_bk_rate_study)
 
 
+class TestRunTasks:
+    @pytest.mark.parametrize("cpus, pool", [(2, [2]), (None, [])])
+    def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, pool):
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        assert experiments._run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
+        assert sizes == pool
+
+
 class TestNLadder:
     def test_powers_of_two(self):
         lad = NLadder.powers_of_two(8, 10, 5)

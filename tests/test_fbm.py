@@ -1,6 +1,7 @@
 """Samplers: exact laws, determinism, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,20 @@ import pytest
 from tqproc import analytic, fbm
 from tqproc.errors import DataError, DomainError
 from tqproc.fbm import Ensemble, GridSpec, make_ensemble
-from tqproc.seeding import derive_seed, splitmix64
+from tqproc.seeding import derive_seed, generator_for, normal_matrix, splitmix64
+
+
+def _reference_generator(seed: int) -> np.random.Generator:
+    """PCG64 keyed by four scalar SplitMix64 words: the layout every stream uses."""
+    w0 = splitmix64(seed)
+    w1 = splitmix64(w0)
+    w2 = splitmix64(w1)
+    w3 = splitmix64(w2)
+    bg = np.random.PCG64()
+    bg.state = {"bit_generator": "PCG64",
+                "state": {"state": (w0 << 64) | w1, "inc": (w2 << 64) | w3 | 1},
+                "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bg)
 
 
 class TestSeeding:
@@ -23,6 +37,35 @@ class TestSeeding:
     def test_derived_seeds_distinct(self):
         seeds = {derive_seed(7, i) for i in range(10_000)}
         assert len(seeds) == 10_000
+
+    @pytest.mark.parametrize("master", [0, 2**63, 2**64 - 1])
+    def test_array_indices_match_scalar(self, master):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seeds = derive_seed(master, np.arange(1000, dtype=np.uint64))
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(master, i) for i in range(1000)]
+
+    def test_signed_index_array_rejected(self):
+        with pytest.raises(DomainError, match="uint64.*int64"):
+            derive_seed(0, np.arange(3, dtype=np.int64))
+
+    def test_generator_for_matches_scalar_state(self):
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            np.testing.assert_array_equal(
+                generator_for(seed).standard_normal(8),
+                _reference_generator(seed).standard_normal(8))
+
+    def test_normal_rows_are_seed_streams(self):
+        seeds = np.random.default_rng(5).integers(0, 2**64, size=40,
+                                                  dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noise = normal_matrix(seeds, 33)
+        assert noise.shape == (40, 33)
+        for row, seed in zip(noise, seeds):
+            np.testing.assert_array_equal(
+                row, generator_for(int(seed)).standard_normal(33))
 
 
 class TestGridSpec:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tqproc import experiments
-from tqproc.errors import ConfigError
+from tqproc.errors import ConfigError, DomainError
 from tqproc.runner import (STUDIES, RunConfig, main, parse_config, run_study,
                            serialize_config)
 
@@ -108,6 +108,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="kernel_nodes"):
             parse_config('{"study": "kernel_eval", "kernel_nodes": [[1, 0, 2, 0]]}')
 
+    @pytest.mark.parametrize("conf, match", [
+        ({"study": "bk_rate", "H": None}, r"\['H'\] must not be null"),
+        ({"study": "swanson", "n": None}, r"\['n'\] must not be null"),
+        ({"study": "swanson", "times": []}, "times must be a non-empty"),
+    ], ids=["H-null", "n-null", "times-empty"])
+    def test_null_or_empty_value_rejected(self, conf, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+
     def test_bad_nodes_leave_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "never"
         cfg_path = tmp_path / "bad.json"
@@ -170,6 +179,26 @@ class TestRunStudy:
         assert manifest["config_hash"]
         header = (out / "summary.csv").read_text().splitlines()[0]
         assert header == "n,mean,median,se,statistic"
+
+    def test_failed_study_removes_the_out_dir_it_created(self, tmp_path, capsys):
+        out = tmp_path / "new" / "out"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"study": "kernel_eval", "kind": "K",
+                                        "kernel_nodes": [[0, 0.5, 1, 0.5]],
+                                        "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "t1, t2 > 0" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_study_keeps_an_existing_out_dir(self, tmp_path):
+        out = tmp_path / "kept"
+        out.mkdir()
+        cfg = parse_config(json.dumps({"study": "kernel_eval", "kind": "K",
+                                       "kernel_nodes": [[0, 0.5, 1, 0.5]],
+                                       "out_dir": str(out)}))
+        with pytest.raises(DomainError):
+            run_study(cfg)
+        assert out.is_dir()
 
     def test_collision_without_force(self, tmp_path):
         _run_tiny(tmp_path, "b")
