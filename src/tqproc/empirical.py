@@ -245,6 +245,19 @@ def _remainder_from_sorted(sv: np.ndarray, ts: np.ndarray, levels: np.ndarray,
     return R
 
 
+def _remainder_window(ensemble: Ensemble, times, weighted: bool,
+                      t_min: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(times, column indices) of a remainder field; unweighted needs t > 0."""
+    if not weighted and times is None and (t_min is None or t_min <= 0.0):
+        raise DomainError(
+            "unweighted remainder needs a positive window floor t_min "
+            "(or explicit positive times)")
+    ts, cols = _select_times(ensemble, times, t_min, None)
+    if not weighted and np.any(ts <= 0.0):
+        raise DomainError("unweighted remainder is undefined at t = 0")
+    return ts, cols
+
+
 def bk_remainder_field(ensemble: Ensemble, levels: LevelGrid, times=None,
                        weighted: bool = False,
                        t_min: float | None = None) -> RemainderField:
@@ -254,16 +267,7 @@ def bk_remainder_field(ensemble: Ensemble, levels: LevelGrid, times=None,
     pass explicit positive ``times`` or a window floor ``t_min > 0``; the
     weighted form admits t=0 and defaults to the whole grid.
     """
-    if not weighted:
-        if times is None and (t_min is None or t_min <= 0.0):
-            raise DomainError(
-                "unweighted remainder needs a positive window floor t_min "
-                "(or explicit positive times)")
-        ts, cols = _select_times(ensemble, times, t_min, None)
-        if np.any(ts <= 0.0):
-            raise DomainError("unweighted remainder is undefined at t = 0")
-    else:
-        ts, cols = _select_times(ensemble, times, t_min, None)
+    ts, cols = _remainder_window(ensemble, times, weighted, t_min)
     sv = _sorted_columns(ensemble, cols)
     R = _remainder_from_sorted(sv, ts, levels.array, ensemble.H, weighted)
     return RemainderField(times=tuple(float(t) for t in ts), levels=levels,

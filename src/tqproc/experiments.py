@@ -2,9 +2,10 @@
 
 Each study maps a configuration and a master seed to a ``StudyResult``
 deterministically: replication r at sample size n draws its randomness from
-``derive_seed(seed, n, r)``, tasks are farmed to a worker pool, and results
-are aggregated in task order, so the outcome does not depend on the number
-of workers.
+``derive_seed(seed, n, r)``, tasks are farmed to a worker pool largest n
+first (so the pool's last chunks hold the cheapest tasks), and results are
+aggregated in ladder order, so the outcome depends neither on the number of
+workers nor on the dispatch order.
 
 Slope acceptance bands absorb the slowly varying factors multiplying the
 theoretical power laws; at desk-scale sample sizes those factors bias
@@ -173,12 +174,18 @@ def _replicate(worker, seed: int, ns, R: int, args: tuple,
 
     Replication r at size n is the task ``(derive_seed(seed, n, r), n,
     *args)``; the worker returns ``(value, tie_violation, warnings)``.
-    Returns the values grouped per n in ladder order, the largest tie
-    violation and the sorted union of the warnings.
+    A task costs roughly in proportion to n, so tasks are dispatched largest
+    n first (r ascending within each n): the pool hands out contiguous
+    chunks, and in ladder order one worker would be left with a chunk of
+    the largest tasks while the others idle.  Returns the values grouped
+    per n in ladder order, the largest tie violation and the sorted union
+    of the warnings.
     """
-    tasks = [(derive_seed(seed, n, r), n) + args for n in ns for r in range(R)]
+    tasks = [(derive_seed(seed, n, r), n) + args
+             for n in reversed(ns) for r in range(R)]
     out = _run_tasks(worker, tasks, workers)
-    values = [[o[0] for o in out[i * R:(i + 1) * R]] for i in range(len(ns))]
+    values = [[o[0] for o in out[i * R:(i + 1) * R]]
+              for i in reversed(range(len(ns)))]
     tie_violation = max(o[1] for o in out)
     warnings = tuple(sorted(set().union(*(o[2] for o in out))))
     return values, tie_violation, warnings
@@ -200,12 +207,16 @@ def _bk_worker(args) -> tuple[float, float, tuple]:
     (seed, n, H, T, M_t, rho, M_alpha, gamma0, eta, weighted, sampler_id) = args
     grid = _study_grid(T, M_t)
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
-    levels = LevelGrid.uniform(rho, M_alpha)
+    levels = LevelGrid.uniform(rho, M_alpha).array
     t_min = None if weighted else _window_floor(n, gamma0, eta)
-    fld = empirical.bk_remainder_field(ens, levels, weighted=weighted,
-                                       t_min=t_min)
-    ties = empirical.tie_stats(ens, levels)
-    return fld.sup_norm, ties.max_violation, ens.warnings
+    ts, cols = empirical._remainder_window(ens, None, weighted, t_min)
+    # one column sort feeds both reductions: the remainder window is a
+    # suffix of the grid, and the tie scan skips the anchored t=0 column 0
+    sv = np.sort(ens.values, axis=0)
+    R = empirical._remainder_from_sorted(sv[:, cols[0]:], ts, levels, H,
+                                         weighted)
+    _, _, violation = empirical._tie_stats_from_sorted(sv[:, 1:], levels, H)
+    return float(np.max(np.abs(R))), violation, ens.warnings
 
 
 def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
@@ -373,11 +384,11 @@ def _swanson_worker(args) -> tuple[np.ndarray, float, tuple]:
     (seed, n, times, sampler_id) = args
     grid = GridSpec.from_times(times)
     ens = make_ensemble(n, grid, 0.5, sampler_id=sampler_id, master_seed=seed)
-    k = empirical.order_index(0.5, n)
-    med = np.partition(ens.values, k - 1, axis=0)[k - 1, :]
-    levels = LevelGrid(rho=0.25, levels=(0.5,))
-    ties = empirical.tie_stats(ens, levels)
-    return math.sqrt(n) * med, ties.max_violation, ens.warnings
+    # one column sort gives the medians and the tie scan (every time is > 0)
+    sv = np.sort(ens.values, axis=0)
+    med = sv[empirical.order_index(0.5, n) - 1, :]
+    _, _, violation = empirical._tie_stats_from_sorted(sv, np.array([0.5]), 0.5)
+    return math.sqrt(n) * med, violation, ens.warnings
 
 
 def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),

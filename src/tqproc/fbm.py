@@ -260,11 +260,11 @@ def _circulant_matrix(grid: GridSpec, H: float,
         W = np.zeros((n, m), dtype=complex)
         W[:, 0] = np.sqrt(eig[0] / m) * noise[:, 0]
         W[:, g] = np.sqrt(eig[g] / m) * noise[:, 1]
-        ks = np.arange(1, g)
-        if ks.size:
-            amp = np.sqrt(eig[ks] / (2.0 * m))
-            W[:, ks] = amp * (noise[:, 2 * ks] + 1j * noise[:, 2 * ks + 1])
-            W[:, m - ks] = np.conj(W[:, ks])
+        # frequencies k = 1..g-1 take noise columns 2k and 2k+1; their
+        # mirrors m-k run from m-1 down to g+1 (all empty when g = 1)
+        amp = np.sqrt(eig[1:g] / (2.0 * m))
+        W[:, 1:g] = amp * (noise[:, 2:m:2] + 1j * noise[:, 3:m:2])
+        W[:, :g:-1] = np.conj(W[:, 1:g])
         inc = np.fft.fft(W, axis=1).real[:, :n_inc]
     cum = np.cumsum(inc, axis=1)
     out = np.zeros((n, grid.M))

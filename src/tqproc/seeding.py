@@ -12,7 +12,9 @@ modulo 2**64, which is what the ``& _MASK64`` steps do for Python ints, so
 ``derive_seed(s, np.arange(n, dtype=np.uint64))`` equals
 ``[derive_seed(s, i) for i in range(n)]`` bit for bit.  Array indices must
 have dtype ``uint64``: numpy cannot mix a signed array with the 64-bit
-masks, so any other dtype is rejected with a ``DomainError``.
+masks, so any other dtype is rejected with a ``DomainError``.  A numpy
+integer scalar is taken as the Python int it holds, since numpy scalar
+arithmetic warns on the very wraparound that the masks rely on.
 
 SplitMix64 constants (Steele, Lea & Flood's reference implementation):
 increment 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 and
@@ -21,6 +23,7 @@ increment 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 and
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -51,16 +54,17 @@ def derive_seed(master_seed: int, *indices: int | np.ndarray) -> int | np.ndarra
     SplitMix64 avalanche, so ``derive_seed(s, a, b) != derive_seed(s, b, a)``
     in general and no two (seed, indices) tuples collide in practice.
 
-    With Python int indices the result is an int.  An index may also be a
-    ``uint64`` array; the result is then the ``uint64`` array of the seeds
-    for each of its elements.
+    With int indices (Python ints or numpy integer scalars) the result is
+    an int.  An index may also be a ``uint64`` array; the result is then the
+    ``uint64`` array of the seeds for each of its elements.
     """
-    s = master_seed & _MASK64
+    s = operator.index(master_seed) & _MASK64
     for v in indices:
-        dtype = getattr(v, "dtype", None)
-        if dtype is not None and dtype != np.uint64:
+        if not isinstance(v, np.ndarray):
+            v = operator.index(v)
+        elif v.dtype != np.uint64:
             raise DomainError(f"derive_seed array indices must have dtype "
-                              f"uint64; got {dtype}")
+                              f"uint64; got {v.dtype}")
         s = splitmix64(s ^ ((v & _MASK64) * _GAMMA & _MASK64))
     return s
 

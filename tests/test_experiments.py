@@ -2,15 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from tqproc import experiments
+from tqproc import empirical, experiments
+from tqproc.empirical import LevelGrid
 from tqproc.errors import DataError, DomainError
 from tqproc.experiments import (NLadder, bk_rate_study, classical_bk_study,
                                 deviation_stability_study,
                                 kernel_validation_study, lil_trace_study,
                                 loglog_fit, swanson_median_study,
                                 tail_fit_study, weighted_bk_rate_study)
+from tqproc.fbm import GridSpec, make_ensemble
+from tqproc.seeding import derive_seed
 
 
 class TestRunTasks:
@@ -35,6 +39,25 @@ class TestRunTasks:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         assert experiments._run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert sizes == pool
+
+
+class TestReplicate:
+    def test_dispatch_largest_n_first_values_in_ladder_order(self, monkeypatch):
+        dispatched = []
+
+        def record(worker, tasks, workers):
+            dispatched.extend(tasks)
+            return [(t[0], -float(t[1]), (f"w{t[1]}",)) for t in tasks]
+
+        monkeypatch.setattr(experiments, "_run_tasks", record)
+        ns, R = (16, 32, 64), 3
+        values, violation, warns = experiments._replicate(
+            None, 5, ns, R, ("x",), 2)
+        assert dispatched == [(derive_seed(5, n, r), n, "x")
+                              for n in (64, 32, 16) for r in range(R)]
+        assert values == [[derive_seed(5, n, r) for r in range(R)] for n in ns]
+        assert violation == -16.0
+        assert warns == ("w16", "w32", "w64")
 
 
 class TestNLadder:
@@ -123,6 +146,52 @@ class TestWeightedStudy:
         assert all(row["mean"] > 0.0 for row in r.per_n)
         assert r.pass_flags["tie_bound_ok"]
         assert "slope_at_most_minus_0.08" in r.pass_flags
+
+    def test_worker_count_invariance(self):
+        r1 = weighted_bk_rate_study(SMALL_LADDER, M_t=16, M_alpha=5, seed=8,
+                                    workers=1)
+        r2 = weighted_bk_rate_study(SMALL_LADDER, M_t=16, M_alpha=5, seed=8,
+                                    workers=2)
+        assert r1.to_dict() == r2.to_dict()
+
+
+class TestSharedSort:
+    """Workers sort each ensemble once; their reductions must equal the
+    public functions, which sort for themselves."""
+
+    # T = 2, M_t = 17: step 1/8.  gamma0 = 0.3 puts the floor between grid
+    # points (0.25, 0.375); with eta = 0.3 it falls to 0.3 * 64**-0.3 ~ 0.086,
+    # inside the first step
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_bk_worker_matches_field_and_ties(self, weighted, eta):
+        n, H, T, M_t, rho, M_alpha, gamma0 = 64, 0.4, 2.0, 17, 0.1, 7, 0.3
+        seed = derive_seed(99, n, 0)
+        got = experiments._bk_worker((seed, n, H, T, M_t, rho, M_alpha,
+                                      gamma0, eta, weighted, "circulant"))
+        ens = make_ensemble(n, GridSpec.uniform_grid(T, M_t, include_zero=True),
+                            H, master_seed=seed)
+        levels = LevelGrid.uniform(rho, M_alpha)
+        t_min = None if weighted else experiments._window_floor(n, gamma0, eta)
+        fld = empirical.bk_remainder_field(ens, levels, weighted=weighted,
+                                           t_min=t_min)
+        assert t_min is None or fld.t_min > t_min > fld.t_min - 0.125
+        ties = empirical.tie_stats(ens, levels)
+        assert got == (fld.sup_norm, ties.max_violation, ens.warnings)
+
+    def test_swanson_worker_matches_partition_and_ties(self):
+        n, times = 51, (0.5, 1.0, 2.0)
+        seed = derive_seed(98, n, 0)
+        med, violation, warns = experiments._swanson_worker(
+            (seed, n, times, "circulant"))
+        ens = make_ensemble(n, GridSpec.from_times(times), 0.5,
+                            master_seed=seed)
+        k = empirical.order_index(0.5, n)
+        want = np.partition(ens.values, k - 1, axis=0)[k - 1, :]
+        np.testing.assert_array_equal(med, math.sqrt(n) * want)
+        ties = empirical.tie_stats(ens, LevelGrid(rho=0.25, levels=(0.5,)))
+        assert violation == ties.max_violation
+        assert warns == ens.warnings
 
 
 class TestKernelValidation:
