@@ -1,9 +1,10 @@
 """Time-dependent empirical distribution, quantile, and remainder statistics.
 
-All operations are pure reductions over an immutable ensemble.  The
-empirical CDF in x is an exact step function, so suprema over x are taken
-at the jump abscissas (order statistics and their left limits) and are
-exact; suprema over t and the quantile level are grid suprema.
+All operations are pure reductions over an immutable ensemble; those that
+read order statistics share its one column sort, ``Ensemble.sorted_values``.
+The empirical CDF in x is an exact step function, so suprema over x are
+taken at the jump abscissas (order statistics and their left limits) and
+are exact; suprema over t and the quantile level are grid suprema.
 
 The quantile index convention is ceil(alpha * n) with a 1e-9 guard against
 binary-float products like 0.1 * n landing just above an integer.
@@ -103,8 +104,8 @@ def empirical_quantile(ensemble: Ensemble, t: float, alpha: float) -> float:
     """The ceil(alpha*n)-th smallest path value at time t."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1); got {alpha}")
-    vals = np.sort(ensemble.values_at(t))
-    return float(vals[order_index(alpha, ensemble.n) - 1])
+    j = ensemble.grid.index_of(t)
+    return float(ensemble.sorted_values[order_index(alpha, ensemble.n) - 1, j])
 
 
 def quantile_process(ensemble: Ensemble, t: float, alpha: float) -> float:
@@ -134,7 +135,12 @@ def _select_times(ensemble: Ensemble, times, t_min: float | None,
 
 
 def _sorted_columns(ensemble: Ensemble, cols: np.ndarray) -> np.ndarray:
-    return np.sort(ensemble.values[:, cols], axis=0)
+    """Columns ``cols`` of the ensemble's one column sort; a view when the
+    columns are contiguous."""
+    sv = ensemble.sorted_values
+    if np.all(np.diff(cols) == 1):
+        return sv[:, cols[0]:cols[-1] + 1]
+    return sv[:, cols]
 
 
 def _tau_n_matrix(sv: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -174,18 +180,6 @@ class TieStats:
     max_violation: float
 
 
-def _tie_stats_from_sorted(sv: np.ndarray, levels: np.ndarray,
-                           H: float) -> tuple[np.ndarray, int, float]:
-    n = sv.shape[0]
-    tau_n = _tau_n_matrix(sv, levels)
-    fn = _fn_at(sv, tau_n)
-    gap = fn - levels[:, None]
-    m = tie_bound_m(H)
-    violation = max(float(np.max(gap - m / n)),
-                    float(np.max(-gap)) - _CEIL_GUARD / n)
-    return math.sqrt(n) * gap, m, violation
-
-
 def tie_stats(ensemble: Ensemble, levels: LevelGrid, times=None) -> TieStats:
     """Tie statistics of the empirical quantiles over a (times, levels) grid.
 
@@ -198,10 +192,16 @@ def tie_stats(ensemble: Ensemble, levels: LevelGrid, times=None) -> TieStats:
     ts, cols = ts[keep], cols[keep]
     if cols.size == 0:
         raise DomainError("tie statistics need at least one positive grid time")
+    n = ensemble.n
     sv = _sorted_columns(ensemble, cols)
-    delta, m, violation = _tie_stats_from_sorted(sv, levels.array, ensemble.H)
+    lv = levels.array
+    gap = _fn_at(sv, _tau_n_matrix(sv, lv)) - lv[:, None]
+    m = tie_bound_m(ensemble.H)
+    violation = max(float(np.max(gap - m / n)),
+                    float(np.max(-gap)) - _CEIL_GUARD / n)
     return TieStats(times=tuple(float(t) for t in ts), levels=levels,
-                    delta_n=delta, m_bound=m, max_violation=violation)
+                    delta_n=math.sqrt(n) * gap, m_bound=m,
+                    max_violation=violation)
 
 
 # ---------------------------------------------------------------------------
@@ -226,38 +226,6 @@ class RemainderField:
     t_max: float
 
 
-def _remainder_from_sorted(sv: np.ndarray, ts: np.ndarray, levels: np.ndarray,
-                           H: float, weighted: bool) -> np.ndarray:
-    n = sv.shape[0]
-    sqrt_n = math.sqrt(n)
-    z = analytic.std_normal_quantile(levels)
-    phi_z = analytic.std_normal_pdf(z)
-    tH = ts**H
-    tau = np.outer(z, tH)
-    tau_n = _tau_n_matrix(sv, levels)
-    u_n = sqrt_n * (tau_n - tau)
-    v_n = sqrt_n * (_fn_at(sv, tau) - levels[:, None])
-    if weighted:
-        R = tH[None, :] * v_n + phi_z[:, None] * u_n
-        R[:, ts == 0.0] = 0.0
-    else:
-        R = v_n + (phi_z[:, None] / tH[None, :]) * u_n
-    return R
-
-
-def _remainder_window(ensemble: Ensemble, times, weighted: bool,
-                      t_min: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """(times, column indices) of a remainder field; unweighted needs t > 0."""
-    if not weighted and times is None and (t_min is None or t_min <= 0.0):
-        raise DomainError(
-            "unweighted remainder needs a positive window floor t_min "
-            "(or explicit positive times)")
-    ts, cols = _select_times(ensemble, times, t_min, None)
-    if not weighted and np.any(ts <= 0.0):
-        raise DomainError("unweighted remainder is undefined at t = 0")
-    return ts, cols
-
-
 def bk_remainder_field(ensemble: Ensemble, levels: LevelGrid, times=None,
                        weighted: bool = False,
                        t_min: float | None = None) -> RemainderField:
@@ -267,9 +235,27 @@ def bk_remainder_field(ensemble: Ensemble, levels: LevelGrid, times=None,
     pass explicit positive ``times`` or a window floor ``t_min > 0``; the
     weighted form admits t=0 and defaults to the whole grid.
     """
-    ts, cols = _remainder_window(ensemble, times, weighted, t_min)
+    if not weighted and times is None and (t_min is None or t_min <= 0.0):
+        raise DomainError(
+            "unweighted remainder needs a positive window floor t_min "
+            "(or explicit positive times)")
+    ts, cols = _select_times(ensemble, times, t_min, None)
+    if not weighted and np.any(ts <= 0.0):
+        raise DomainError("unweighted remainder is undefined at t = 0")
     sv = _sorted_columns(ensemble, cols)
-    R = _remainder_from_sorted(sv, ts, levels.array, ensemble.H, weighted)
+    sqrt_n = math.sqrt(ensemble.n)
+    lv = levels.array
+    z = analytic.std_normal_quantile(lv)
+    phi_z = analytic.std_normal_pdf(z)
+    tH = ts**ensemble.H
+    tau = np.outer(z, tH)
+    u_n = sqrt_n * (_tau_n_matrix(sv, lv) - tau)
+    v_n = sqrt_n * (_fn_at(sv, tau) - lv[:, None])
+    if weighted:
+        R = tH[None, :] * v_n + phi_z[:, None] * u_n
+        R[:, ts == 0.0] = 0.0
+    else:
+        R = v_n + (phi_z[:, None] / tH[None, :]) * u_n
     return RemainderField(times=tuple(float(t) for t in ts), levels=levels,
                           values=R, sup_norm=float(np.max(np.abs(R))),
                           weighted=weighted, t_min=float(ts[0]), t_max=float(ts[-1]))

@@ -207,16 +207,13 @@ def _bk_worker(args) -> tuple[float, float, tuple]:
     (seed, n, H, T, M_t, rho, M_alpha, gamma0, eta, weighted, sampler_id) = args
     grid = _study_grid(T, M_t)
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
-    levels = LevelGrid.uniform(rho, M_alpha).array
+    levels = LevelGrid.uniform(rho, M_alpha)
     t_min = None if weighted else _window_floor(n, gamma0, eta)
-    ts, cols = empirical._remainder_window(ens, None, weighted, t_min)
-    # one column sort feeds both reductions: the remainder window is a
-    # suffix of the grid, and the tie scan skips the anchored t=0 column 0
-    sv = np.sort(ens.values, axis=0)
-    R = empirical._remainder_from_sorted(sv[:, cols[0]:], ts, levels, H,
-                                         weighted)
-    _, _, violation = empirical._tie_stats_from_sorted(sv[:, 1:], levels, H)
-    return float(np.max(np.abs(R))), violation, ens.warnings
+    # both reductions read the ensemble's one column sort
+    fld = empirical.bk_remainder_field(ens, levels, weighted=weighted,
+                                       t_min=t_min)
+    ties = empirical.tie_stats(ens, levels)
+    return fld.sup_norm, ties.max_violation, ens.warnings
 
 
 def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
@@ -297,18 +294,15 @@ def _kernel_worker(args) -> tuple[tuple[np.ndarray, np.ndarray], float, tuple]:
     grid = GridSpec.from_times(times)
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
     sqrt_n = math.sqrt(n)
-    v_vals = np.array([
-        sqrt_n * (np.count_nonzero(ens.values_at(t) <= x) / n
-                  - float(analytic.marginal_cdf(t, x, H)))
-        for t, x in x_nodes])
+    v_vals = np.array([empirical.empirical_process(ens, t, x)
+                       for t, x in x_nodes])
     fu_vals = np.empty(len(alpha_nodes))
     violation = -math.inf
     for i, (t, a) in enumerate(alpha_nodes):
-        vals = np.sort(ens.values_at(t))
-        tau_n = vals[empirical.order_index(a, n) - 1]
-        _, _, gap_violation = empirical._tie_stats_from_sorted(
-            vals[:, None], np.array([a]), H)
-        violation = max(violation, gap_violation)
+        tau_n = empirical.empirical_quantile(ens, t, a)
+        ties = empirical.tie_stats(
+            ens, LevelGrid(rho=min(a, 1.0 - a, 0.25), levels=(a,)), times=(t,))
+        violation = max(violation, ties.max_violation)
         tau = analytic.true_quantile(t, a, H)
         fu_vals[i] = analytic.density_quantile(t, a, H) * sqrt_n * (tau_n - tau)
     return (v_vals, fu_vals), violation, ens.warnings
@@ -348,6 +342,8 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
     alpha_nodes = [(float(t), float(a)) for t, a in alpha_nodes]
     if any(t <= 0.0 for t, _ in x_nodes + alpha_nodes):
         raise DomainError("kernel validation nodes need t > 0")
+    if R < 2:
+        raise DomainError(f"covariances need R >= 2 replications; got {R}")
     times = tuple(sorted({t for t, _ in x_nodes} | {t for t, _ in alpha_nodes}))
     (out,), tie_violation, warns = _replicate(
         _kernel_worker, seed, (n,), R,
@@ -380,15 +376,17 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
 # Swanson-type median statistics (H = 1/2)
 # ---------------------------------------------------------------------------
 
+_MEDIAN = LevelGrid(rho=0.25, levels=(0.5,))
+
+
 def _swanson_worker(args) -> tuple[np.ndarray, float, tuple]:
     (seed, n, times, sampler_id) = args
     grid = GridSpec.from_times(times)
     ens = make_ensemble(n, grid, 0.5, sampler_id=sampler_id, master_seed=seed)
-    # one column sort gives the medians and the tie scan (every time is > 0)
-    sv = np.sort(ens.values, axis=0)
-    med = sv[empirical.order_index(0.5, n) - 1, :]
-    _, _, violation = empirical._tie_stats_from_sorted(sv, np.array([0.5]), 0.5)
-    return math.sqrt(n) * med, violation, ens.warnings
+    # the medians and the tie scan read the ensemble's one column sort
+    med = ens.sorted_values[empirical.order_index(0.5, n) - 1]
+    ties = empirical.tie_stats(ens, _MEDIAN)
+    return math.sqrt(n) * med, ties.max_violation, ens.warnings
 
 
 def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
@@ -404,6 +402,8 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     times = tuple(float(t) for t in times)
     if any(t <= 0.0 for t in times):
         raise DomainError("median study times must be positive")
+    if R < 2:
+        raise DomainError(f"covariances need R >= 2 replications; got {R}")
     (out,), tie_violation, warns = _replicate(
         _swanson_worker, seed, (n,), R, (times, sampler_id), workers)
     med = np.vstack(out)  # (R, times)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -137,7 +137,8 @@ class Ensemble:
     """n independent paths sharing one grid and Hurst index.
 
     ``values`` has shape (n, M); row i is the path generated from the stream
-    seed derive_seed(master_seed, i).
+    seed derive_seed(master_seed, i).  It must be read-only, since
+    ``sorted_values`` is computed from it once and then kept.
     """
     H: float
     grid: GridSpec
@@ -146,9 +147,21 @@ class Ensemble:
     sampler_id: str
     warnings: tuple[str, ...] = field(default=())
 
+    def __post_init__(self):
+        if self.values.flags.writeable:
+            raise DomainError("ensemble values must be read-only")
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def sorted_values(self) -> np.ndarray:
+        """Each column of ``values`` sorted ascending; read-only, sorted once."""
+        # column-major: each column is sorted and searched contiguously
+        sv = np.sort(np.asfortranarray(self.values), axis=0)
+        sv.setflags(write=False)
+        return sv
 
     def values_at(self, t: float) -> np.ndarray:
         return self.values[:, self.grid.index_of(t)]

@@ -175,7 +175,7 @@ def parse_config(text: str) -> RunConfig:
     if "ladder" in spec.keys:
         ladder = _ladder(cfg, spec.defaults["ladder"])
     n = _want(cfg, "n", int, None, lambda v: v >= 1, "must be >= 1")
-    R = _want(cfg, "R", int, None, lambda v: v >= 1, "must be >= 1")
+    R = _want(cfg, "R", int, None, lambda v: v >= 2, "must be >= 2")
     M_t = _want(cfg, "M_t", int, 64, lambda v: 2 <= v <= 4096,
                 "must lie in [2, 4096]")
     M_alpha = _want(cfg, "M_alpha", int, 21, lambda v: v >= 1, "must be >= 1")

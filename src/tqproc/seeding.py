@@ -13,8 +13,8 @@ modulo 2**64, which is what the ``& _MASK64`` steps do for Python ints, so
 ``[derive_seed(s, i) for i in range(n)]`` bit for bit.  Array indices must
 have dtype ``uint64``: numpy cannot mix a signed array with the 64-bit
 masks, so any other dtype is rejected with a ``DomainError``.  A numpy
-integer scalar is taken as the Python int it holds, since numpy scalar
-arithmetic warns on the very wraparound that the masks rely on.
+integer scalar or 0-d integer array counts as the Python int it holds,
+since numpy scalar arithmetic warns on the wraparound the masks rely on.
 
 SplitMix64 constants (Steele, Lea & Flood's reference implementation):
 increment 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 and
@@ -54,13 +54,14 @@ def derive_seed(master_seed: int, *indices: int | np.ndarray) -> int | np.ndarra
     SplitMix64 avalanche, so ``derive_seed(s, a, b) != derive_seed(s, b, a)``
     in general and no two (seed, indices) tuples collide in practice.
 
-    With int indices (Python ints or numpy integer scalars) the result is
-    an int.  An index may also be a ``uint64`` array; the result is then the
-    ``uint64`` array of the seeds for each of its elements.
+    With int indices (Python ints, numpy integer scalars or 0-d integer
+    arrays) the result is an int.  An index may also be a ``uint64``
+    array; the result is then the ``uint64`` array of the seeds for each
+    of its elements.
     """
     s = operator.index(master_seed) & _MASK64
     for v in indices:
-        if not isinstance(v, np.ndarray):
+        if not isinstance(v, np.ndarray) or v.ndim == 0:
             v = operator.index(v)
         elif v.dtype != np.uint64:
             raise DomainError(f"derive_seed array indices must have dtype "

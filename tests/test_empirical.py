@@ -234,6 +234,39 @@ class TestRemainderField:
             empirical.bk_remainder_field(e, lv, times=[0.0, 0.5])
 
 
+class TestSharedColumnSort:
+    def test_reductions_sort_the_ensemble_once(self, monkeypatch):
+        grid = GridSpec.uniform_grid(2.0, 17, include_zero=True)
+        e = make_ensemble(64, grid, 0.5, master_seed=74)
+        calls = []
+        real_sort = np.sort
+
+        def counting_sort(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        lv = LevelGrid.uniform(0.1, 5)
+        empirical.bk_remainder_field(e, lv, t_min=0.25)
+        empirical.tie_stats(e, lv)
+        empirical.empirical_quantile(e, 1.0, 0.3)
+        empirical.weighted_sup_empirical(e, 0.5)
+        empirical.quantile_deviation_stat(e, 0.25, 0.1)
+        assert calls == [e.values.shape]
+
+    def test_scattered_times_match_full_field(self):
+        # non-contiguous, unordered columns take the indexed path
+        grid = GridSpec.uniform_grid(2.0, 9, include_zero=True)
+        e = make_ensemble(40, grid, 0.5, master_seed=75)
+        lv = LevelGrid.uniform(0.1, 5)
+        full = empirical.bk_remainder_field(e, lv, t_min=0.25)
+        part = empirical.bk_remainder_field(e, lv, times=[1.75, 0.5])
+        np.testing.assert_array_equal(part.values, full.values[:, [6, 1]])
+        ties = empirical.tie_stats(e, lv, times=[1.75, 0.5])
+        np.testing.assert_array_equal(
+            ties.delta_n, empirical.tie_stats(e, lv).delta_n[:, [6, 1]])
+
+
 class TestWeightedSupEmpirical:
     def test_one_path_hand_value(self):
         e = fake_ensemble({1.0: [0.0]})

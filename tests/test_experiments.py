@@ -156,8 +156,9 @@ class TestWeightedStudy:
 
 
 class TestSharedSort:
-    """Workers sort each ensemble once; their reductions must equal the
-    public functions, which sort for themselves."""
+    """Workers reduce through the public functions, which share the
+    ensemble's one column sort; their outputs must equal those functions
+    called on a freshly sampled ensemble."""
 
     # T = 2, M_t = 17: step 1/8.  gamma0 = 0.3 puts the floor between grid
     # points (0.25, 0.375); with eta = 0.3 it falls to 0.3 * 64**-0.3 ~ 0.086,
@@ -212,6 +213,11 @@ class TestKernelValidation:
         with pytest.raises(DomainError):
             kernel_validation_study([(0.0, 0.0)], [], n=10, R=10)
 
+    def test_one_replication_rejected(self):
+        # a covariance over one replication is NaN, which no flag catches
+        with pytest.raises(DomainError, match="R >= 2"):
+            kernel_validation_study([(1.0, 0.0)], [(1.0, 0.5)], n=10, R=1)
+
 
 class TestSwansonStudy:
     def test_smoke_variances(self):
@@ -230,6 +236,10 @@ class TestSwansonStudy:
     def test_time_validation(self):
         with pytest.raises(DomainError):
             swanson_median_study(times=(0.0, 1.0), n=11, R=5)
+
+    def test_one_replication_rejected(self):
+        with pytest.raises(DomainError, match="R >= 2"):
+            swanson_median_study(times=(1.0, 2.0), n=11, R=1)
 
 
 class TestLilTrace:

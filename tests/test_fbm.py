@@ -54,6 +54,17 @@ class TestSeeding:
             assert derive_seed(1, scalar(5)) == derive_seed(1, 5)
             assert derive_seed(scalar(1), 5, scalar(7)) == derive_seed(1, 5, 7)
 
+    @pytest.mark.parametrize("index", [np.array(5, dtype=np.uint64),
+                                       np.array(5, dtype=np.int64),
+                                       np.array(2**64 - 1, dtype=np.uint64)],
+                             ids=["uint64-5", "int64-5", "uint64-max"])
+    def test_zero_dim_arrays_are_ints(self, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = derive_seed(1, index)
+            assert got == derive_seed(1, int(index))
+        assert isinstance(got, int)
+
     def test_signed_index_array_rejected(self):
         with pytest.raises(DomainError, match="uint64.*int64"):
             derive_seed(0, np.arange(3, dtype=np.int64))
@@ -289,12 +300,30 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             e.values[0, 0] = 1.0
 
+    def test_sorted_values_read_only_and_kept(self):
+        g = GridSpec.uniform_grid(1.0, 5, include_zero=True)
+        e = make_ensemble(9, g, 0.5, master_seed=3)
+        sv = e.sorted_values
+        np.testing.assert_array_equal(sv, np.sort(e.values, axis=0))
+        assert e.sorted_values is sv
+        with pytest.raises(ValueError):
+            sv[0, 0] = 1.0
+
+    def test_writable_values_rejected(self):
+        # the cached column sort is only valid while values never change
+        with pytest.raises(DomainError, match="read-only"):
+            Ensemble(H=0.5, grid=GridSpec.from_times([1.0]),
+                     values=np.zeros((3, 1)), master_seed=0,
+                     sampler_id="circulant")
+
 
 class TestModulusStatistic:
     @staticmethod
     def _paths(g: GridSpec, rows) -> Ensemble:
-        return Ensemble(H=0.5, grid=g, values=np.asarray(rows, dtype=float),
-                        master_seed=0, sampler_id="circulant")
+        vals = np.asarray(rows, dtype=float)
+        vals.setflags(write=False)
+        return Ensemble(H=0.5, grid=g, values=vals, master_seed=0,
+                        sampler_id="circulant")
 
     def test_constant_path(self):
         g = GridSpec.uniform_grid(1.0, 5, include_zero=True)

@@ -117,6 +117,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config(json.dumps(conf))
 
+    @pytest.mark.parametrize("study", ["kernel_validation", "swanson"])
+    def test_one_replication_rejected(self, study):
+        with pytest.raises(ConfigError, match="R must be >= 2"):
+            parse_config(json.dumps({"study": study, "n": 50, "R": 1}))
+
     def test_bad_nodes_leave_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "never"
         cfg_path = tmp_path / "bad.json"
