@@ -3,16 +3,13 @@
 Pure functions of their arguments: univariate and bivariate normal
 distributions, the fractional Brownian motion covariance, the limit
 covariance kernels of the time-dependent empirical and quantile processes,
-iterated-logarithm normalization constants, the modulus-of-continuity
-gauge, and the coupling-rate exponent arithmetic.  Everything here is
-deterministic and safe to call concurrently.
+iterated-logarithm normalization constants and the modulus-of-continuity
+gauge.  Everything here is deterministic and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
@@ -34,11 +31,6 @@ __all__ = [
     "swanson_kernel",
     "lil_constants",
     "modulus_gauge",
-    "RateExponents",
-    "rate_exponents",
-    "Thresholds",
-    "thresholds",
-    "KernelEval",
     "kernel_eval",
     "KERNEL_KINDS",
 ]
@@ -278,123 +270,15 @@ def modulus_gauge(u, H: float):
 
 
 # ---------------------------------------------------------------------------
-# Coupling-rate exponents
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateExponents:
-    """The seven strong-approximation rate exponents for a given (H, kappa)."""
-    nu0: float
-    H0: float
-    tau1_0: float
-    tau_of_alpha: float
-    tau2: float
-    tau1_prime: float
-    tau_prime_of_alpha: float
-
-
-def rate_exponents(H: float, kappa: float, alpha_cpl: float) -> RateExponents:
-    """Exponent arithmetic of the two coupling rates.
-
-    nu0 = 2 + 2/H, H0 = 1 + H, tau1(0) = 1/(2 + 5 nu0),
-    tau(alpha) = (alpha tau1(0) - 1/2)/(1 + alpha),
-    tau2 = (19 H + 25)/(24 H + 20),
-    tau1'(kappa) = kappa/(5 H0 + kappa (2 + 5 nu0)),
-    tau'(alpha) = (alpha tau1' - 1/2)/(1 + alpha).
-
-    ``alpha_cpl`` must lie strictly inside both admissible windows
-    (1/(2 tau1(0)), 1/tau1(0)) and (1/(2 tau1'), 1/tau1'), which makes both
-    tau(alpha) and tau'(alpha) positive.
-    """
-    _check_hurst(H)
-    if kappa <= 0.0:
-        raise DomainError(f"kappa must be positive; got {kappa}")
-    nu0 = 2.0 + 2.0 / H
-    H0 = 1.0 + H
-    tau1_0 = 1.0 / (2.0 + 5.0 * nu0)
-    tau2 = (19.0 * H + 25.0) / (24.0 * H + 20.0)
-    tau1_prime = kappa / (5.0 * H0 + kappa * (2.0 + 5.0 * nu0))
-    for name, tau1 in (("tau1(0)", tau1_0), ("tau1'(kappa)", tau1_prime)):
-        lo, hi = 1.0 / (2.0 * tau1), 1.0 / tau1
-        if not lo < alpha_cpl < hi:
-            raise DomainError(
-                f"alpha_cpl={alpha_cpl} violates the window "
-                f"1/(2*{name}) < alpha < 1/{name}, i.e. ({lo:.6g}, {hi:.6g})")
-    tau_of_alpha = (alpha_cpl * tau1_0 - 0.5) / (1.0 + alpha_cpl)
-    tau_prime_of_alpha = (alpha_cpl * tau1_prime - 0.5) / (1.0 + alpha_cpl)
-    return RateExponents(nu0=nu0, H0=H0, tau1_0=tau1_0,
-                         tau_of_alpha=tau_of_alpha, tau2=tau2,
-                         tau1_prime=tau1_prime,
-                         tau_prime_of_alpha=tau_prime_of_alpha)
-
-
-# ---------------------------------------------------------------------------
-# Window thresholds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Sample-size-dependent window quantities gamma_n, a_n, eps_n."""
-    n: int
-    gamma_n: float
-    a_n: float
-    eps_n: float
-    a_n_below_gamma_n: bool
-    C: float
-    c1: float
-    delta: float
-    eta: float
-
-
-def thresholds(n: int, H: float, delta: float, eta: float,
-               C: float = 1.0, c1: float = 1.0) -> Thresholds:
-    """Window floor gamma_n = n^{-eta}, quantile-deviation floor
-    a_n = C (loglog n / n)^{1/(2 delta)}, and oscillation scale
-    eps_n = c1 gamma_n^{-H/2} (loglog n / n)^{1/4}.
-
-    Flags whether a_n < gamma_n, which holds for all large n whenever
-    eta < 1/(2H) >= 1/(2 delta) ... i.e. for every valid configuration.
-    """
-    _check_hurst(H)
-    if n < 16:
-        raise DomainError(f"need n >= 16 so that loglog n > 0; got {n}")
-    if not 0.0 < delta <= H:
-        raise DomainError(f"delta must satisfy 0 < delta <= H={H}; got {delta}")
-    if not 0.0 <= eta < 1.0 / (2.0 * H):
-        raise DomainError(
-            f"eta must satisfy 0 <= eta < 1/(2H) = {1.0 / (2.0 * H):.6g}; got {eta}")
-    if C <= 0.0 or c1 <= 0.0:
-        raise DomainError(f"constants C, c1 must be positive; got C={C}, c1={c1}")
-    lln = math.log(math.log(n))
-    gamma_n = float(n) ** (-eta)
-    a_n = C * (lln / n) ** (1.0 / (2.0 * delta))
-    eps_n = c1 * gamma_n ** (-H / 2.0) * (lln / n) ** 0.25
-    return Thresholds(n=n, gamma_n=gamma_n, a_n=a_n, eps_n=eps_n,
-                      a_n_below_gamma_n=bool(a_n < gamma_n),
-                      C=C, c1=c1, delta=delta, eta=eta)
-
-
-# ---------------------------------------------------------------------------
-# Kernel evaluation records (CLI surface)
+# Kernel dispatch (CLI surface)
 # ---------------------------------------------------------------------------
 
 KERNEL_KINDS = ("G", "K", "weightedK", "swanson")
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    """One evaluated kernel node, as printed by the CLI kernel command."""
-    kind: str
-    t1: float
-    a1: float | None
-    t2: float
-    a2: float | None
-    value: float
-
-
 def kernel_eval(kind: str, t1: float, a1: float | None, t2: float,
                 a2: float | None, H: float = 0.5,
-                kappa: float | None = None) -> KernelEval:
+                kappa: float | None = None) -> float:
     """Dispatch a kernel evaluation by kind.
 
     ``G`` takes space arguments (a1, a2 are x-levels), ``K``/``weightedK``
@@ -416,4 +300,4 @@ def kernel_eval(kind: str, t1: float, a1: float | None, t2: float,
         val = swanson_kernel(t1, t2)
     else:
         raise DomainError(f"unknown kernel kind {kind!r}; expected one of {KERNEL_KINDS}")
-    return KernelEval(kind=kind, t1=t1, a1=a1, t2=t2, a2=a2, value=val)
+    return val

@@ -76,6 +76,8 @@ def _want(cfg: dict, key: str, typ, default, check=None, msg: str = ""):
         return None
     if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
+    if typ is float and isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{key} must be a finite number; got {val!r}")
     if typ is int and (isinstance(val, bool) or not isinstance(val, int)):
         raise ConfigError(f"{key} must be an integer; got {val!r}")
     if not isinstance(val, typ):
@@ -95,10 +97,14 @@ def _numbers(cfg: dict, key: str):
         raise ConfigError(f"{key} must be a list of numbers") from exc
     if not values:
         raise ConfigError(f"{key} must be a non-empty list of numbers")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key} must hold finite numbers; got {list(values)}")
     return values
 
 
-def _nodes(cfg: dict, key: str, width: int, shape: str):
+def _nodes(cfg: dict, key: str, width: int, shape: str, levels=()):
+    """A list of ``width``-tuples of finite numbers; the entries at the
+    ``levels`` positions are quantile levels and must lie in (0, 1)."""
     raw = cfg.get(key)
     if raw is None:
         return None
@@ -108,6 +114,10 @@ def _nodes(cfg: dict, key: str, width: int, shape: str):
         raise ConfigError(f"{key} must be a list of {shape}") from exc
     if not nodes or any(len(row) != width for row in nodes):
         raise ConfigError(f"{key} must be a non-empty list of {shape}")
+    if not all(math.isfinite(v) for row in nodes for v in row):
+        raise ConfigError(f"{key} must hold finite numbers")
+    if not all(0.0 < row[i] < 1.0 for row in nodes for i in levels):
+        raise ConfigError(f"{key} levels must lie in (0, 1)")
     return nodes
 
 
@@ -194,7 +204,8 @@ def parse_config(text: str) -> RunConfig:
                               or list(times) != sorted(set(times))):
         raise ConfigError("times must be positive, strictly increasing")
     x_nodes = _nodes(cfg, "x_nodes", 2, "[t, x] pairs")
-    alpha_nodes = _nodes(cfg, "alpha_nodes", 2, "[t, alpha] pairs")
+    alpha_nodes = _nodes(cfg, "alpha_nodes", 2, "[t, alpha] pairs",
+                         levels=(1,))
     levels_y = _numbers(cfg, "levels_y")
     if levels_y is not None and len(levels_y) < 3:
         raise ConfigError("levels_y needs at least 3 levels")
@@ -204,8 +215,10 @@ def parse_config(text: str) -> RunConfig:
     if kind == "swanson":
         kernel_nodes = _nodes(cfg, "kernel_nodes", 2, "[t1, t2] pairs")
     else:
+        # G's a1, a2 are x-levels, K's quantile levels
         kernel_nodes = _nodes(cfg, "kernel_nodes", 4,
-                              "[t1, a1, t2, a2] quadruples")
+                              "[t1, a1, t2, a2] quadruples",
+                              levels=(1, 3) if kind != "G" else ())
 
     return RunConfig(study=study, H=H, T=T, rho=rho, eta=eta, gamma0=gamma0,
                      kappa=kappa, ladder=ladder, n=n, R=R, M_t=M_t,
@@ -397,10 +410,9 @@ def _write_kernels(cfg: RunConfig, out_dir: Path):
         nodes = [(t1, None, t2, None) for t1, t2 in cfg.kernel_nodes]
     else:
         nodes = cfg.kernel_nodes
-    rows = []
-    for t1, a1, t2, a2 in nodes:
-        ev = analytic.kernel_eval(cfg.kind, t1, a1, t2, a2, H=cfg.H)
-        rows.append([ev.kind, ev.t1, ev.a1, ev.t2, ev.a2, ev.value])
+    rows = [[cfg.kind, t1, a1, t2, a2,
+             analytic.kernel_eval(cfg.kind, t1, a1, t2, a2, H=cfg.H)]
+            for t1, a1, t2, a2 in nodes]
     _write_csv(out_dir / "kernels.csv",
                ["kind", "t1", "a1", "t2", "a2", "value"], rows)
     return [out_dir / "kernels.csv"], [], {}
@@ -562,7 +574,11 @@ def _cmd_run(args, check: bool) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    vals = [float(v) for v in args.args]
+    try:
+        vals = [float(v) for v in args.args]
+    except ValueError as exc:
+        raise ConfigError(f"kernel {args.kind} arguments must be numbers; "
+                          f"{exc}") from exc
     kind = args.kind
     if kind == "swanson":
         if len(vals) != 2:
@@ -578,11 +594,8 @@ def _cmd_kernel(args) -> int:
             t1, a1, t2, a2, H = vals
         else:
             raise ConfigError(f"kernel {kind} takes: t1 a1 t2 a2 [H]")
-    if kind == "K" and args.weighted:
-        kind = "weightedK"
-    ev = analytic.kernel_eval(kind, t1, a1, t2, a2, H=H, kappa=args.kappa)
-    print(",".join(_fmt_cell(v)
-                   for v in [ev.kind, ev.t1, ev.a1, ev.t2, ev.a2, ev.value]))
+    value = analytic.kernel_eval(kind, t1, a1, t2, a2, H=H, kappa=args.kappa)
+    print(",".join(_fmt_cell(v) for v in [kind, t1, a1, t2, a2, value]))
     return 0
 
 
@@ -609,10 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--force", action="store_true")
 
     k = sub.add_parser("kernel", help="evaluate a limit kernel at one node pair")
-    k.add_argument("kind", choices=["G", "K", "weightedK", "swanson"])
+    k.add_argument("kind", choices=analytic.KERNEL_KINDS)
     k.add_argument("args", nargs="+", help="swanson: t1 t2 | others: t1 a1 t2 a2 [H]")
-    k.add_argument("--weighted", action="store_true",
-                   help="use the time-weighted quantile kernel (kind K)")
     k.add_argument("--hurst", type=float, default=0.5)
     k.add_argument("--kappa", type=float, default=None,
                    help="extra (t1*t2)^kappa weight for kind G")

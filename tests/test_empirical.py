@@ -304,10 +304,37 @@ class TestQuantileDeviation:
         stat = empirical.quantile_deviation_stat(e, 0.125, 0.2, levels=lv)
         assert stat == pytest.approx(0.0, abs=1e-12)
 
+    def test_a_n_floor_moves_first_window_time(self):
+        # exact quantiles at t = 1, 2 and a column shifted by s at t = 0.5:
+        # the statistic is nonzero exactly when a_n drops below 0.5
+        n, delta, s = 20, 0.125, 0.3
+        lv = LevelGrid(rho=0.2, levels=(0.2, 0.4, 0.6, 0.8))
+        cols = {t: [analytic.true_quantile(t, (k + 1) / n, 0.5)
+                    if k + 1 < n else 3.0 * t**0.5 for k in range(n)]
+                for t in (0.5, 1.0, 2.0)}
+        cols[0.5] = [v + s for v in cols[0.5]]
+        e = fake_ensemble(cols)
+        lln = math.log(math.log(n))
+        # a_n = C (loglog n / n)^{1/(2 delta)} = 0.5 at C = C_half
+        C_half = 0.5 / (lln / n) ** (1.0 / (2.0 * delta))
+
+        def stat(C):
+            return empirical.quantile_deviation_stat(e, delta, 0.2, C=C,
+                                                     levels=lv)
+
+        assert stat(C_half * (1.0 - 1e-9)) == pytest.approx(
+            s * 0.5 ** (delta - 0.5) * math.sqrt(n / lln), rel=1e-12)
+        assert stat(C_half * (1.0 + 1e-9)) == pytest.approx(0.0, abs=1e-12)
+
     def test_small_samples_rejected(self):
         e = fake_ensemble({1.0: list(range(10))})
         with pytest.raises(DomainError):
             empirical.quantile_deviation_stat(e, 0.125, 0.2)
+
+    def test_delta_above_h_rejected(self):
+        e = fake_ensemble({1.0: list(range(20))})
+        with pytest.raises(DomainError, match="delta"):
+            empirical.quantile_deviation_stat(e, 0.75, 0.2)
 
     def test_positive_finite(self):
         grid = GridSpec.uniform_grid(2.0, 16)

@@ -140,6 +140,21 @@ class TestBkRateStudy:
             bk_rate_study(SMALL_LADDER, T=0.9)
 
 
+class TestWindowFloor:
+    """gamma_n = min(1, gamma0 n^{-eta}), the floor of bk_rate's window."""
+
+    def test_eta_zero_gives_gamma0(self):
+        for n in (16, 1000, 10**6):
+            assert experiments._window_floor(n, 0.25, 0.0) == 0.25
+            assert experiments._window_floor(n, 1.0, 0.0) == 1.0
+
+    def test_gamma_power(self):
+        assert experiments._window_floor(1000, 1.0, 1.0 / 3.0) == pytest.approx(
+            0.1, rel=1e-12)
+        assert experiments._window_floor(1000, 0.5, 1.0 / 3.0) == pytest.approx(
+            0.05, rel=1e-12)
+
+
 class TestWeightedStudy:
     def test_smoke(self):
         r = weighted_bk_rate_study(SMALL_LADDER, M_t=16, M_alpha=5, seed=31)

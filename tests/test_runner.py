@@ -1,6 +1,7 @@
 """Configuration parsing, CLI surface, persistence, and determinism."""
 
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -115,6 +116,22 @@ class TestParseConfig:
     ], ids=["H-null", "n-null", "times-empty"])
     def test_null_or_empty_value_rejected(self, conf, match):
         with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+
+    @pytest.mark.parametrize("conf, key", [
+        ({"study": "bk_rate", "T": math.inf}, "T"),
+        ({"study": "lil_trace", "kappa": math.inf}, "kappa"),
+        ({"study": "kernel_validation", "x_nodes": [[1, math.nan]]}, "x_nodes"),
+        ({"study": "kernel_validation", "alpha_nodes": [[1, 1.5]]},
+         "alpha_nodes"),
+        ({"study": "swanson", "times": [1, math.inf]}, "times"),
+        ({"study": "tail_fit", "levels_y": [1, 2, math.nan]}, "levels_y"),
+        ({"study": "kernel_eval", "kind": "K",
+          "kernel_nodes": [[1, 1.5, 2, 0.5]]}, "kernel_nodes"),
+    ], ids=["T-inf", "kappa-inf", "x_nodes-nan", "alpha_nodes-range",
+            "times-inf", "levels_y-nan", "kernel_nodes-range"])
+    def test_nonfinite_or_out_of_range_value_rejected(self, conf, key):
+        with pytest.raises(ConfigError, match=key):
             parse_config(json.dumps(conf))
 
     @pytest.mark.parametrize("study", ["kernel_validation", "swanson"])
@@ -288,8 +305,7 @@ class TestCli:
         assert value == pytest.approx(0.25, abs=1e-12)
 
     def test_kernel_weighted_k(self, capsys):
-        assert main(["kernel", "K", "1", "0.5", "4", "0.5", "0.5",
-                     "--weighted"]) == 0
+        assert main(["kernel", "weightedK", "1", "0.5", "4", "0.5", "0.5"]) == 0
         out = capsys.readouterr().out.strip().split(",")
         assert out[0] == "weightedK"
         assert float(out[-1]) == pytest.approx(1.0 / 6.0, abs=1e-9)
@@ -297,6 +313,11 @@ class TestCli:
     def test_kernel_bad_arity(self, capsys):
         assert main(["kernel", "swanson", "1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_kernel_non_numeric_argument(self, capsys):
+        assert main(["kernel", "swanson", "a", "b"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'a'" in err
 
     def test_run_and_check_cli(self, tmp_path, capsys):
         conf = dict(TINY_SWANSON)
