@@ -6,7 +6,9 @@ circulant embedding of the stationary increment sequence (uniform lattice
 grids, O(M log M) per path).  Both draw their noise from per-path PCG64
 streams derived from (master_seed, path_index), so an ensemble is a
 deterministic function of its configuration regardless of how generation is
-scheduled.
+scheduled.  The circulant sampler synthesizes the paths in row blocks of
+about 1 MB of spectrum each, so beyond the (n, M) result an ensemble needs
+only a few MB of temporaries, whatever n is.
 
 Path diagnostics: the pairwise modulus-of-continuity statistic and an
 exponential tail fit of the ensemble supremum.
@@ -218,6 +220,9 @@ def _cholesky_matrix(grid: GridSpec, H: float,
 # ---------------------------------------------------------------------------
 
 _SPECTRUM_TOL_REL = 1e-8
+# The circulant sampler works through blocks of rows whose complex spectrum
+# takes about this many bytes, small enough to stay in a core's L2 cache.
+_BLOCK_BYTES = 1 << 20
 
 
 def _fgn_autocov(lags: np.ndarray, step: float, H: float) -> np.ndarray:
@@ -260,29 +265,40 @@ def _circulant_matrix(grid: GridSpec, H: float,
     if n_inc < 1:
         raise DomainError("circulant sampler needs at least one positive grid time")
     n = len(seeds)
+    # Paths are synthesized block by block, so the temporaries do not grow
+    # with n.  Each row depends only on its own stream, FFT and cumsum, so
+    # the output bits do not depend on the block size.
+    m = max(1, 2 * (n_inc - 1))  # draws per path: the embedding size
+    rows = min(n, max(1, _BLOCK_BYTES // (16 * m)))
     if n_inc == 1:
         # single increment: one N(0, step^{2H}) variate per path
-        noise = normal_matrix(seeds, 1)
-        inc = noise * grid.step**H
         warns: tuple[str, ...] = ()
+        scale = grid.step**H
+
+        def increments(noise: np.ndarray) -> np.ndarray:
+            return noise * scale
     else:
         eig, warns = _fgn_spectrum(n_inc, grid.step, H)
         g = n_inc - 1
-        m = 2 * g
-        noise = normal_matrix(seeds, m)
-        W = np.zeros((n, m), dtype=complex)
-        W[:, 0] = np.sqrt(eig[0] / m) * noise[:, 0]
-        W[:, g] = np.sqrt(eig[g] / m) * noise[:, 1]
-        # frequencies k = 1..g-1 take noise columns 2k and 2k+1; their
-        # mirrors m-k run from m-1 down to g+1 (all empty when g = 1)
+        amp0, ampg = np.sqrt(eig[0] / m), np.sqrt(eig[g] / m)
         amp = np.sqrt(eig[1:g] / (2.0 * m))
-        W[:, 1:g] = amp * (noise[:, 2:m:2] + 1j * noise[:, 3:m:2])
-        W[:, :g:-1] = np.conj(W[:, 1:g])
-        inc = np.fft.fft(W, axis=1).real[:, :n_inc]
-    cum = np.cumsum(inc, axis=1)
+        W = np.empty((rows, m), dtype=complex)  # every column rewritten per block
+
+        def increments(noise: np.ndarray) -> np.ndarray:
+            w = W[:len(noise)]
+            w[:, 0] = amp0 * noise[:, 0]
+            w[:, g] = ampg * noise[:, 1]
+            # frequencies k = 1..g-1 take noise columns 2k and 2k+1; their
+            # mirrors m-k run from m-1 down to g+1 (all empty when g = 1)
+            w[:, 1:g] = amp * (noise[:, 2:m:2] + 1j * noise[:, 3:m:2])
+            w[:, :g:-1] = np.conj(w[:, 1:g])
+            return np.fft.fft(w, axis=1).real[:, :n_inc]
     out = np.zeros((n, grid.M))
     pos = idx > 0
-    out[:, pos] = cum[:, idx[pos] - 1]
+    cols = idx[pos] - 1
+    for lo in range(0, n, rows):
+        noise = normal_matrix(seeds[lo:lo + rows], m)
+        out[lo:lo + rows, pos] = np.cumsum(increments(noise), axis=1)[:, cols]
     return out, warns
 
 
@@ -297,8 +313,10 @@ def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant
                   master_seed: int = 0) -> Ensemble:
     """n mutually independent paths; path i uses seed derive_seed(master_seed, i).
 
-    The per-path streams make the result independent of generation order,
-    and a prefix of a larger ensemble equals the smaller ensemble.
+    The per-path streams make the result independent of generation order.
+    With the circulant sampler a prefix of a larger ensemble equals the
+    smaller ensemble bit for bit; the Cholesky sampler multiplies all rows
+    in one BLAS product, so there a prefix agrees only up to rounding.
     """
     if n < 1:
         raise DomainError(f"ensemble size must be >= 1; got {n}")

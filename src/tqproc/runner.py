@@ -102,9 +102,12 @@ def _numbers(cfg: dict, key: str):
     return values
 
 
-def _nodes(cfg: dict, key: str, width: int, shape: str, levels=()):
-    """A list of ``width``-tuples of finite numbers; the entries at the
-    ``levels`` positions are quantile levels and must lie in (0, 1)."""
+def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
+           levels=(), zero_time: bool = False):
+    """A list of ``width``-tuples of finite numbers.  The entries at the
+    ``times`` positions are times and must be positive (nonnegative with
+    ``zero_time``); those at the ``levels`` positions are quantile levels
+    and must lie in (0, 1)."""
     raw = cfg.get(key)
     if raw is None:
         return None
@@ -116,6 +119,10 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, levels=()):
         raise ConfigError(f"{key} must be a non-empty list of {shape}")
     if not all(math.isfinite(v) for row in nodes for v in row):
         raise ConfigError(f"{key} must hold finite numbers")
+    if not all(row[i] > 0.0 or (zero_time and row[i] == 0.0)
+               for row in nodes for i in times):
+        rule = "nonnegative" if zero_time else "positive"
+        raise ConfigError(f"{key} times must be {rule}")
     if not all(0.0 < row[i] < 1.0 for row in nodes for i in levels):
         raise ConfigError(f"{key} levels must lie in (0, 1)")
     return nodes
@@ -212,13 +219,17 @@ def parse_config(text: str) -> RunConfig:
     kind = _want(cfg, "kind", str, None,
                  lambda v: v in analytic.KERNEL_KINDS,
                  f"must be one of {list(analytic.KERNEL_KINDS)}")
+    # the swanson and weightedK kernels are defined at t = 0, G and K are not
+    zero_time = kind in ("swanson", "weightedK")
     if kind == "swanson":
-        kernel_nodes = _nodes(cfg, "kernel_nodes", 2, "[t1, t2] pairs")
+        kernel_nodes = _nodes(cfg, "kernel_nodes", 2, "[t1, t2] pairs",
+                              times=(0, 1), zero_time=zero_time)
     else:
         # G's a1, a2 are x-levels, K's quantile levels
         kernel_nodes = _nodes(cfg, "kernel_nodes", 4,
-                              "[t1, a1, t2, a2] quadruples",
-                              levels=(1, 3) if kind != "G" else ())
+                              "[t1, a1, t2, a2] quadruples", times=(0, 2),
+                              levels=(1, 3) if kind != "G" else (),
+                              zero_time=zero_time)
 
     return RunConfig(study=study, H=H, T=T, rho=rho, eta=eta, gamma0=gamma0,
                      kappa=kappa, ladder=ladder, n=n, R=R, M_t=M_t,
@@ -580,6 +591,12 @@ def _cmd_kernel(args) -> int:
         raise ConfigError(f"kernel {args.kind} arguments must be numbers; "
                           f"{exc}") from exc
     kind = args.kind
+    names = ["t1", "t2"] if kind == "swanson" else ["t1", "a1", "t2", "a2", "H"]
+    for name, v in [*zip(names, vals), ("--hurst", args.hurst),
+                    ("--kappa", args.kappa)]:
+        if v is not None and not math.isfinite(v):
+            raise ConfigError(f"kernel {kind} argument {name} must be a finite "
+                              f"number; got {v!r}")
     if kind == "swanson":
         if len(vals) != 2:
             raise ConfigError("kernel swanson takes: t1 t2")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -236,6 +237,39 @@ class TestCirculant:
         e = make_ensemble(5, g, H, sampler_id="circulant", master_seed=seed)
         assert hashlib.sha256(e.values.tobytes()).hexdigest() == digest
 
+    # one increment (one draw per path), a grid from 0, and a sparse
+    # lattice from t > 0 whose grid skips lattice points; with the draws
+    # per path m of each
+    BLOCK_GRIDS = {
+        "one-increment": ((0.5,), 1),
+        "from-zero": (tuple(np.linspace(0.0, 2.0, 9)), 14),
+        "sparse-from-t>0": ((1.5, 2.0, 3.5), 12),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_GRIDS))
+    def test_block_boundaries_keep_bits(self, name, monkeypatch):
+        times, m = self.BLOCK_GRIDS[name]
+        g = GridSpec.from_times(times)
+        assert max(1, 2 * (g.lattice_indices().max() - 1)) == m
+        n = 3 * 7 + 4  # three full blocks of 7 rows and a ragged one
+        assert n < fbm._BLOCK_BYTES // (16 * m)  # one block by default
+        one = make_ensemble(n, g, 0.35, master_seed=41).values
+        monkeypatch.setattr(fbm, "_BLOCK_BYTES", 16 * m * 7)
+        blocked = make_ensemble(n, g, 0.35, master_seed=41).values
+        assert one.tobytes() == blocked.tobytes()
+
+    def test_transient_memory_is_bounded(self):
+        # the temporaries are per block, not per ensemble
+        g = GridSpec.uniform_grid(2.0, 64, include_zero=True)
+        make_ensemble(16, g, 0.5)  # cache the spectrum before tracing
+        tracemalloc.start()
+        try:
+            e = make_ensemble(8192, g, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= e.values.nbytes + 4 * fbm._BLOCK_BYTES
+
     def test_single_increment_grid(self):
         g = GridSpec.from_times([0.5])
         e = make_ensemble(50_000, g, 0.6, sampler_id="circulant", master_seed=2)
@@ -261,11 +295,19 @@ class TestEnsemble:
         assert e1.values.tobytes() == e2.values.tobytes()
 
     def test_prefix_property(self):
-        # the first paths of a larger ensemble equal the smaller ensemble
+        # circulant: the first paths of a larger ensemble, synthesized over
+        # several row blocks, equal the smaller ensemble bit for bit
         g = GridSpec.uniform_grid(1.0, 8)
+        rows = fbm._BLOCK_BYTES // (16 * 14)  # 7 increments, 14 draws
         small = make_ensemble(10, g, 0.5, master_seed=5)
-        big = make_ensemble(20, g, 0.5, master_seed=5)
+        big = make_ensemble(3 * rows + 5, g, 0.5, master_seed=5)
         assert np.array_equal(small.values, big.values[:10])
+        # cholesky: one GEMM over all rows, so a row agrees only up to BLAS
+        # rounding (about 1e-15 measured)
+        g = GridSpec.uniform_grid(2.0, 16)
+        small = make_ensemble(1, g, 0.5, sampler_id="cholesky", master_seed=5)
+        big = make_ensemble(5000, g, 0.5, sampler_id="cholesky", master_seed=5)
+        np.testing.assert_allclose(small.values, big.values[:1], rtol=0, atol=1e-12)
 
     def test_zero_anchoring(self):
         g = GridSpec.uniform_grid(1.0, 9, include_zero=True)

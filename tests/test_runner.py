@@ -8,13 +8,16 @@ from pathlib import Path
 import pytest
 
 from tqproc import experiments
-from tqproc.errors import ConfigError, DomainError
+from tqproc.errors import ConfigError, DataError
 from tqproc.runner import (STUDIES, RunConfig, main, parse_config, run_study,
                            serialize_config)
 
 
 TINY_SWANSON = {"study": "swanson", "master_seed": 42, "n": 51, "R": 30,
                 "times": [0.5, 1.0], "threads": 1}
+# valid config whose study fails once it runs: no path reaches the levels
+UNREACHABLE_TAIL = {"study": "tail_fit", "n": 10, "M_t": 4,
+                    "levels_y": [100, 200, 300], "threads": 1}
 
 
 class TestParseConfig:
@@ -134,6 +137,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(json.dumps(conf))
 
+    @pytest.mark.parametrize("conf, match", [
+        ({"study": "kernel_validation", "x_nodes": [[0, 1]], "n": 20, "R": 2},
+         "x_nodes times must be positive"),
+        ({"study": "kernel_validation", "alpha_nodes": [[0, 0.5]]},
+         "alpha_nodes times must be positive"),
+        ({"study": "kernel_eval", "kind": "swanson", "kernel_nodes": [[-1, 1]]},
+         "kernel_nodes times must be nonnegative"),
+        ({"study": "kernel_eval", "kind": "K",
+          "kernel_nodes": [[0, 0.5, 1, 0.5]]}, "kernel_nodes times must be positive"),
+    ], ids=["x_nodes-zero", "alpha_nodes-zero", "swanson-negative", "K-zero"])
+    def test_node_time_rejected(self, conf, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+
+    @pytest.mark.parametrize("kind, node", [
+        ("swanson", [0, 1]), ("weightedK", [0, 0.5, 1, 0.5])])
+    def test_kernel_node_time_zero_where_defined(self, kind, node):
+        cfg = parse_config(json.dumps({"study": "kernel_eval", "kind": kind,
+                                       "kernel_nodes": [node]}))
+        assert cfg.kernel_nodes == (tuple(map(float, node)),)
+
     @pytest.mark.parametrize("study", ["kernel_validation", "swanson"])
     def test_one_replication_rejected(self, study):
         with pytest.raises(ConfigError, match="R must be >= 2"):
@@ -205,20 +229,16 @@ class TestRunStudy:
     def test_failed_study_removes_the_out_dir_it_created(self, tmp_path, capsys):
         out = tmp_path / "new" / "out"
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"study": "kernel_eval", "kind": "K",
-                                        "kernel_nodes": [[0, 0.5, 1, 0.5]],
-                                        "out_dir": str(out)}))
+        cfg_path.write_text(json.dumps({**UNREACHABLE_TAIL, "out_dir": str(out)}))
         assert main(["run", "--config", str(cfg_path)]) == 1
-        assert "t1, t2 > 0" in capsys.readouterr().err
+        assert "nonzero tail probability" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
     def test_failed_study_keeps_an_existing_out_dir(self, tmp_path):
         out = tmp_path / "kept"
         out.mkdir()
-        cfg = parse_config(json.dumps({"study": "kernel_eval", "kind": "K",
-                                       "kernel_nodes": [[0, 0.5, 1, 0.5]],
-                                       "out_dir": str(out)}))
-        with pytest.raises(DomainError):
+        cfg = parse_config(json.dumps({**UNREACHABLE_TAIL, "out_dir": str(out)}))
+        with pytest.raises(DataError):
             run_study(cfg)
         assert out.is_dir()
 
@@ -318,6 +338,17 @@ class TestCli:
         assert main(["kernel", "swanson", "a", "b"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'a'" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["swanson", "inf", "1"], "t1"),
+        (["G", "1", "0", "4", "0", "--kappa", "nan"], "--kappa"),
+        (["K", "1", "0.5", "4", "0.5", "--hurst", "nan"], "--hurst"),
+    ], ids=["swanson-inf", "G-kappa-nan", "K-hurst-nan"])
+    def test_kernel_nonfinite_argument(self, capsys, argv, name):
+        assert main(["kernel", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"argument {name} " in captured.err
 
     def test_run_and_check_cli(self, tmp_path, capsys):
         conf = dict(TINY_SWANSON)
