@@ -5,13 +5,17 @@ distributions, the fractional Brownian motion covariance, the limit
 covariance kernels of the time-dependent empirical and quantile processes,
 iterated-logarithm normalization constants and the modulus-of-continuity
 gauge.  Everything here is deterministic and safe to call concurrently.
+
+Importing this module loads numpy and ``scipy.special`` only.
+``scipy.integrate`` loads on the first bivariate-CDF call, that is, when a
+``G`` or ``K`` kernel is first evaluated; the studies that never evaluate
+one never pay for it.
 """
 
 from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
@@ -174,6 +178,7 @@ def bivariate_normal_cdf(x: float, y: float, rho: float) -> float:
     # clamp extreme arguments; beyond |40| the marginal is 0/1 to full precision
     x = min(40.0, max(-40.0, x))
     y = min(40.0, max(-40.0, y))
+    from scipy.integrate import quad
     corr, _ = quad(_biv_integrand, 0.0, math.asin(rho), args=(x, y),
                    epsabs=1e-13, epsrel=1e-13, limit=200)
     val = float(ndtr(x)) * float(ndtr(y)) + corr / (2.0 * math.pi)

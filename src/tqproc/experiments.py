@@ -41,6 +41,7 @@ __all__ = [
     "classical_bk_study",
     "tail_fit_study",
     "deviation_stability_study",
+    "usable_cpus",
     "BK_SLOPE_BAND",
     "WEIGHTED_SLOPE_MAX",
     "CLASSICAL_BAND",
@@ -155,12 +156,24 @@ def _summarize(n: int, values: np.ndarray, statistic: str) -> dict:
 # Worker-pool plumbing
 # ---------------------------------------------------------------------------
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on.
+
+    Under a CPU affinity mask (taskset, cpuset) that is fewer than the
+    machine has; where the platform cannot tell, the machine's CPU count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_tasks(worker, tasks: list, workers: int) -> list:
     """Map worker over tasks, preserving order; results never depend on pool size.
 
-    The pool never has more processes than the machine has CPUs.
+    The pool never has more processes than there are CPUs this process
+    may use.
     """
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, usable_cpus())
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -17,6 +17,8 @@ import hashlib
 import json
 import math
 import os
+import platform
+import resource
 import sys
 import time
 from collections.abc import Callable
@@ -24,6 +26,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, analytic, experiments
 from .empirical import RemainderField, TieStats
@@ -128,6 +131,14 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
     return nodes
 
 
+def _require_lattice(times, key: str) -> None:
+    """Reject times that do not sit on one lattice {k*step}, naming the key."""
+    if not GridSpec.from_times(times).uniform:
+        raise ConfigError(f"{key} must sit on one lattice {{k*step}} for the "
+                          f"circulant sampler; got {sorted(times)}; use "
+                          f"sampler_id 'cholesky' for other times")
+
+
 def _ladder(cfg: dict, default: dict) -> NLadder:
     raw = cfg["ladder"]
     if not isinstance(raw, dict):
@@ -202,7 +213,7 @@ def parse_config(text: str) -> RunConfig:
     master_seed = _want(cfg, "master_seed", int, 0,
                         lambda v: 0 <= v < 2**64,
                         "must be a 64-bit unsigned integer")
-    threads = _want(cfg, "threads", int, os.cpu_count() or 1,
+    threads = _want(cfg, "threads", int, experiments.usable_cpus(),
                     lambda v: v >= 1, "must be >= 1")
     out_dir = _want(cfg, "out_dir", str, "tqproc_out")
 
@@ -213,6 +224,13 @@ def parse_config(text: str) -> RunConfig:
     x_nodes = _nodes(cfg, "x_nodes", 2, "[t, x] pairs")
     alpha_nodes = _nodes(cfg, "alpha_nodes", 2, "[t, alpha] pairs",
                          levels=(1,))
+    # the circulant sampler needs the grid the study's worker builds on one
+    # lattice {k*step}; the Cholesky sampler takes any grid
+    if sampler_id == "circulant" and study == "swanson":
+        _require_lattice(times, "times")
+    if sampler_id == "circulant" and study == "kernel_validation":
+        _require_lattice({t for t, _ in x_nodes + alpha_nodes},
+                         "x_nodes / alpha_nodes times")
     levels_y = _numbers(cfg, "levels_y")
     if levels_y is not None and len(levels_y) < 3:
         raise ConfigError("levels_y needs at least 3 levels")
@@ -500,6 +518,15 @@ STUDIES = {
 }
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size so far of this process or of any pool worker
+    it has waited for, in MB (2**20 bytes)."""
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def run_study(cfg: RunConfig, force: bool = False,
               check: bool = False) -> tuple[int, list[str]]:
     """Execute a configured study and persist its outputs.
@@ -541,6 +568,9 @@ def run_study(cfg: RunConfig, force: bool = False,
     manifest = {
         "config_hash": _config_hash(cfg),
         "version": __version__,
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "peak_rss_mb": _peak_rss_mb(),
         "started_utc": started,
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "master_seed": cfg.master_seed,

@@ -18,8 +18,9 @@ from tqproc.seeding import derive_seed
 
 
 class TestRunTasks:
-    @pytest.mark.parametrize("cpus, pool", [(2, [2]), (None, [])])
-    def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, pool):
+    @staticmethod
+    def _pool_sizes(monkeypatch) -> list:
+        """Run three tasks asking for 64 workers; the pool sizes made."""
         sizes = []
 
         class Recorder:
@@ -36,9 +37,23 @@ class TestRunTasks:
                 return map(fn, tasks)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         assert experiments._run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
-        assert sizes == pool
+        return sizes
+
+    @pytest.mark.parametrize("cpus, pool", [(2, [2]), (None, [])])
+    def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, pool):
+        # no affinity mask to read: usable_cpus falls back on the CPU count
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        assert experiments.usable_cpus() == (cpus or 1)
+        assert self._pool_sizes(monkeypatch) == pool
+
+    def test_pool_bounded_by_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+        assert experiments.usable_cpus() == 2
+        assert self._pool_sizes(monkeypatch) == [2]
 
 
 class TestReplicate:

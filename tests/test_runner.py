@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from tqproc import experiments
+import tqproc
+from tqproc import analytic, experiments
 from tqproc.errors import ConfigError, DataError
 from tqproc.runner import (STUDIES, RunConfig, main, parse_config, run_study,
                            serialize_config)
@@ -18,6 +22,15 @@ TINY_SWANSON = {"study": "swanson", "master_seed": 42, "n": 51, "R": 30,
 # valid config whose study fails once it runs: no path reaches the levels
 UNREACHABLE_TAIL = {"study": "tail_fit", "n": 10, "M_t": 4,
                     "levels_y": [100, 200, 300], "threads": 1}
+# study -> (config whose times sit on no lattice {k*step}, the key named)
+NON_LATTICE = {
+    "kernel_validation": (
+        {"study": "kernel_validation", "x_nodes": [[0.1, 0], [0.25, 0]],
+         "alpha_nodes": [[0.1, 0.5]], "n": 20, "R": 2},
+        "x_nodes / alpha_nodes times"),
+    "swanson": ({"study": "swanson", "times": [0.5, 0.7], "n": 20, "R": 2},
+                "times"),
+}
 
 
 class TestParseConfig:
@@ -173,6 +186,29 @@ class TestParseConfig:
         assert "kernel_nodes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("study", sorted(NON_LATTICE))
+    def test_non_lattice_times_rejected_for_circulant(self, tmp_path, capsys,
+                                                      study):
+        conf, key = NON_LATTICE[study]
+        with pytest.raises(ConfigError, match=f"^{key} must sit on one lattice"):
+            parse_config(json.dumps(conf))
+        out = tmp_path / "never"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**conf, "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert f"error: {key} must sit on one lattice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study", sorted(NON_LATTICE))
+    def test_non_lattice_times_parse_for_cholesky(self, study):
+        conf, _ = NON_LATTICE[study]
+        cfg = parse_config(json.dumps({**conf, "sampler_id": "cholesky"}))
+        assert cfg.sampler_id == "cholesky"
+
+    def test_default_threads_are_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        assert parse_config('{"study": "swanson"}').threads == 3
+
 
 class TestStudyRegistry:
     def test_keys_are_config_fields(self):
@@ -225,6 +261,15 @@ class TestRunStudy:
         assert manifest["config_hash"]
         header = (out / "summary.csv").read_text().splitlines()[0]
         assert header == "n,mean,median,se,statistic"
+
+    def test_manifest_records_memory_and_versions(self, tmp_path):
+        _, out = _run_tiny(tmp_path, "m")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_mb"], float)
+        assert manifest["peak_rss_mb"] > 0.0
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+        assert all(isinstance(v, str) and v
+                   for v in manifest["versions"].values())
 
     def test_failed_study_removes_the_out_dir_it_created(self, tmp_path, capsys):
         out = tmp_path / "new" / "out"
@@ -435,3 +480,39 @@ class TestFieldExports:
         assert manifest["sampler_id"] == "cholesky"
         assert manifest["master_seed"] == 9
         assert manifest["grid_times"] == [0.25, 0.5, 0.75, 1.0]
+
+
+# Run in a fresh interpreter: tiny swanson and bk_rate studies, then one
+# bivariate normal CDF; reports whether scipy.integrate was loaded after each.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from tqproc import analytic, runner
+confs = [{"study": "swanson", "master_seed": 1, "n": 21, "R": 4,
+          "times": [0.5, 1.0], "threads": 1, "out_dir": sys.argv[1] + "/s"},
+         {"study": "bk_rate", "master_seed": 1, "M_t": 8, "M_alpha": 3,
+          "ladder": {"ns": [16, 32], "replications": 2}, "threads": 1,
+          "out_dir": sys.argv[1] + "/b"}]
+for conf in confs:
+    runner.run_study(runner.parse_config(json.dumps(conf)))
+studies_loaded = "scipy.integrate" in sys.modules
+value = analytic.bivariate_normal_cdf(0.3, -0.2, 0.4)
+print(json.dumps({"studies_loaded": studies_loaded,
+                  "cdf_loaded": "scipy.integrate" in sys.modules,
+                  "value": value.hex()}))
+"""
+
+
+class TestImportFootprint:
+    def test_scipy_integrate_loads_only_for_the_bivariate_cdf(self, tmp_path):
+        src = str(Path(tqproc.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=True, timeout=120)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["studies_loaded"] is False
+        assert report["cdf_loaded"] is True
+        expected = analytic.bivariate_normal_cdf(0.3, -0.2, 0.4)
+        assert float.fromhex(report["value"]) == expected
