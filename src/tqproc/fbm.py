@@ -30,6 +30,7 @@ __all__ = [
     "GridSpec",
     "Ensemble",
     "TailFit",
+    "ensemble_bytes",
     "make_ensemble",
     "modulus_statistic",
     "tail_fit",
@@ -256,6 +257,16 @@ def _fgn_spectrum(n_inc: int, step: float, H: float) -> tuple[np.ndarray, tuple[
     return eig, warns
 
 
+def _embedding_size(grid: GridSpec) -> int:
+    """Size of the circulant embedding, which is also the draws per path."""
+    return max(1, 2 * (int(grid.lattice_indices().max()) - 1))
+
+
+def _block_rows(n: int, m: int) -> int:
+    """Rows per block of n paths with m draws each."""
+    return min(n, max(1, _BLOCK_BYTES // (16 * m)))
+
+
 def _circulant_matrix(grid: GridSpec, H: float,
                       seeds: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     if not grid.uniform:
@@ -268,8 +279,8 @@ def _circulant_matrix(grid: GridSpec, H: float,
     # Paths are synthesized block by block, so the temporaries do not grow
     # with n.  Each row depends only on its own stream, FFT and cumsum, so
     # the output bits do not depend on the block size.
-    m = max(1, 2 * (n_inc - 1))  # draws per path: the embedding size
-    rows = min(n, max(1, _BLOCK_BYTES // (16 * m)))
+    m = _embedding_size(grid)  # draws per path
+    rows = _block_rows(n, m)
     if n_inc == 1:
         # single increment: one N(0, step^{2H}) variate per path
         warns: tuple[str, ...] = ()
@@ -305,6 +316,22 @@ def _circulant_matrix(grid: GridSpec, H: float,
 # ---------------------------------------------------------------------------
 # Public sampling API
 # ---------------------------------------------------------------------------
+
+def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
+    """Estimated peak bytes of an n-path ensemble on ``grid`` and its sort.
+
+    Counts ``values`` and ``sorted_values`` (2·n·M·8 bytes) and the noise
+    held at once: one row block for the circulant sampler; all n rows and
+    the M²·8-byte factor for the Cholesky sampler.
+    """
+    M = grid.M
+    if sampler_id == "cholesky":
+        noise = n * M + M * M
+    else:
+        m = _embedding_size(grid)
+        noise = _block_rows(n, m) * m
+    return 8 * (2 * n * M + noise)
+
 
 _SAMPLERS = {"cholesky": _cholesky_matrix, "circulant": _circulant_matrix}
 

@@ -32,7 +32,7 @@ from . import __version__, analytic, experiments
 from .empirical import RemainderField, TieStats
 from .errors import ConfigError, DataError, DomainError, NumericError
 from .experiments import NLadder
-from .fbm import Ensemble, GridSpec, make_ensemble
+from .fbm import Ensemble, GridSpec, ensemble_bytes, make_ensemble
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run_study",
            "export_remainder_field", "export_tie_stats", "export_ensemble",
@@ -131,12 +131,27 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
     return nodes
 
 
-def _require_lattice(times, key: str) -> None:
-    """Reject times that do not sit on one lattice {k*step}, naming the key."""
-    if not GridSpec.from_times(times).uniform:
+# The most one ensemble may take (values, their column sort and the noise;
+# see fbm.ensemble_bytes), which bounds what each worker holds at a time.
+# A fixed bound, not a config key.
+WORKER_BYTES_BUDGET = 2 << 30
+
+
+def _check_grid(grid: GridSpec, key: str, sampler_id: str, n: int,
+                n_key: str) -> None:
+    """Reject a worker grid the sampler cannot use, or an ensemble of n
+    paths on it over ``WORKER_BYTES_BUDGET``, naming the keys that set them."""
+    if sampler_id == "circulant" and not grid.uniform:
         raise ConfigError(f"{key} must sit on one lattice {{k*step}} for the "
-                          f"circulant sampler; got {sorted(times)}; use "
+                          f"circulant sampler; got {grid.array.tolist()}; use "
                           f"sampler_id 'cholesky' for other times")
+    need = ensemble_bytes(n, grid, sampler_id)
+    if need > WORKER_BYTES_BUDGET:
+        raise ConfigError(
+            f"{n} paths ({n_key}) on {grid.M} grid points ({key}) need about "
+            f"{need / 2**30:.3g} GiB for one ensemble, over the "
+            f"{WORKER_BYTES_BUDGET / 2**30:g} GiB budget; lower {n_key} or "
+            f"{key}")
 
 
 def _ladder(cfg: dict, default: dict) -> NLadder:
@@ -224,13 +239,16 @@ def parse_config(text: str) -> RunConfig:
     x_nodes = _nodes(cfg, "x_nodes", 2, "[t, x] pairs")
     alpha_nodes = _nodes(cfg, "alpha_nodes", 2, "[t, alpha] pairs",
                          levels=(1,))
-    # the circulant sampler needs the grid the study's worker builds on one
-    # lattice {k*step}; the Cholesky sampler takes any grid
-    if sampler_id == "circulant" and study == "swanson":
-        _require_lattice(times, "times")
-    if sampler_id == "circulant" and study == "kernel_validation":
-        _require_lattice({t for t, _ in x_nodes + alpha_nodes},
-                         "x_nodes / alpha_nodes times")
+    # the grid the study's worker samples on, checked before any run starts
+    if study == "swanson":
+        _check_grid(GridSpec.from_times(times), "times", sampler_id, n, "n")
+    elif study == "kernel_validation":
+        _check_grid(GridSpec.from_times({t for t, _ in x_nodes + alpha_nodes}),
+                    "x_nodes / alpha_nodes times", sampler_id, n, "n")
+    elif "sampler_id" in spec.keys:
+        _check_grid(GridSpec.uniform_grid(T, M_t, include_zero=True), "M_t",
+                    sampler_id, n if ladder is None else max(ladder.ns),
+                    "n" if ladder is None else "ladder")
     levels_y = _numbers(cfg, "levels_y")
     if levels_y is not None and len(levels_y) < 3:
         raise ConfigError("levels_y needs at least 3 levels")

@@ -19,12 +19,25 @@ since numpy scalar arithmetic warns on the wraparound the masks rely on.
 SplitMix64 constants (Steele, Lea & Flood's reference implementation):
 increment 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB.
+
+Each stream is a PCG64 generator (O'Neill 2014) keyed by four SplitMix64
+words of its seed: state ``w0:w1`` and increment ``w2:w3 | 1`` (high:low
+64-bit halves).  Rather than build numpy's ``bg.state`` dict per path, the
+words of all seeds are mixed as one ``(n, 4)`` array and each row is copied
+into the bit generator through its public ``bg.ctypes.state_address``.
+That is what numpy's own ``pcg64_set_state`` does, so the streams are bit
+for bit those of the ``bg.state`` setter, at about half the cost per path.
+The word order of the 128-bit halves depends on how numpy was compiled; a
+probe writes a known vector once per process and reads it back through
+``bg.state``.  If neither known order round-trips, the probe raises a
+``RuntimeError`` naming the numpy version rather than draw wrong noise.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import operator
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -70,30 +83,70 @@ def derive_seed(master_seed: int, *indices: int | np.ndarray) -> int | np.ndarra
     return s
 
 
-def _pcg_states(seeds: np.ndarray) -> Iterator[dict]:
-    """PCG64 state dictionaries for a ``uint64`` seed array, one per seed.
+# Where numpy keeps a PCG64 stream: ``bg.ctypes.state_address`` points at its
+# ``pcg64_state``, whose first member points at ``pcg64_random_t {state,
+# inc}``, two 128-bit words.  Each layout numpy can build gives the 64-bit
+# slot of the words (w0, w1, w2, w3) of state = w0:w1 and inc = w2:w3
+# (high:low).
+_LAYOUTS = ((1, 0, 3, 2),  # __uint128_t on a little-endian machine
+            (0, 1, 2, 3))  # {high, low} structs, where there is no __uint128_t
+_PROBE = (0x0123456789ABCDEF, 0x1111111111111111, 0x2222222222222223,
+          0x3333333333333335)
+
+
+def _state_words(bg) -> np.ndarray:
+    """Writable ``uint64`` view of the four words of ``bg``'s {state, inc}.
+
+    The view does not keep ``bg`` alive: use it only while ``bg`` lives.
+    """
+    ptr = ctypes.c_void_p.from_address(bg.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(ptr))
+
+
+def _probe_layout(bg) -> tuple[int, ...]:
+    """The entry of ``_LAYOUTS`` that ``bg`` stores its state in.
+
+    Writes ``_PROBE`` into the state words and reads it back through numpy's
+    ``bg.state`` getter; raises ``RuntimeError`` if neither layout matches.
+    """
+    _state_words(bg)[:] = _PROBE
+    got = bg.state["state"]
+    for slots in _LAYOUTS:
+        w = [_PROBE[i] for i in slots]
+        if got == {"state": (w[0] << 64) | w[1], "inc": (w[2] << 64) | w[3]}:
+            return slots
+    raise RuntimeError(f"numpy {np.__version__} stores the PCG64 state in "
+                       f"neither known word order; got {got} after writing "
+                       f"{[hex(v) for v in _PROBE]}")
+
+
+@functools.cache
+def _layout() -> tuple[int, ...]:
+    return _probe_layout(np.random.PCG64())
+
+
+def _pcg_words(seeds: np.ndarray) -> np.ndarray:
+    """PCG64 state words for a 1-D ``uint64`` seed array, one row per seed.
 
     The 128-bit state and 128-bit (odd) increment are four successive
     SplitMix64 outputs of the seed; distinct increments select distinct PCG
-    streams.  The words of all seeds are mixed as whole arrays; one dict is
-    refilled and yielded per seed, so assign it before advancing.
+    streams.  Row ``i`` holds them in the bit generator's word order, ready
+    to be copied into ``_state_words``.
     """
-    w0 = splitmix64(seeds)
-    w1 = splitmix64(w0)
-    w2 = splitmix64(w1)
-    w3 = splitmix64(w2)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    words = state["state"]
-    for a, b, c, d in zip(w0.tolist(), w1.tolist(), w2.tolist(), w3.tolist()):
-        words["state"] = (a << 64) | b
-        words["inc"] = (c << 64) | d | 1
-        yield state
+    slots = _layout()
+    words = np.empty((len(seeds), 4), dtype=np.uint64)
+    w = seeds
+    for slot in slots:
+        w = splitmix64(w)
+        words[:, slot] = w
+    words[:, slots[3]] |= np.uint64(1)
+    return words
 
 
 def generator_for(seed: int) -> np.random.Generator:
     """A numpy Generator whose PCG64 stream is determined by ``seed`` alone."""
     bg = np.random.PCG64()
-    bg.state = next(_pcg_states(np.array([seed & _MASK64], dtype=np.uint64)))
+    _state_words(bg)[:] = _pcg_words(np.array([seed & _MASK64], dtype=np.uint64))[0]
     return np.random.Generator(bg)
 
 
@@ -105,10 +158,16 @@ def normal_matrix(seeds: np.ndarray, draws: int) -> np.ndarray:
     extended or generated in any partition without changing existing rows.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.ndim != 1:
+        raise DomainError(f"seeds must be a 1-D array; got shape {seeds.shape}")
+    draws = operator.index(draws)
+    if draws < 0:
+        raise DomainError(f"draws must be >= 0; got {draws}")
     out = np.empty((len(seeds), draws))
     bg = np.random.PCG64()
     gen = np.random.Generator(bg)
-    for row, state in zip(out, _pcg_states(seeds)):
-        bg.state = state
+    state = _state_words(bg)
+    for row, words in zip(out, _pcg_words(seeds)):
+        state[:] = words
         gen.standard_normal(out=row)
     return out

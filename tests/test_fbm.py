@@ -1,14 +1,16 @@
 """Samplers: exact laws, determinism, diagnostics."""
 
+import ctypes
 import hashlib
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from tqproc import analytic, fbm
+from tqproc import analytic, fbm, seeding
 from tqproc.errors import DataError, DomainError
 from tqproc.fbm import Ensemble, GridSpec, make_ensemble
 from tqproc.seeding import derive_seed, generator_for, normal_matrix, splitmix64
@@ -25,6 +27,39 @@ def _reference_generator(seed: int) -> np.random.Generator:
                 "state": {"state": (w0 << 64) | w1, "inc": (w2 << 64) | w3 | 1},
                 "has_uint32": 0, "uinteger": 0}
     return np.random.Generator(bg)
+
+
+def _reference_rows(seeds, draws: int) -> np.ndarray:
+    """``normal_matrix`` by way of ``_reference_generator``, one row per seed."""
+    rows = [_reference_generator(int(s)).standard_normal(draws) for s in seeds]
+    return np.reshape(rows, (len(seeds), draws))
+
+
+_EDGE_SEEDS = (0, 1, 2**63, 2**64 - 1)
+
+
+def _seed_array(n: int) -> np.ndarray:
+    """The edge seeds, then random ones, cut to length ``n``."""
+    rand = np.random.default_rng(11).integers(0, 2**64, size=40, dtype=np.uint64)
+    return np.concatenate([np.array(_EDGE_SEEDS, dtype=np.uint64), rand])[:n]
+
+
+class _ScrambledBitGenerator:
+    """Looks like a PCG64 to the layout probe, but reads its state words back
+    in an order numpy never uses."""
+
+    def __init__(self):
+        self.words = (ctypes.c_uint64 * 4)()
+        self.pcg_state = ctypes.c_void_p(ctypes.addressof(self.words))
+        self.ctypes = types.SimpleNamespace(
+            state_address=ctypes.addressof(self.pcg_state))
+
+    @property
+    def state(self) -> dict:
+        w = list(self.words)
+        return {"bit_generator": "PCG64",
+                "state": {"state": (w[2] << 64) | w[0], "inc": (w[3] << 64) | w[1]},
+                "has_uint32": 0, "uinteger": 0}
 
 
 class TestSeeding:
@@ -86,6 +121,75 @@ class TestSeeding:
         for row, seed in zip(noise, seeds):
             np.testing.assert_array_equal(
                 row, generator_for(int(seed)).standard_normal(33))
+
+    @pytest.mark.parametrize("draws", [0, 1, 33])
+    @pytest.mark.parametrize("n", [0, 1, 44])
+    def test_rows_match_public_state_setter(self, n, draws):
+        seeds = _seed_array(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noise = normal_matrix(seeds, draws)
+        assert noise.shape == (n, draws)
+        assert noise.tobytes() == _reference_rows(seeds, draws).tobytes()
+
+    def test_strided_seeds_match_public_state_setter(self):
+        seeds = _seed_array(44)[::3]
+        assert not seeds.flags.c_contiguous
+        noise = normal_matrix(seeds, 33)
+        assert noise.tobytes() == _reference_rows(seeds, 33).tobytes()
+
+    def test_circulant_blocks_match_public_state_setter(self, monkeypatch):
+        g = GridSpec.uniform_grid(2.0, 9, include_zero=True)  # 14 draws per path
+        seeds = derive_seed(3, np.arange(25, dtype=np.uint64))
+        blocks = []
+
+        def recording(block_seeds, draws):
+            noise = normal_matrix(block_seeds, draws)
+            blocks.append((block_seeds, draws, noise))
+            return noise
+        monkeypatch.setattr(fbm, "_BLOCK_BYTES", 16 * 14 * 7)  # 7 rows a block
+        monkeypatch.setattr(fbm, "normal_matrix", recording)
+        fbm._circulant_matrix(g, 0.35, seeds)
+        assert [len(b[0]) for b in blocks] == [7, 7, 7, 4]
+        for block_seeds, draws, noise in blocks:
+            assert noise.tobytes() == _reference_rows(block_seeds, draws).tobytes()
+
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_written_state_reads_back_as_state_dict(self, seed):
+        w0 = splitmix64(seed)
+        w1 = splitmix64(w0)
+        w2 = splitmix64(w1)
+        w3 = splitmix64(w2)
+        assert generator_for(seed).bit_generator.state == {
+            "bit_generator": "PCG64",
+            "state": {"state": (w0 << 64) | w1, "inc": (w2 << 64) | w3 | 1},
+            "has_uint32": 0, "uinteger": 0}
+
+    def test_probe_rejects_unknown_layout(self):
+        fake = _ScrambledBitGenerator()
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__} .*"
+                                               f"neither known word order"):
+            seeding._probe_layout(fake)
+        # the probe wrote its vector into the fake's words, nowhere else
+        assert list(fake.words) == list(seeding._PROBE)
+
+    def test_unknown_layout_draws_no_noise(self, monkeypatch):
+        seeding._layout.cache_clear()
+        monkeypatch.setattr(seeding, "_LAYOUTS", ((3, 2, 1, 0),))
+        try:
+            with pytest.raises(RuntimeError, match="neither known word order"):
+                normal_matrix(_seed_array(3), 4)
+        finally:
+            seeding._layout.cache_clear()
+
+    @pytest.mark.parametrize("seeds, draws, name", [
+        (np.zeros((2, 3), dtype=np.uint64), 4, "seeds"),
+        (np.uint64(5), 4, "seeds"),
+        (np.arange(3, dtype=np.uint64), -1, "draws"),
+    ], ids=["2-d", "0-d", "negative-draws"])
+    def test_normal_matrix_rejects_bad_arguments(self, seeds, draws, name):
+        with pytest.raises(DomainError, match=name):
+            normal_matrix(seeds, draws)
 
 
 class TestGridSpec:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -204,6 +205,40 @@ class TestParseConfig:
         conf, _ = NON_LATTICE[study]
         cfg = parse_config(json.dumps({**conf, "sampler_id": "cholesky"}))
         assert cfg.sampler_id == "cholesky"
+
+    def test_oversized_ensemble_rejected_before_allocating(self, tmp_path,
+                                                           capsys):
+        conf = {"study": "tail_fit", "n": 10**10}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"\(n\) on 64 grid points "
+                                                  r"\(M_t\).*lower n or M_t"):
+                parse_config(json.dumps(conf))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        out = tmp_path / "never"
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps({**conf, "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "GiB budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("conf, names", [
+        ({"study": "bk_rate", "ladder": {"ns": [256, 2**30]}}, "ladder or M_t"),
+        ({"study": "swanson", "n": 10**9}, "n or times"),
+        ({"study": "fbm_gen", "M_t": 4096, "n": 30_000,
+          "sampler_id": "cholesky"}, "n or M_t"),
+    ], ids=["ladder", "swanson-times", "cholesky"])
+    def test_oversized_ensemble_names_its_keys(self, conf, names):
+        with pytest.raises(ConfigError, match=f"GiB budget; lower {names}$"):
+            parse_config(json.dumps(conf))
+
+    def test_cholesky_noise_and_factor_count(self):
+        # the same ensemble fits when its noise is drawn one row block at a time
+        conf = {"study": "fbm_gen", "M_t": 4096, "n": 30_000}
+        assert parse_config(json.dumps(conf)).sampler_id == "circulant"
 
     def test_default_threads_are_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
