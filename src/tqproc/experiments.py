@@ -54,6 +54,10 @@ CLASSICAL_BAND = (0.4, 1.4)
 CLASSICAL_SLOPE_BAND = (-0.1, 0.1)
 LIL_TRACE_FACTOR = 3.0
 DEVIATION_RATIO_MAX = 3.0
+# the smallest ladder size each study accepts; the classical constant
+# divides by (loglog n)^{1/4}, which needs loglog n > 0, that is n >= 3
+LIL_MIN_N = 16
+CLASSICAL_MIN_N = 3
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +481,9 @@ def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
     (loglog n barely moves at desk scale); the trace must only stay inside a
     generous multiple of the constant.
     """
-    if any(n < 16 for n in ladder.ns):
-        raise DomainError("iterated-logarithm trace needs n >= 16 on the ladder")
+    if ladder.ns[0] < LIL_MIN_N:
+        raise DomainError(f"iterated-logarithm trace needs n >= {LIL_MIN_N} "
+                          f"on the ladder; got {list(ladder.ns)}")
     _, sigma_kappa = analytic.lil_constants(1.0, T, kappa)
     R = ladder.replications
     out, _, warns = _replicate(_lil_worker, seed, ladder.ns, R,
@@ -539,6 +544,10 @@ def classical_bk_study(ladder: NLadder, seed: int = 0,
     has almost-sure limsup 2^{-1/4} ~ 0.8409; per-n means are compared to the
     band ``CLASSICAL_BAND`` and the normalized sequence should be flat.
     """
+    if ladder.ns[0] < CLASSICAL_MIN_N:
+        raise DomainError(f"classical representation constant needs n >= "
+                          f"{CLASSICAL_MIN_N} on the ladder; got "
+                          f"{list(ladder.ns)}")
     R = ladder.replications
     out, _, _ = _replicate(_classical_worker, seed, ladder.ns, R, (), workers)
     per_n = [_summarize(n, vals, "normalized_bk_constant")

@@ -21,7 +21,7 @@ import platform
 import resource
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -37,9 +37,6 @@ from .fbm import Ensemble, GridSpec, ensemble_bytes, make_ensemble
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run_study",
            "export_remainder_field", "export_tie_stats", "export_ensemble",
            "main"]
-
-ENV_OUT_DIR = "TQPROC_OUT"
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -117,11 +114,13 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
     try:
         nodes = tuple(tuple(float(v) for v in row) for row in raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of {shape}") from exc
+        raise ConfigError(f"{key} must be a list of {shape}; {exc}") from exc
+    got = [list(row) for row in nodes]
     if not nodes or any(len(row) != width for row in nodes):
-        raise ConfigError(f"{key} must be a non-empty list of {shape}")
+        raise ConfigError(f"{key} must be a non-empty list of {shape}; "
+                          f"got {got}")
     if not all(math.isfinite(v) for row in nodes for v in row):
-        raise ConfigError(f"{key} must hold finite numbers")
+        raise ConfigError(f"{key} must hold finite numbers; got {got}")
     if not all(row[i] > 0.0 or (zero_time and row[i] == 0.0)
                for row in nodes for i in times):
         rule = "nonnegative" if zero_time else "positive"
@@ -204,8 +203,11 @@ def parse_config(text: str) -> RunConfig:
 
     H = _want(cfg, "H", float, 0.5, lambda v: 0.0 < v < 1.0,
               "must satisfy 0 < H < 1")
-    T = _want(cfg, "T", float, 2.0, lambda v: v > spec.T_floor,
-              f"must exceed {spec.T_floor:g} for study {study!r}")
+    T = _want(cfg, "T", float, 2.0,
+              lambda v: v >= spec.T_floor if spec.T_floor_closed
+              else v > spec.T_floor,
+              f"must {'be >=' if spec.T_floor_closed else 'exceed'} "
+              f"{spec.T_floor:g} for study {study!r}")
     rho = _want(cfg, "rho", float, 0.1, lambda v: 0.0 < v < 0.5,
                 "must lie in (0, 1/2)")
     eta = _want(cfg, "eta", float, 0.0,
@@ -217,6 +219,9 @@ def parse_config(text: str) -> RunConfig:
     ladder = None
     if "ladder" in spec.keys:
         ladder = _ladder(cfg, spec.defaults["ladder"])
+        if ladder.ns[0] < spec.n_floor:
+            raise ConfigError(f"ladder sizes must be >= {spec.n_floor} for "
+                              f"study {study!r}; got {list(ladder.ns)}")
     n = _want(cfg, "n", int, None, lambda v: v >= 1, "must be >= 1")
     R = _want(cfg, "R", int, None, lambda v: v >= 2, "must be >= 2")
     M_t = _want(cfg, "M_t", int, 64, lambda v: 2 <= v <= 4096,
@@ -343,10 +348,14 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write the rows to a temporary file as they come, then move it into
+    place, so a large table is never held whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(_fmt_cell, row)) + "\n" for row in rows)
+    os.replace(tmp, path)
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -358,11 +367,13 @@ def _config_hash(cfg: RunConfig) -> str:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _ensemble_rows(ens: Ensemble) -> list[list]:
-    ts = ens.grid.array
-    return [[i, float(t), float(v)]
-            for i in range(ens.n)
-            for t, v in zip(ts, ens.values[i])]
+def _ensemble_rows(ens: Ensemble) -> Iterator[list]:
+    # the path id and time cells repeat, so each is formatted once
+    ts = [_fmt_cell(t) for t in ens.grid.array.tolist()]
+    for i, row in enumerate(ens.values):
+        path_id = _fmt_cell(i)
+        for t, v in zip(ts, row.tolist()):
+            yield [path_id, t, v]
 
 
 def _sidecar(path: Path) -> Path:
@@ -449,19 +460,24 @@ def _default_kernel_nodes(kind: str) -> list[tuple]:
     return [(t1, a, t2, a) for t1 in ts for t2 in ts if t1 <= t2]
 
 
-def _write_kernels(cfg: RunConfig, out_dir: Path):
-    """Evaluate a limit kernel over node pairs; write kernels.csv."""
+def _kernel_rows(cfg: RunConfig, kappa: float | None = None) -> list[list]:
+    """One ``[kind, t1, a1, t2, a2, value]`` row per kernel node of cfg."""
     if cfg.kernel_nodes is None:
         nodes = _default_kernel_nodes(cfg.kind)
     elif cfg.kind == "swanson":
         nodes = [(t1, None, t2, None) for t1, t2 in cfg.kernel_nodes]
     else:
         nodes = cfg.kernel_nodes
-    rows = [[cfg.kind, t1, a1, t2, a2,
-             analytic.kernel_eval(cfg.kind, t1, a1, t2, a2, H=cfg.H)]
+    return [[cfg.kind, t1, a1, t2, a2,
+             analytic.kernel_eval(cfg.kind, t1, a1, t2, a2, H=cfg.H,
+                                  kappa=kappa)]
             for t1, a1, t2, a2 in nodes]
+
+
+def _write_kernels(cfg: RunConfig, out_dir: Path):
+    """Evaluate a limit kernel over node pairs; write kernels.csv."""
     _write_csv(out_dir / "kernels.csv",
-               ["kind", "t1", "a1", "t2", "a2", "value"], rows)
+               ["kind", "t1", "a1", "t2", "a2", "value"], _kernel_rows(cfg))
     return [out_dir / "kernels.csv"], [], {}
 
 
@@ -484,7 +500,9 @@ class Study:
     function: str | None = None
     write: Callable = _write_result
     outputs: tuple[str, ...] = ("result.json", "summary.csv")
-    T_floor: float = 0.0   # T must exceed it
+    T_floor: float = 0.0   # T must exceed it (or reach it, if T_floor_closed)
+    T_floor_closed: bool = False
+    n_floor: int = 2       # every ladder size must reach it
 
 
 _RATE_KEYS = ("ladder", "H", "T", "rho", "M_t", "M_alpha", "sampler_id",
@@ -517,11 +535,13 @@ STUDIES = {
         function="lil_trace_study",
         keys=("ladder", "H", "kappa", "T", "M_t", "sampler_id", "master_seed"),
         defaults={"ladder": {"ns": [2**k for k in range(8, 13)],
-                             "replications": 4}}),
+                             "replications": 4}},
+        T_floor=1.0, T_floor_closed=True, n_floor=experiments.LIL_MIN_N),
     "classical_bk": Study(
         function="classical_bk_study", keys=("ladder", "master_seed"),
         defaults={"ladder": {"ns": [2**k for k in range(12, 17)],
-                             "replications": 20}}),
+                             "replications": 20}},
+        n_floor=experiments.CLASSICAL_MIN_N),
     "fbm_gen": Study(
         keys=("n", "H", "T", "M_t", "sampler_id", "master_seed"),
         defaults={"n": 100}, write=_write_ensemble,
@@ -549,12 +569,12 @@ def run_study(cfg: RunConfig, force: bool = False,
               check: bool = False) -> tuple[int, list[str]]:
     """Execute a configured study and persist its outputs.
 
-    Returns (exit_code, written file paths).  In check mode the exit code is
-    2 when any pass flag is false.  Existing output files abort the run
-    unless ``force`` is given.
+    Writes to ``cfg.out_dir``.  Returns (exit_code, written file paths).
+    In check mode the exit code is 2 when any pass flag is false.  Existing
+    output files abort the run unless ``force`` is given.
     """
     spec = STUDIES[cfg.study]
-    out_dir = Path(os.environ.get(ENV_OUT_DIR) or cfg.out_dir)
+    out_dir = Path(cfg.out_dir)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     # the directories this run creates, deepest first
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
@@ -633,34 +653,13 @@ def _cmd_run(args, check: bool) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    try:
-        vals = [float(v) for v in args.args]
-    except ValueError as exc:
-        raise ConfigError(f"kernel {args.kind} arguments must be numbers; "
-                          f"{exc}") from exc
-    kind = args.kind
-    names = ["t1", "t2"] if kind == "swanson" else ["t1", "a1", "t2", "a2", "H"]
-    for name, v in [*zip(names, vals), ("--hurst", args.hurst),
-                    ("--kappa", args.kappa)]:
-        if v is not None and not math.isfinite(v):
-            raise ConfigError(f"kernel {kind} argument {name} must be a finite "
-                              f"number; got {v!r}")
-    if kind == "swanson":
-        if len(vals) != 2:
-            raise ConfigError("kernel swanson takes: t1 t2")
-        t1, t2 = vals
-        a1 = a2 = None
-        H = args.hurst
-    else:
-        if len(vals) == 4:
-            t1, a1, t2, a2 = vals
-            H = args.hurst
-        elif len(vals) == 5:
-            t1, a1, t2, a2, H = vals
-        else:
-            raise ConfigError(f"kernel {kind} takes: t1 a1 t2 a2 [H]")
-    value = analytic.kernel_eval(kind, t1, a1, t2, a2, H=H, kappa=args.kappa)
-    print(",".join(_fmt_cell(v) for v in [kind, t1, a1, t2, a2, value]))
+    """Evaluate one node of the kernel_eval study, parsed as a config is."""
+    if args.kappa is not None and not math.isfinite(args.kappa):
+        raise ConfigError(f"--kappa must be a finite number; got {args.kappa!r}")
+    cfg = parse_config(json.dumps({"study": "kernel_eval", "kind": args.kind,
+                                   "kernel_nodes": [args.args], "H": args.hurst}))
+    [row] = _kernel_rows(cfg, kappa=args.kappa)
+    print(",".join(map(_fmt_cell, row)))
     return 0
 
 
@@ -680,16 +679,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="overwrite existing outputs")
         q.add_argument("--threads", type=int, default=None,
                        help="worker pool size override")
-        q.add_argument("--out-dir", default=None, help="output directory override")
-
-    g = sub.add_parser("gen", help="sample an ensemble and export it as CSV")
-    g.add_argument("--config", required=True)
-    g.add_argument("--force", action="store_true")
+        # the one place the environment is read: --out-dir, else TQPROC_OUT,
+        # else the config's out_dir
+        q.add_argument("--out-dir", default=os.environ.get("TQPROC_OUT") or None,
+                       help="output directory override (default: $TQPROC_OUT)")
 
     k = sub.add_parser("kernel", help="evaluate a limit kernel at one node pair")
     k.add_argument("kind", choices=analytic.KERNEL_KINDS)
-    k.add_argument("args", nargs="+", help="swanson: t1 t2 | others: t1 a1 t2 a2 [H]")
-    k.add_argument("--hurst", type=float, default=0.5)
+    k.add_argument("args", nargs="+", help="swanson: t1 t2 | others: t1 a1 t2 a2")
+    k.add_argument("--hurst", type=float, default=0.5, help="Hurst index H")
     k.add_argument("--kappa", type=float, default=None,
                    help="extra (t1*t2)^kappa weight for kind G")
     return p
@@ -698,17 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("run", "check"):
-            return _cmd_run(args, check=(args.command == "check"))
-        if args.command == "gen":
-            cfg = _load_config(args.config, {"study": "fbm_gen"})
-            code, files = run_study(cfg, force=args.force)
-            for f in files:
-                print(f)
-            return code
         if args.command == "kernel":
             return _cmd_kernel(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _cmd_run(args, check=(args.command == "check"))
     except (ConfigError, DomainError, DataError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

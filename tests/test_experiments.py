@@ -296,6 +296,11 @@ class TestClassicalBk:
         # normalized sequence is O(1): slope well inside (-0.3, 0.3) even tiny
         assert abs(r.fit.slope) < 0.3
 
+    def test_small_n_rejected(self):
+        # loglog 2 < 0: the normalization is undefined below n = 3
+        with pytest.raises(DomainError, match="n >= 3"):
+            classical_bk_study(NLadder(ns=(2, 3, 4), replications=1))
+
     def test_mean_near_constant(self):
         lad = NLadder(ns=(4096, 16384), replications=10)
         r = classical_bk_study(lad, seed=23)

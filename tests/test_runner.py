@@ -14,6 +14,7 @@ import pytest
 import tqproc
 from tqproc import analytic, experiments
 from tqproc.errors import ConfigError, DataError
+from tqproc.fbm import GridSpec, ensemble_bytes
 from tqproc.runner import (STUDIES, RunConfig, main, parse_config, run_study,
                            serialize_config)
 
@@ -240,6 +241,42 @@ class TestParseConfig:
         conf = {"study": "fbm_gen", "M_t": 4096, "n": 30_000}
         assert parse_config(json.dumps(conf)).sampler_id == "circulant"
 
+    @pytest.mark.parametrize("conf, match", [
+        ({"study": "classical_bk", "ladder": {"ns": [2, 3, 4]}},
+         r"^ladder sizes must be >= 3 for study 'classical_bk'"),
+        ({"study": "lil_trace", "ladder": {"ns": [8, 32]}},
+         r"^ladder sizes must be >= 16 for study 'lil_trace'"),
+        ({"study": "lil_trace", "T": 0.5},
+         r"^T must be >= 1 for study 'lil_trace'; got 0.5"),
+    ], ids=["classical_bk-ladder", "lil_trace-ladder", "lil_trace-T"])
+    def test_study_floor_rejected_before_out_dir(self, tmp_path, capsys, conf,
+                                                 match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+        out = tmp_path / "never"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**conf, "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_study_floors_are_reachable(self, tmp_path):
+        cfg = parse_config(json.dumps({
+            "study": "lil_trace", "T": 1, "M_t": 8, "threads": 1,
+            "ladder": {"ns": [16, 32], "replications": 2},
+            "out_dir": str(tmp_path / "lil")}))
+        assert cfg.T == 1.0 and cfg.ladder.ns[0] == 16
+        assert run_study(cfg)[0] == 0
+        cfg = parse_config(json.dumps({
+            "study": "classical_bk", "threads": 1,
+            "ladder": {"ns": [3, 4], "replications": 2},
+            "out_dir": str(tmp_path / "cbk")}))
+        assert run_study(cfg)[0] == 0
+        # bk_rate's horizon floor stays open
+        with pytest.raises(ConfigError, match="T must exceed 1"):
+            parse_config('{"study": "bk_rate", "T": 1}')
+
     def test_default_threads_are_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
         assert parse_config('{"study": "swanson"}').threads == 3
@@ -270,6 +307,12 @@ class TestStudyRegistry:
         _run_tiny(tmp_path, "wrapped")
         assert len(calls) == 1
         assert calls[0]["seed"] == 42 and calls[0]["workers"] == 1
+
+
+def _tiny_config_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**TINY_SWANSON, "out_dir": str(tmp_path / name)}))
+    return path
 
 
 def _run_tiny(tmp_path, name, extra=None, force=False, check=False):
@@ -340,12 +383,51 @@ class TestRunStudy:
         assert s1 == (out2 / "summary.csv").read_bytes()
         assert s1 == (out8 / "summary.csv").read_bytes()
 
-    def test_env_out_dir_override(self, tmp_path, monkeypatch):
+    def test_env_out_dir_override(self, tmp_path, monkeypatch, capsys):
+        # without --out-dir, the CLI writes to TQPROC_OUT over the config's
         target = tmp_path / "env_dir"
         monkeypatch.setenv("TQPROC_OUT", str(target))
-        (code, files), _ = _run_tiny(tmp_path, "ignored")
-        assert code == 0
+        cfg_path = _tiny_config_file(tmp_path, "ignored")
+        assert main(["run", "--config", str(cfg_path)]) == 0
         assert (target / "result.json").exists()
+        assert not (tmp_path / "ignored").exists()
+        manifest = json.loads((target / "manifest.json").read_text())
+        assert manifest["config"]["out_dir"] == str(target)
+
+    def test_out_dir_flag_beats_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TQPROC_OUT", str(tmp_path / "env_dir"))
+        cfg_path = _tiny_config_file(tmp_path, "ignored")
+        flag = tmp_path / "flag_dir"
+        assert main(["run", "--config", str(cfg_path),
+                     "--out-dir", str(flag)]) == 0
+        assert (flag / "result.json").exists()
+        assert not (tmp_path / "env_dir").exists()
+        manifest = json.loads((flag / "manifest.json").read_text())
+        assert manifest["config"]["out_dir"] == str(flag)
+
+    def test_run_study_reads_no_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TQPROC_OUT", str(tmp_path / "env_dir"))
+        (code, _), out = _run_tiny(tmp_path, "cfg_dir")
+        assert code == 0
+        assert (out / "result.json").exists()
+        assert not (tmp_path / "env_dir").exists()
+
+    def test_fbm_gen_streams_its_rows(self, tmp_path):
+        # the CSV rows are written as they are made: the run holds about one
+        # ensemble, not a Python object per value
+        conf = {"study": "fbm_gen", "master_seed": 3, "n": 8000, "M_t": 64,
+                "out_dir": str(tmp_path / "big"), "threads": 1}
+        cfg = parse_config(json.dumps(conf))
+        grid = GridSpec.uniform_grid(cfg.T, cfg.M_t, include_zero=True)
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * ensemble_bytes(cfg.n, grid, cfg.sampler_id)
+        with (tmp_path / "big" / "ensemble.csv").open() as f:
+            assert sum(1 for _ in f) == 1 + 8000 * grid.M
 
     def test_check_mode_pass(self, tmp_path):
         conf = {"study": "tail_fit", "master_seed": 7, "n": 20000, "M_t": 32,
@@ -400,12 +482,13 @@ class TestCli:
         assert float(value) == pytest.approx(1.0471975511965976, abs=1e-9)
 
     def test_kernel_g(self, capsys):
-        assert main(["kernel", "G", "1", "0", "1", "0", "0.5"]) == 0
+        assert main(["kernel", "G", "1", "0", "1", "0", "--hurst", "0.5"]) == 0
         value = float(capsys.readouterr().out.strip().split(",")[-1])
         assert value == pytest.approx(0.25, abs=1e-12)
 
     def test_kernel_weighted_k(self, capsys):
-        assert main(["kernel", "weightedK", "1", "0.5", "4", "0.5", "0.5"]) == 0
+        assert main(["kernel", "weightedK", "1", "0.5", "4", "0.5",
+                     "--hurst", "0.5"]) == 0
         out = capsys.readouterr().out.strip().split(",")
         assert out[0] == "weightedK"
         assert float(out[-1]) == pytest.approx(1.0 / 6.0, abs=1e-9)
@@ -414,21 +497,41 @@ class TestCli:
         assert main(["kernel", "swanson", "1"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_kernel_hurst_only_by_flag(self, capsys):
+        # a fifth positional number is a malformed node, not H
+        assert main(["kernel", "G", "1", "0", "1", "0", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: kernel_nodes must be a non-empty "
+                                       "list of [t1, a1, t2, a2] quadruples")
+
+    @pytest.mark.parametrize("argv, match", [
+        (["K", "1", "0", "4", "0.5"], "kernel_nodes levels must lie in (0, 1)"),
+        (["G", "0", "0", "4", "0"], "kernel_nodes times must be positive"),
+        (["G", "1", "0", "4", "0", "--hurst", "1.5"], "H must satisfy 0 < H < 1"),
+    ], ids=["K-level", "G-time", "H-range"])
+    def test_kernel_checked_as_config(self, capsys, argv, match):
+        assert main(["kernel", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {match}")
+
     def test_kernel_non_numeric_argument(self, capsys):
         assert main(["kernel", "swanson", "a", "b"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'a'" in err
 
-    @pytest.mark.parametrize("argv, name", [
-        (["swanson", "inf", "1"], "t1"),
-        (["G", "1", "0", "4", "0", "--kappa", "nan"], "--kappa"),
-        (["K", "1", "0.5", "4", "0.5", "--hurst", "nan"], "--hurst"),
+    @pytest.mark.parametrize("argv, match", [
+        (["swanson", "inf", "1"], "kernel_nodes must hold finite numbers"),
+        (["G", "1", "0", "4", "0", "--kappa", "nan"],
+         "--kappa must be a finite number"),
+        (["K", "1", "0.5", "4", "0.5", "--hurst", "nan"],
+         "H must be a finite number"),
     ], ids=["swanson-inf", "G-kappa-nan", "K-hurst-nan"])
-    def test_kernel_nonfinite_argument(self, capsys, argv, name):
+    def test_kernel_nonfinite_argument(self, capsys, argv, match):
         assert main(["kernel", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and f"argument {name} " in captured.err
+        assert captured.err.startswith(f"error: {match}")
 
     def test_run_and_check_cli(self, tmp_path, capsys):
         conf = dict(TINY_SWANSON)
@@ -452,12 +555,16 @@ class TestCli:
         assert manifest["config"]["threads"] == 2
 
     def test_gen_cli(self, tmp_path):
+        # an ensemble is exported by running the fbm_gen study
         conf = {"study": "fbm_gen", "master_seed": 1, "n": 3, "M_t": 4,
                 "T": 1.0, "out_dir": str(tmp_path / "g2"), "threads": 1}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(conf))
-        assert main(["gen", "--config", str(cfg_path)]) == 0
+        assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "g2" / "ensemble.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--config", str(cfg_path)])
+        assert exc.value.code == 2
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
