@@ -2,9 +2,9 @@
 
 Pure functions of their arguments: univariate and bivariate normal
 distributions, the fractional Brownian motion covariance, the limit
-covariance kernels of the time-dependent empirical and quantile processes,
-iterated-logarithm normalization constants and the modulus-of-continuity
-gauge.  Everything here is deterministic and safe to call concurrently.
+covariance kernels of the time-dependent empirical and quantile processes
+and iterated-logarithm normalization constants.  Everything here is
+deterministic and safe to call concurrently.
 
 Importing this module loads numpy and ``scipy.special`` only.
 ``scipy.integrate`` loads on the first bivariate-CDF call, that is, when a
@@ -34,7 +34,6 @@ __all__ = [
     "quantile_kernel_K",
     "swanson_kernel",
     "lil_constants",
-    "modulus_gauge",
     "kernel_eval",
     "KERNEL_KINDS",
 ]
@@ -241,7 +240,7 @@ def swanson_kernel(t1: float, t2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# LIL constants and modulus gauge
+# LIL constants
 # ---------------------------------------------------------------------------
 
 def lil_constants(gamma: float, T: float, kappa: float) -> tuple[float, float]:
@@ -257,21 +256,6 @@ def lil_constants(gamma: float, T: float, kappa: float) -> tuple[float, float]:
     if kappa <= 0.0:
         raise DomainError(f"kappa must be positive; got {kappa}")
     return 0.5, T**kappa / 2.0
-
-
-def modulus_gauge(u, H: float):
-    """Modulus-of-continuity gauge f_H(u) = u^H sqrt(max(1, log(1/u))).
-
-    f_H(0) = 0 by continuous extension.
-    """
-    _check_hurst(H)
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
-        raise DomainError("gauge argument must be nonnegative")
-    with np.errstate(divide="ignore"):
-        lg = np.where(u > 0.0, -np.log(np.where(u > 0.0, u, 1.0)), 0.0)
-    out = np.where(u > 0.0, u**H * np.sqrt(np.maximum(1.0, lg)), 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "empirical_cdf",
     "empirical_process",
     "empirical_quantile",
-    "quantile_process",
     "tie_stats",
     "bk_remainder_field",
     "weighted_sup_empirical",
@@ -108,27 +107,19 @@ def empirical_quantile(ensemble: Ensemble, t: float, alpha: float) -> float:
     return float(ensemble.sorted_values[order_index(alpha, ensemble.n) - 1, j])
 
 
-def quantile_process(ensemble: Ensemble, t: float, alpha: float) -> float:
-    """u_n(t, alpha) = sqrt(n) (empirical quantile - t^H z_alpha)."""
-    tau_n = empirical_quantile(ensemble, t, alpha)
-    tau = analytic.true_quantile(t, alpha, ensemble.H)
-    return math.sqrt(ensemble.n) * (tau_n - tau)
-
-
 # ---------------------------------------------------------------------------
 # Grid machinery shared by field-level statistics
 # ---------------------------------------------------------------------------
 
-def _select_times(ensemble: Ensemble, times, t_min: float | None,
-                  t_max: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _select_times(ensemble: Ensemble, times,
+                  t_min: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Resolve a time sub-grid to (times, column indices) of the ensemble grid."""
     grid = ensemble.grid.array
     if times is not None:
         cols = np.asarray([ensemble.grid.index_of(float(t)) for t in times], dtype=int)
     else:
         lo = -np.inf if t_min is None else t_min - 1e-12
-        hi = np.inf if t_max is None else t_max + 1e-12
-        cols = np.flatnonzero((grid >= lo) & (grid <= hi))
+        cols = np.flatnonzero(grid >= lo)
     if cols.size == 0:
         raise DomainError("time window selects no grid points")
     return grid[cols], cols
@@ -187,7 +178,7 @@ def tie_stats(ensemble: Ensemble, levels: LevelGrid, times=None) -> TieStats:
     all values coincide by construction and the multiplicity bound does not
     apply there.
     """
-    ts, cols = _select_times(ensemble, times, None, None)
+    ts, cols = _select_times(ensemble, times, None)
     keep = ts > 0.0
     ts, cols = ts[keep], cols[keep]
     if cols.size == 0:
@@ -239,7 +230,7 @@ def bk_remainder_field(ensemble: Ensemble, levels: LevelGrid, times=None,
         raise DomainError(
             "unweighted remainder needs a positive window floor t_min "
             "(or explicit positive times)")
-    ts, cols = _select_times(ensemble, times, t_min, None)
+    ts, cols = _select_times(ensemble, times, t_min)
     if not weighted and np.any(ts <= 0.0):
         raise DomainError("unweighted remainder is undefined at t = 0")
     sv = _sorted_columns(ensemble, cols)
@@ -285,8 +276,7 @@ def _x_sup_columns(sv: np.ndarray, ts: np.ndarray, H: float) -> np.ndarray:
     return out
 
 
-def weighted_sup_empirical(ensemble: Ensemble, kappa: float,
-                           t_max: float | None = None) -> float:
+def weighted_sup_empirical(ensemble: Ensemble, kappa: float) -> float:
     """sup over grid times and all x of t^kappa |v_n(t, x)|.
 
     Exact in x (the empirical CDF is piecewise constant between order
@@ -294,22 +284,21 @@ def weighted_sup_empirical(ensemble: Ensemble, kappa: float,
     """
     if kappa <= 0.0:
         raise DomainError(f"kappa must be positive; got {kappa}")
-    ts, cols = _select_times(ensemble, None, None, t_max)
+    ts, cols = _select_times(ensemble, None, None)
     sv = _sorted_columns(ensemble, cols)
     d = _x_sup_columns(sv, ts, ensemble.H)
     return float(np.max(ts**kappa * d) * math.sqrt(ensemble.n))
 
 
 def quantile_deviation_stat(ensemble: Ensemble, delta: float, rho: float,
-                            T: float | None = None, C: float = 1.0,
-                            levels: LevelGrid | None = None,
-                            level_count: int = 21) -> float:
+                            C: float = 1.0,
+                            levels: LevelGrid | None = None) -> float:
     """Empirical candidate for the quantile-deviation constant:
 
     sup over levels in [rho, 1-rho] and grid times in (a_n, T] of
     t^{-(H-delta)} |tau^n - tau| sqrt(n) / sqrt(loglog n),
 
-    with a_n = C (loglog n / n)^{1/(2 delta)}.
+    with a_n = C (loglog n / n)^{1/(2 delta)} and T the grid's horizon.
     """
     H = ensemble.H
     if not 0.0 < delta <= H:
@@ -319,7 +308,7 @@ def quantile_deviation_stat(ensemble: Ensemble, delta: float, rho: float,
         raise DomainError(f"need n >= 16 so that loglog n > 0; got {n}")
     lln = math.log(math.log(n))
     a_n = C * (lln / n) ** (1.0 / (2.0 * delta))
-    t_hi = T if T is not None else ensemble.grid.T
+    t_hi = ensemble.grid.T
     grid = ensemble.grid.array
     cols = np.flatnonzero((grid > a_n) & (grid <= t_hi + 1e-12))
     if cols.size == 0:
@@ -327,7 +316,7 @@ def quantile_deviation_stat(ensemble: Ensemble, delta: float, rho: float,
             f"window (a_n, T] = ({a_n:.3e}, {t_hi}] contains no grid times")
     ts = grid[cols]
     if levels is None:
-        levels = LevelGrid.uniform(rho, level_count)
+        levels = LevelGrid.uniform(rho, 21)
     sv = _sorted_columns(ensemble, cols)
     lv = levels.array
     tau_n = _tau_n_matrix(sv, lv)

@@ -208,8 +208,16 @@ def _replicate(worker, seed: int, ns, R: int, args: tuple,
     return values, tie_violation, warnings
 
 
-def _study_grid(T: float, M_t: int) -> GridSpec:
+def ladder_grid(T: float, M_t: int) -> GridSpec:
+    """The grid of every study that samples [0, T]: M_t equally spaced
+    times from 0.  A study builds its grid once and hands it to its workers."""
     return GridSpec.uniform_grid(T, M_t, include_zero=True)
+
+
+def node_grid(x_nodes, alpha_nodes) -> GridSpec:
+    """The grid of kernel validation: the union of its node times."""
+    return GridSpec.from_times({t for t, _ in x_nodes}
+                               | {t for t, _ in alpha_nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +229,7 @@ def _window_floor(n: int, gamma0: float, eta: float) -> float:
 
 
 def _bk_worker(args) -> tuple[float, float, tuple]:
-    (seed, n, H, T, M_t, rho, M_alpha, gamma0, eta, weighted, sampler_id) = args
-    grid = _study_grid(T, M_t)
+    (seed, n, H, grid, rho, M_alpha, gamma0, eta, weighted, sampler_id) = args
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
     levels = LevelGrid.uniform(rho, M_alpha)
     t_min = None if weighted else _window_floor(n, gamma0, eta)
@@ -245,7 +252,8 @@ def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
     R = ladder.replications
     sups, tie_violation, warnings = _replicate(
         _bk_worker, seed, ladder.ns, R,
-        (H, T, M_t, rho, M_alpha, gamma0, eta, weighted, sampler_id), workers)
+        (H, ladder_grid(T, M_t), rho, M_alpha, gamma0, eta, weighted,
+         sampler_id), workers)
     stat_name = "sup_weighted_remainder" if weighted else "sup_bk_remainder"
     per_n = [_summarize(n, s, stat_name) for n, s in zip(ladder.ns, sups)]
     means = [np.mean(s) for s in sups]
@@ -307,8 +315,7 @@ def weighted_bk_rate_study(ladder: NLadder, H: float = 0.5, T: float = 2.0,
 # ---------------------------------------------------------------------------
 
 def _kernel_worker(args) -> tuple[tuple[np.ndarray, np.ndarray], float, tuple]:
-    (seed, n, H, times, x_nodes, alpha_nodes, sampler_id) = args
-    grid = GridSpec.from_times(times)
+    (seed, n, H, grid, x_nodes, alpha_nodes, sampler_id) = args
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
     sqrt_n = math.sqrt(n)
     v_vals = np.array([empirical.empirical_process(ens, t, x)
@@ -361,10 +368,10 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
         raise DomainError("kernel validation nodes need t > 0")
     if R < 2:
         raise DomainError(f"covariances need R >= 2 replications; got {R}")
-    times = tuple(sorted({t for t, _ in x_nodes} | {t for t, _ in alpha_nodes}))
     (out,), tie_violation, warns = _replicate(
         _kernel_worker, seed, (n,), R,
-        (H, times, tuple(x_nodes), tuple(alpha_nodes), sampler_id), workers)
+        (H, node_grid(x_nodes, alpha_nodes), tuple(x_nodes),
+         tuple(alpha_nodes), sampler_id), workers)
     v_samples = np.vstack([v for v, _ in out])
     fu_samples = np.vstack([fu for _, fu in out])
     v_rows = _cov_table(v_samples, x_nodes,
@@ -397,8 +404,7 @@ _MEDIAN = LevelGrid(rho=0.25, levels=(0.5,))
 
 
 def _swanson_worker(args) -> tuple[np.ndarray, float, tuple]:
-    (seed, n, times, sampler_id) = args
-    grid = GridSpec.from_times(times)
+    (seed, n, grid, sampler_id) = args
     ens = make_ensemble(n, grid, 0.5, sampler_id=sampler_id, master_seed=seed)
     # the medians and the tie scan read the ensemble's one column sort
     med = ens.sorted_values[empirical.order_index(0.5, n) - 1]
@@ -422,7 +428,8 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     if R < 2:
         raise DomainError(f"covariances need R >= 2 replications; got {R}")
     (out,), tie_violation, warns = _replicate(
-        _swanson_worker, seed, (n,), R, (times, sampler_id), workers)
+        _swanson_worker, seed, (n,), R, (GridSpec.from_times(times), sampler_id),
+        workers)
     med = np.vstack(out)  # (R, times)
     var_rows, cov_rows = [], []
     for i, t in enumerate(times):
@@ -462,8 +469,7 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
 # ---------------------------------------------------------------------------
 
 def _lil_worker(args) -> tuple[float, float, tuple]:
-    (seed, n, H, kappa, T, M_t, sampler_id) = args
-    grid = _study_grid(T, M_t)
+    (seed, n, H, kappa, grid, sampler_id) = args
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
     sup = empirical.weighted_sup_empirical(ens, kappa)
     # no tie statistics on this path: report no violation
@@ -487,7 +493,8 @@ def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
     _, sigma_kappa = analytic.lil_constants(1.0, T, kappa)
     R = ladder.replications
     out, _, warns = _replicate(_lil_worker, seed, ladder.ns, R,
-                               (H, kappa, T, M_t, sampler_id), workers)
+                               (H, kappa, ladder_grid(T, M_t), sampler_id),
+                               workers)
     per_n = [_summarize(n, vals, "normalized_weighted_sup")
              for n, vals in zip(ladder.ns, out)]
     trace = [float(np.mean(vals)) for vals in out]
@@ -509,6 +516,11 @@ def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
 # ---------------------------------------------------------------------------
 # Classical (time-free) representation constant
 # ---------------------------------------------------------------------------
+
+# bytes a _classical_worker task holds per uniform at its peak: about a
+# dozen float arrays of length n (13 * 8 * n traced at n = 10**6)
+CLASSICAL_BYTES_PER_N = 13 * 8
+
 
 def _classical_worker(args) -> tuple[float, float, tuple]:
     (seed, n) = args
@@ -576,8 +588,7 @@ def tail_fit_study(levels_y=(1.5, 2.0, 2.5, 3.0), H: float = 0.5,
                    workers: int = 1) -> StudyResult:
     """Exponential tail fit of sup_t |B(t)|: P{sup > y} ~ d exp(-c y^2)."""
     from .fbm import tail_fit as fit_tail
-    grid = _study_grid(T, M_t)
-    ens = make_ensemble(n, grid, H, sampler_id=sampler_id,
+    ens = make_ensemble(n, ladder_grid(T, M_t), H, sampler_id=sampler_id,
                         master_seed=derive_seed(seed, n, 0))
     tf = fit_tail(ens, levels_y)
     flags = {"c_hat_positive": tf.c_hat > 0.0,
@@ -601,10 +612,9 @@ def tail_fit_study(levels_y=(1.5, 2.0, 2.5, 3.0), H: float = 0.5,
 # ---------------------------------------------------------------------------
 
 def _deviation_worker(args) -> tuple[float, float, tuple]:
-    (seed, n, H, T, M_t, rho, delta, C, sampler_id) = args
-    grid = _study_grid(T, M_t)
+    (seed, n, H, grid, rho, delta, C, sampler_id) = args
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
-    stat = empirical.quantile_deviation_stat(ens, delta, rho, T=T, C=C)
+    stat = empirical.quantile_deviation_stat(ens, delta, rho, C=C)
     ties = empirical.tie_stats(ens, LevelGrid.uniform(rho, 21))
     return stat, ties.max_violation, ens.warnings
 
@@ -621,7 +631,7 @@ def deviation_stability_study(ladder: NLadder, delta: float, H: float = 0.5,
     R = ladder.replications
     out, tie_violation, warns = _replicate(
         _deviation_worker, seed, ladder.ns, R,
-        (H, T, M_t, rho, delta, C, sampler_id), workers)
+        (H, ladder_grid(T, M_t), rho, delta, C, sampler_id), workers)
     per_n = [_summarize(n, vals, "quantile_deviation")
              for n, vals in zip(ladder.ns, out)]
     medians = [float(np.median(vals)) for vals in out]

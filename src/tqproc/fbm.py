@@ -10,8 +10,7 @@ scheduled.  The circulant sampler synthesizes the paths in row blocks of
 about 1 MB of spectrum each, so beyond the (n, M) result an ensemble needs
 only a few MB of temporaries, whatever n is.
 
-Path diagnostics: the pairwise modulus-of-continuity statistic and an
-exponential tail fit of the ensemble supremum.
+Path diagnostic: an exponential tail fit of the ensemble supremum.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "TailFit",
     "ensemble_bytes",
     "make_ensemble",
-    "modulus_statistic",
     "tail_fit",
 ]
 
@@ -368,28 +366,6 @@ def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant
 # Path diagnostics
 # ---------------------------------------------------------------------------
 
-def modulus_statistic(ensemble: Ensemble, maxlag: int | None = None) -> np.ndarray:
-    """Largest gauge-normalized oscillation over grid pairs, one per path:
-
-    max_{s < t} |B(t) - B(s)| / f_H(t - s)
-
-    The scan is O(M^2); ``maxlag`` restricts pairs to index distance <= maxlag
-    for very fine grids.
-    """
-    ts = ensemble.grid.array
-    vals = ensemble.values
-    M = len(ts)
-    if M < 2:
-        raise DomainError("modulus statistic needs at least 2 grid points")
-    lags = range(1, M if maxlag is None else min(M, maxlag + 1))
-    best = np.zeros(ensemble.n)
-    for k in lags:
-        dv = np.abs(vals[:, k:] - vals[:, :-k])
-        gauge = analytic.modulus_gauge(ts[k:] - ts[:-k], ensemble.H)
-        best = np.maximum(best, np.max(dv / gauge, axis=1))
-    return best
-
-
 @dataclass(frozen=True)
 class TailFit:
     """Least-squares fit of log P{sup |B| > y} against -c y^2 + log d."""
@@ -410,7 +386,9 @@ def tail_fit(ensemble: Ensemble, levels) -> TailFit:
     ys = np.asarray(sorted(float(y) for y in levels), dtype=float)
     if ys.size < 3:
         raise DataError(f"tail fit needs at least 3 levels; got {ys.size}")
-    sup = np.max(np.abs(ensemble.values), axis=1)
+    # max(max, -min) is max |values| without an (n, M) temporary
+    values = ensemble.values
+    sup = np.maximum(values.max(axis=1), -values.min(axis=1))
     probs = np.array([(sup > y).mean() for y in ys])
     keep = probs > 0.0
     dropped = tuple(float(y) for y in ys[~keep])

@@ -29,14 +29,12 @@ import numpy as np
 import scipy
 
 from . import __version__, analytic, experiments
-from .empirical import RemainderField, TieStats
 from .errors import ConfigError, DataError, DomainError, NumericError
 from .experiments import NLadder
 from .fbm import Ensemble, GridSpec, ensemble_bytes, make_ensemble
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run_study",
-           "export_remainder_field", "export_tie_stats", "export_ensemble",
-           "main"]
+           "export_ensemble", "main"]
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -70,17 +68,25 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 _RUN_KEYS = frozenset({"study", "threads", "out_dir"})
 
 
+def _is_number(val, integer: bool = False) -> bool:
+    """Whether val is a JSON number (a JSON integer if ``integer``); a bool
+    or a numeric string is not."""
+    return (not isinstance(val, bool)
+            and isinstance(val, int if integer else (int, float)))
+
+
 def _want(cfg: dict, key: str, typ, default, check=None, msg: str = ""):
     val = cfg.get(key, default)
     if val is None:
         return None
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
+    if typ in (int, float) and not _is_number(val, integer=typ is int):
+        what = "an integer" if typ is int else "a number"
+        raise ConfigError(f"{key} must be {what}; got {val!r}")
+    if typ is float:
         val = float(val)
-    if typ is float and isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"{key} must be a finite number; got {val!r}")
-    if typ is int and (isinstance(val, bool) or not isinstance(val, int)):
-        raise ConfigError(f"{key} must be an integer; got {val!r}")
-    if not isinstance(val, typ):
+        if not math.isfinite(val):
+            raise ConfigError(f"{key} must be a finite number; got {val!r}")
+    elif not isinstance(val, typ):
         raise ConfigError(f"{key} must be of type {typ.__name__}; got {val!r}")
     if check is not None and not check(val):
         raise ConfigError(f"{key} {msg}; got {val!r}")
@@ -91,12 +97,11 @@ def _numbers(cfg: dict, key: str):
     raw = cfg.get(key)
     if raw is None:
         return None
-    try:
-        values = tuple(float(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of numbers") from exc
-    if not values:
+    if not isinstance(raw, list) or not all(map(_is_number, raw)):
+        raise ConfigError(f"{key} must be a list of numbers; got {raw!r}")
+    if not raw:
         raise ConfigError(f"{key} must be a non-empty list of numbers")
+    values = tuple(map(float, raw))
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{key} must hold finite numbers; got {list(values)}")
     return values
@@ -111,16 +116,16 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
     raw = cfg.get(key)
     if raw is None:
         return None
-    try:
-        nodes = tuple(tuple(float(v) for v in row) for row in raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of {shape}; {exc}") from exc
-    got = [list(row) for row in nodes]
-    if not nodes or any(len(row) != width for row in nodes):
+    if (not isinstance(raw, list) or not raw
+            or not all(isinstance(row, list) and len(row) == width
+                       for row in raw)):
         raise ConfigError(f"{key} must be a non-empty list of {shape}; "
-                          f"got {got}")
+                          f"got {raw!r}")
+    if not all(_is_number(v) for row in raw for v in row):
+        raise ConfigError(f"{key} must hold numbers; got {raw!r}")
+    nodes = tuple(tuple(map(float, row)) for row in raw)
     if not all(math.isfinite(v) for row in nodes for v in row):
-        raise ConfigError(f"{key} must hold finite numbers; got {got}")
+        raise ConfigError(f"{key} must hold finite numbers; got {raw!r}")
     if not all(row[i] > 0.0 or (zero_time and row[i] == 0.0)
                for row in nodes for i in times):
         rule = "nonnegative" if zero_time else "positive"
@@ -136,21 +141,32 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
 WORKER_BYTES_BUDGET = 2 << 30
 
 
-def _check_grid(grid: GridSpec, key: str, sampler_id: str, n: int,
-                n_key: str) -> None:
-    """Reject a worker grid the sampler cannot use, or an ensemble of n
-    paths on it over ``WORKER_BYTES_BUDGET``, naming the keys that set them."""
-    if sampler_id == "circulant" and not grid.uniform:
-        raise ConfigError(f"{key} must sit on one lattice {{k*step}} for the "
-                          f"circulant sampler; got {grid.array.tolist()}; use "
-                          f"sampler_id 'cholesky' for other times")
-    need = ensemble_bytes(n, grid, sampler_id)
+def _check_tasks(cfg: RunConfig, spec: Study) -> None:
+    """Reject a study whose worker grid the sampler cannot use, or whose
+    largest task would hold over ``WORKER_BYTES_BUDGET``, naming the keys
+    that set them."""
+    n, n_key = ((max(cfg.ladder.ns), "ladder") if cfg.ladder is not None
+                else (cfg.n, "n"))
+    if spec.grid is not None:
+        grid, key = spec.grid(cfg)
+        if cfg.sampler_id == "circulant" and not grid.uniform:
+            raise ConfigError(
+                f"{key} must sit on one lattice {{k*step}} for the circulant "
+                f"sampler; got {grid.array.tolist()}; use sampler_id "
+                f"'cholesky' for other times")
+        need = ensemble_bytes(n, grid, cfg.sampler_id)
+        what = f"{n} paths ({n_key}) on {grid.M} grid points ({key})"
+        task, lower = "ensemble", f"{n_key} or {key}"
+    elif n is not None:
+        # classical_bk: no grid, about a dozen float arrays of n uniforms
+        need = experiments.CLASSICAL_BYTES_PER_N * n
+        what, task, lower = f"{n} uniforms ({n_key})", "replication", n_key
+    else:
+        return
     if need > WORKER_BYTES_BUDGET:
         raise ConfigError(
-            f"{n} paths ({n_key}) on {grid.M} grid points ({key}) need about "
-            f"{need / 2**30:.3g} GiB for one ensemble, over the "
-            f"{WORKER_BYTES_BUDGET / 2**30:g} GiB budget; lower {n_key} or "
-            f"{key}")
+            f"{what} need about {need / 2**30:.3g} GiB for one {task}, over "
+            f"the {WORKER_BYTES_BUDGET / 2**30:g} GiB budget; lower {lower}")
 
 
 def _ladder(cfg: dict, default: dict) -> NLadder:
@@ -162,10 +178,15 @@ def _ladder(cfg: dict, default: dict) -> NLadder:
     if extra:
         raise ConfigError(f"unknown ladder key(s): {sorted(extra)}")
     raw = {**default, **raw}
+    ns, replications = raw["ns"], raw["replications"]
+    if not isinstance(ns, list) or not all(_is_number(v, True) for v in ns):
+        raise ConfigError(f"ladder ns must be a list of integers; got {ns!r}")
+    if not _is_number(replications, True):
+        raise ConfigError(f"ladder replications must be an integer; "
+                          f"got {replications!r}")
     try:
-        return NLadder(ns=tuple(int(v) for v in raw["ns"]),
-                       replications=int(raw["replications"]))
-    except (DomainError, TypeError, ValueError) as exc:
+        return NLadder(ns=tuple(ns), replications=replications)
+    except DomainError as exc:
         raise ConfigError(f"ladder: {exc}") from exc
 
 
@@ -244,16 +265,6 @@ def parse_config(text: str) -> RunConfig:
     x_nodes = _nodes(cfg, "x_nodes", 2, "[t, x] pairs")
     alpha_nodes = _nodes(cfg, "alpha_nodes", 2, "[t, alpha] pairs",
                          levels=(1,))
-    # the grid the study's worker samples on, checked before any run starts
-    if study == "swanson":
-        _check_grid(GridSpec.from_times(times), "times", sampler_id, n, "n")
-    elif study == "kernel_validation":
-        _check_grid(GridSpec.from_times({t for t, _ in x_nodes + alpha_nodes}),
-                    "x_nodes / alpha_nodes times", sampler_id, n, "n")
-    elif "sampler_id" in spec.keys:
-        _check_grid(GridSpec.uniform_grid(T, M_t, include_zero=True), "M_t",
-                    sampler_id, n if ladder is None else max(ladder.ns),
-                    "n" if ladder is None else "ladder")
     levels_y = _numbers(cfg, "levels_y")
     if levels_y is not None and len(levels_y) < 3:
         raise ConfigError("levels_y needs at least 3 levels")
@@ -272,12 +283,16 @@ def parse_config(text: str) -> RunConfig:
                               levels=(1, 3) if kind != "G" else (),
                               zero_time=zero_time)
 
-    return RunConfig(study=study, H=H, T=T, rho=rho, eta=eta, gamma0=gamma0,
-                     kappa=kappa, ladder=ladder, n=n, R=R, M_t=M_t,
-                     M_alpha=M_alpha, sampler_id=sampler_id,
-                     master_seed=master_seed, threads=threads, out_dir=out_dir,
-                     times=times, x_nodes=x_nodes, alpha_nodes=alpha_nodes,
-                     levels_y=levels_y, kind=kind, kernel_nodes=kernel_nodes)
+    resolved = RunConfig(
+        study=study, H=H, T=T, rho=rho, eta=eta, gamma0=gamma0, kappa=kappa,
+        ladder=ladder, n=n, R=R, M_t=M_t, M_alpha=M_alpha,
+        sampler_id=sampler_id, master_seed=master_seed, threads=threads,
+        out_dir=out_dir, times=times, x_nodes=x_nodes,
+        alpha_nodes=alpha_nodes, levels_y=levels_y, kind=kind,
+        kernel_nodes=kernel_nodes)
+    # what the study's workers will run, checked before any run starts
+    _check_tasks(resolved, spec)
+    return resolved
 
 
 def _config_dict(cfg: RunConfig) -> dict:
@@ -380,36 +395,6 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.stem + ".manifest.json")
 
 
-def export_remainder_field(field: RemainderField, path) -> list[str]:
-    """Write a remainder field as CSV ``t,alpha,R_n`` with a JSON manifest."""
-    path = Path(path)
-    rows = [[float(t), float(a), float(field.values[k, j])]
-            for j, t in enumerate(field.times)
-            for k, a in enumerate(field.levels.levels)]
-    _write_csv(path, ["t", "alpha", "R_n"], rows)
-    manifest = {"version": __version__, "weighted": field.weighted,
-                "t_min": field.t_min, "t_max": field.t_max,
-                "rho": field.levels.rho, "levels": list(field.levels.levels),
-                "times": list(field.times), "sup_norm": field.sup_norm}
-    _write_atomic(_sidecar(path), canonical_json(manifest))
-    return [str(path), str(_sidecar(path))]
-
-
-def export_tie_stats(ties: TieStats, path) -> list[str]:
-    """Write tie statistics as CSV ``t,alpha,delta_n`` with a JSON manifest."""
-    path = Path(path)
-    rows = [[float(t), float(a), float(ties.delta_n[k, j])]
-            for j, t in enumerate(ties.times)
-            for k, a in enumerate(ties.levels.levels)]
-    _write_csv(path, ["t", "alpha", "delta_n"], rows)
-    manifest = {"version": __version__, "m_bound": ties.m_bound,
-                "max_violation": ties.max_violation,
-                "rho": ties.levels.rho, "levels": list(ties.levels.levels),
-                "times": list(ties.times)}
-    _write_atomic(_sidecar(path), canonical_json(manifest))
-    return [str(path), str(_sidecar(path))]
-
-
 def export_ensemble(ens: Ensemble, path) -> list[str]:
     """Write an ensemble as CSV ``path_id,t,value`` with a JSON manifest."""
     path = Path(path)
@@ -447,7 +432,7 @@ def _write_result(cfg: RunConfig, out_dir: Path):
 
 def _write_ensemble(cfg: RunConfig, out_dir: Path):
     """Sample one ensemble; write ensemble.csv with its sidecar."""
-    grid = GridSpec.uniform_grid(cfg.T, cfg.M_t, include_zero=True)
+    grid, _ = STUDIES[cfg.study].grid(cfg)
     ens = make_ensemble(cfg.n, grid, cfg.H, sampler_id=cfg.sampler_id,
                         master_seed=cfg.master_seed)
     files = export_ensemble(ens, out_dir / "ensemble.csv")
@@ -494,15 +479,23 @@ class Study:
     ``tqproc.experiments`` function named by ``function`` with the keys as
     keyword arguments (``master_seed`` as ``seed``).  ``outputs`` are the
     files ``write`` creates, which a run will not overwrite unforced.
+    ``grid`` maps a config of a study that samples ensembles to the grid
+    its workers sample on, built by the function the study itself calls,
+    and to the config key that sets that grid.
     """
     keys: tuple[str, ...]
     defaults: dict
     function: str | None = None
+    grid: Callable[[RunConfig], tuple[GridSpec, str]] | None = None
     write: Callable = _write_result
     outputs: tuple[str, ...] = ("result.json", "summary.csv")
     T_floor: float = 0.0   # T must exceed it (or reach it, if T_floor_closed)
     T_floor_closed: bool = False
     n_floor: int = 2       # every ladder size must reach it
+
+
+def _ladder_grid(cfg: RunConfig) -> tuple[GridSpec, str]:
+    return experiments.ladder_grid(cfg.T, cfg.M_t), "M_t"
 
 
 _RATE_KEYS = ("ladder", "H", "T", "rho", "M_t", "M_alpha", "sampler_id",
@@ -512,10 +505,10 @@ _RATE_LADDER = {"ns": [2**k for k in range(8, 14)], "replications": 50}
 STUDIES = {
     "bk_rate": Study(
         function="bk_rate_study", keys=_RATE_KEYS + ("eta", "gamma0"),
-        defaults={"ladder": _RATE_LADDER}, T_floor=1.0),
+        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0),
     "weighted_bk_rate": Study(
         function="weighted_bk_rate_study", keys=_RATE_KEYS,
-        defaults={"ladder": _RATE_LADDER}, T_floor=1.0),
+        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0),
     "kernel_validation": Study(
         function="kernel_validation_study",
         keys=("x_nodes", "alpha_nodes", "H", "n", "R", "sampler_id",
@@ -524,19 +517,23 @@ STUDIES = {
                   "x_nodes": [[t, x * t**0.5] for t in (0.5, 1.0, 2.0, 4.0)
                               for x in (-1.0, 0.0, 1.0)],
                   "alpha_nodes": [[1.0, 0.5], [4.0, 0.5], [1.0, 0.25],
-                                  [4.0, 0.75]]}),
+                                  [4.0, 0.75]]},
+        grid=lambda cfg: (experiments.node_grid(cfg.x_nodes, cfg.alpha_nodes),
+                          "x_nodes / alpha_nodes times")),
     # Brownian ensembles only: H is fixed at 1/2
     "swanson": Study(
         function="swanson_median_study",
         keys=("times", "n", "R", "sampler_id", "master_seed"),
         defaults={"n": 1001, "R": 5000,
-                  "times": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]}),
+                  "times": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]},
+        grid=lambda cfg: (GridSpec.from_times(cfg.times), "times")),
     "lil_trace": Study(
         function="lil_trace_study",
         keys=("ladder", "H", "kappa", "T", "M_t", "sampler_id", "master_seed"),
         defaults={"ladder": {"ns": [2**k for k in range(8, 13)],
                              "replications": 4}},
-        T_floor=1.0, T_floor_closed=True, n_floor=experiments.LIL_MIN_N),
+        grid=_ladder_grid, T_floor=1.0, T_floor_closed=True,
+        n_floor=experiments.LIL_MIN_N),
     "classical_bk": Study(
         function="classical_bk_study", keys=("ladder", "master_seed"),
         defaults={"ladder": {"ns": [2**k for k in range(12, 17)],
@@ -544,7 +541,7 @@ STUDIES = {
         n_floor=experiments.CLASSICAL_MIN_N),
     "fbm_gen": Study(
         keys=("n", "H", "T", "M_t", "sampler_id", "master_seed"),
-        defaults={"n": 100}, write=_write_ensemble,
+        defaults={"n": 100}, grid=_ladder_grid, write=_write_ensemble,
         outputs=("ensemble.csv", "ensemble.manifest.json")),
     "kernel_eval": Study(
         keys=("kind", "kernel_nodes", "H"), defaults={"kind": "swanson"},
@@ -552,7 +549,8 @@ STUDIES = {
     "tail_fit": Study(
         function="tail_fit_study",
         keys=("levels_y", "H", "T", "n", "M_t", "sampler_id", "master_seed"),
-        defaults={"T": 1.0, "n": 100_000, "levels_y": [1.5, 2.0, 2.5, 3.0]}),
+        defaults={"T": 1.0, "n": 100_000, "levels_y": [1.5, 2.0, 2.5, 3.0]},
+        grid=_ladder_grid),
 }
 
 
@@ -656,8 +654,12 @@ def _cmd_kernel(args) -> int:
     """Evaluate one node of the kernel_eval study, parsed as a config is."""
     if args.kappa is not None and not math.isfinite(args.kappa):
         raise ConfigError(f"--kappa must be a finite number; got {args.kappa!r}")
+    try:
+        node = [float(v) for v in args.args]
+    except ValueError as exc:
+        raise ConfigError(f"kernel_nodes must hold numbers; {exc}") from exc
     cfg = parse_config(json.dumps({"study": "kernel_eval", "kind": args.kind,
-                                   "kernel_nodes": [args.args], "H": args.hurst}))
+                                   "kernel_nodes": [node], "H": args.hurst}))
     [row] = _kernel_rows(cfg, kappa=args.kappa)
     print(",".join(map(_fmt_cell, row)))
     return 0

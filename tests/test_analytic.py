@@ -292,23 +292,6 @@ class TestLilConstants:
             analytic.lil_constants(0.5, 0.9, 1.0)
 
 
-class TestModulusGauge:
-    def test_unit(self):
-        assert analytic.modulus_gauge(1.0, 0.5) == 1.0
-
-    def test_inverse_e(self):
-        assert analytic.modulus_gauge(math.exp(-1.0), 0.5) == pytest.approx(
-            math.exp(-0.5), abs=1e-14)
-
-    def test_zero(self):
-        assert analytic.modulus_gauge(0.0, 0.3) == 0.0
-
-    def test_nondecreasing_near_zero(self):
-        us = np.linspace(0.0, 0.2, 200)
-        vals = analytic.modulus_gauge(us, 0.5)
-        assert np.all(np.diff(vals) >= 0.0)
-
-
 class TestKernelEvalDispatch:
     def test_kinds(self):
         val = analytic.kernel_eval("swanson", 1.0, None, 4.0, None)

@@ -138,15 +138,6 @@ class TestEmpiricalQuantile:
 
 
 class TestQuantileProcess:
-    def test_hand_value(self):
-        e = fake_ensemble({1.0: [-0.5, 0.5]})
-        assert empirical.quantile_process(e, 1.0, 0.5) == pytest.approx(
-            -math.sqrt(2.0) * 0.5, abs=1e-12)
-
-    def test_exact_quantile_gives_zero(self):
-        e = fake_ensemble({1.0: [0.0, 0.7]})
-        assert empirical.quantile_process(e, 1.0, 0.5) == 0.0
-
     def test_mc_variance_matches_bernoulli_over_density(self):
         # Var[u_n(1, 1/2)] ~ alpha(1-alpha)/f^2 = pi/2 within 5%
         reps, n = 5000, 1000

@@ -198,10 +198,10 @@ class TestSharedSort:
     def test_bk_worker_matches_field_and_ties(self, weighted, eta):
         n, H, T, M_t, rho, M_alpha, gamma0 = 64, 0.4, 2.0, 17, 0.1, 7, 0.3
         seed = derive_seed(99, n, 0)
-        got = experiments._bk_worker((seed, n, H, T, M_t, rho, M_alpha,
+        grid = GridSpec.uniform_grid(T, M_t, include_zero=True)
+        got = experiments._bk_worker((seed, n, H, grid, rho, M_alpha,
                                       gamma0, eta, weighted, "circulant"))
-        ens = make_ensemble(n, GridSpec.uniform_grid(T, M_t, include_zero=True),
-                            H, master_seed=seed)
+        ens = make_ensemble(n, grid, H, master_seed=seed)
         levels = LevelGrid.uniform(rho, M_alpha)
         t_min = None if weighted else experiments._window_floor(n, gamma0, eta)
         fld = empirical.bk_remainder_field(ens, levels, weighted=weighted,
@@ -213,10 +213,10 @@ class TestSharedSort:
     def test_swanson_worker_matches_partition_and_ties(self):
         n, times = 51, (0.5, 1.0, 2.0)
         seed = derive_seed(98, n, 0)
+        grid = GridSpec.from_times(times)
         med, violation, warns = experiments._swanson_worker(
-            (seed, n, times, "circulant"))
-        ens = make_ensemble(n, GridSpec.from_times(times), 0.5,
-                            master_seed=seed)
+            (seed, n, grid, "circulant"))
+        ens = make_ensemble(n, grid, 0.5, master_seed=seed)
         k = empirical.order_index(0.5, n)
         want = np.partition(ens.values, k - 1, axis=0)[k - 1, :]
         np.testing.assert_array_equal(med, math.sqrt(n) * want)

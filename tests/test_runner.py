@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tqproc
-from tqproc import analytic, experiments
+from tqproc import analytic, experiments, runner
 from tqproc.errors import ConfigError, DataError
 from tqproc.fbm import GridSpec, ensemble_bytes
 from tqproc.runner import (STUDIES, RunConfig, main, parse_config, run_study,
@@ -236,6 +236,49 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"GiB budget; lower {names}$"):
             parse_config(json.dumps(conf))
 
+    def test_oversized_classical_ladder_rejected_before_allocating(
+            self, tmp_path, capsys):
+        conf = {"study": "classical_bk", "ladder": {"ns": [1000, 10**12]}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^1000000000000 uniforms "
+                                                  r"\(ladder\).*lower ladder$"):
+                parse_config(json.dumps(conf))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        out = tmp_path / "never"
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps({**conf, "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "GiB budget" in capsys.readouterr().err
+        assert not out.exists()
+        # the default ladder, largest n 2**16, is far inside the budget
+        assert parse_config('{"study": "classical_bk"}').ladder.ns[-1] == 2**16
+
+    @pytest.mark.parametrize("conf, match", [
+        ({"study": "bk_rate", "ladder": {"ns": [256, 512.9]}},
+         r"^ladder ns must be a list of integers"),
+        ({"study": "bk_rate", "ladder": {"ns": [256, 512],
+                                         "replications": 2.7}},
+         r"^ladder replications must be an integer"),
+        ({"study": "bk_rate", "ladder": {"ns": ["256", "512"]}},
+         r"^ladder ns must be a list of integers"),
+        ({"study": "swanson", "times": [True, 2]},
+         r"^times must be a list of numbers"),
+        ({"study": "swanson", "times": ["0.5", " 1e0 "]},
+         r"^times must be a list of numbers"),
+        ({"study": "tail_fit", "levels_y": [True, 2, 3]},
+         r"^levels_y must be a list of numbers"),
+        ({"study": "kernel_validation", "x_nodes": [["1", "0"]]},
+         r"^x_nodes must hold numbers"),
+    ], ids=["ns-fraction", "replications-fraction", "ns-strings",
+            "times-bool", "times-strings", "levels_y-bool", "x_nodes-strings"])
+    def test_list_entries_must_be_json_numbers(self, conf, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+
     def test_cholesky_noise_and_factor_count(self):
         # the same ensemble fits when its noise is drawn one row block at a time
         conf = {"study": "fbm_gen", "M_t": 4096, "n": 30_000}
@@ -307,6 +350,48 @@ class TestStudyRegistry:
         _run_tiny(tmp_path, "wrapped")
         assert len(calls) == 1
         assert calls[0]["seed"] == 42 and calls[0]["workers"] == 1
+
+
+# one tiny in-process run of each study that samples ensembles
+TINY_ENSEMBLE_STUDIES = {
+    "bk_rate": {"M_t": 8, "M_alpha": 3,
+                "ladder": {"ns": [16, 32, 64], "replications": 2}},
+    "weighted_bk_rate": {"M_t": 8, "M_alpha": 3,
+                         "ladder": {"ns": [16, 32, 64], "replications": 2}},
+    "kernel_validation": {"n": 20, "R": 2, "x_nodes": [[0.5, 0], [1, 0]],
+                          "alpha_nodes": [[1.5, 0.5]]},
+    "swanson": {"n": 21, "R": 2, "times": [0.5, 1.0]},
+    "lil_trace": {"T": 1, "M_t": 8,
+                  "ladder": {"ns": [16, 32], "replications": 2}},
+    "fbm_gen": {"n": 3, "M_t": 4},
+    "tail_fit": {"n": 2000, "M_t": 8, "levels_y": [0.5, 1.0, 1.5]},
+}
+
+
+class TestStudyGrid:
+    def test_every_ensemble_study_has_a_grid(self):
+        sampling = {s for s, spec in STUDIES.items() if "sampler_id" in spec.keys}
+        assert sampling == set(TINY_ENSEMBLE_STUDIES)
+        assert {s for s, spec in STUDIES.items() if spec.grid} == sampling
+
+    @pytest.mark.parametrize("study", sorted(TINY_ENSEMBLE_STUDIES))
+    def test_workers_sample_the_checked_grid(self, tmp_path, monkeypatch,
+                                             study):
+        grids = []
+        for module in (experiments, runner):
+            inner = module.make_ensemble
+
+            def recording(n, grid, *args, _inner=inner, **kwargs):
+                grids.append(grid)
+                return _inner(n, grid, *args, **kwargs)
+
+            monkeypatch.setattr(module, "make_ensemble", recording)
+        cfg = parse_config(json.dumps({
+            "study": study, "threads": 1, "out_dir": str(tmp_path / study),
+            **TINY_ENSEMBLE_STUDIES[study]}))
+        run_study(cfg)
+        want, _ = STUDIES[study].grid(cfg)
+        assert grids and all(g == want for g in grids)
 
 
 def _tiny_config_file(tmp_path, name):
@@ -574,42 +659,6 @@ class TestCli:
 
 
 class TestFieldExports:
-    def test_remainder_field_export(self, tmp_path):
-        from tqproc import empirical
-        from tqproc.empirical import LevelGrid
-        from tqproc.fbm import GridSpec, make_ensemble
-        from tqproc.runner import export_remainder_field
-
-        grid = GridSpec.uniform_grid(2.0, 9, include_zero=True)
-        e = make_ensemble(32, grid, 0.5, master_seed=3)
-        lv = LevelGrid.uniform(0.2, 3)
-        fld = empirical.bk_remainder_field(e, lv, weighted=True)
-        files = export_remainder_field(fld, tmp_path / "field.csv")
-        lines = (tmp_path / "field.csv").read_text().splitlines()
-        assert lines[0] == "t,alpha,R_n"
-        assert len(lines) == 1 + 9 * 3
-        manifest = json.loads((tmp_path / "field.manifest.json").read_text())
-        assert manifest["weighted"] is True
-        assert manifest["sup_norm"] == fld.sup_norm
-        assert len(files) == 2
-
-    def test_tie_stats_export(self, tmp_path):
-        from tqproc import empirical
-        from tqproc.empirical import LevelGrid
-        from tqproc.fbm import GridSpec, make_ensemble
-        from tqproc.runner import export_tie_stats
-
-        grid = GridSpec.uniform_grid(1.0, 5)
-        e = make_ensemble(40, grid, 0.5, master_seed=4)
-        ties = empirical.tie_stats(e, LevelGrid.uniform(0.25, 3))
-        export_tie_stats(ties, tmp_path / "ties.csv")
-        lines = (tmp_path / "ties.csv").read_text().splitlines()
-        assert lines[0] == "t,alpha,delta_n"
-        assert len(lines) == 1 + 5 * 3
-        manifest = json.loads((tmp_path / "ties.manifest.json").read_text())
-        assert manifest["m_bound"] == 10
-        assert manifest["max_violation"] <= 0.0
-
     def test_ensemble_export_manifest(self, tmp_path):
         from tqproc.fbm import GridSpec, make_ensemble
         from tqproc.runner import export_ensemble
