@@ -8,7 +8,11 @@ streams derived from (master_seed, path_index), so an ensemble is a
 deterministic function of its configuration regardless of how generation is
 scheduled.  The circulant sampler synthesizes the paths in row blocks of
 about 1 MB of spectrum each, so beyond the (n, M) result an ensemble needs
-only a few MB of temporaries, whatever n is.
+only a few MB of temporaries, whatever n is.  Each block's noise is drawn
+straight into its spectrum buffer, where it is scaled and mirrored in place;
+the cumsum of its FFT is the only other per-block buffer.  Both samplers
+return column-major values, which the column sort of
+``Ensemble.sorted_values`` reads without another copy.
 
 Path diagnostic: an exponential tail fit of the ensemble supremum.
 """
@@ -16,7 +20,7 @@ Path diagnostic: an exponential tail fit of the ensemble supremum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -104,9 +108,16 @@ class GridSpec:
         return cls(times=tuple(ts), T=float(T), uniform=uniform,
                    step=step if uniform else 0.0)
 
-    @property
+    def __getstate__(self) -> dict:
+        # pickle the fields only: each process builds its own cached arrays
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    # The grid is frozen, so its arrays are built once and shared read-only.
+    @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.times, dtype=float)
+        ts = np.asarray(self.times, dtype=float)
+        ts.setflags(write=False)
+        return ts
 
     @property
     def M(self) -> int:
@@ -122,15 +133,21 @@ class GridSpec:
                 "statistics are defined on grid times only")
         return j
 
-    def lattice_indices(self) -> np.ndarray:
-        """Integer lattice positions k with t = k*step; requires uniform."""
+    @cached_property
+    def _lattice(self) -> np.ndarray:
         if not self.uniform:
             raise DomainError("grid is not a uniform lattice anchored at 0")
         idx = np.rint(self.array / self.step).astype(int)
         if not np.allclose(idx * self.step, self.array,
                            rtol=_LATTICE_RTOL, atol=1e-15):
             raise DomainError("grid times do not sit on the lattice {k*step}")
+        idx.setflags(write=False)
         return idx
+
+    def lattice_indices(self) -> np.ndarray:
+        """Integer lattice positions k with t = k*step (read-only, checked
+        once per grid); requires uniform."""
+        return self._lattice
 
 
 @dataclass(frozen=True)
@@ -138,8 +155,9 @@ class Ensemble:
     """n independent paths sharing one grid and Hurst index.
 
     ``values`` has shape (n, M); row i is the path generated from the stream
-    seed derive_seed(master_seed, i).  It must be read-only, since
-    ``sorted_values`` is computed from it once and then kept.
+    seed derive_seed(master_seed, i).  The samplers store it column-major.
+    It must be read-only, since ``sorted_values`` is computed from it once
+    and then kept.
     """
     H: float
     grid: GridSpec
@@ -159,7 +177,8 @@ class Ensemble:
     @cached_property
     def sorted_values(self) -> np.ndarray:
         """Each column of ``values`` sorted ascending; read-only, sorted once."""
-        # column-major: each column is sorted and searched contiguously
+        # column-major: each column is sorted and searched contiguously.  The
+        # samplers return column-major values, so this sorts one copy
         sv = np.sort(np.asfortranarray(self.values), axis=0)
         sv.setflags(write=False)
         return sv
@@ -209,7 +228,7 @@ def _cholesky_matrix(grid: GridSpec, H: float,
     L, warns = _cholesky_factor(grid, H)
     pos_mask = grid.array > 0.0
     noise = normal_matrix(seeds, int(pos_mask.sum()))
-    out = np.zeros((len(seeds), grid.M))
+    out = np.zeros((len(seeds), grid.M), order="F")
     out[:, pos_mask] = noise @ L.T
     return out, warns
 
@@ -257,7 +276,7 @@ def _fgn_spectrum(n_inc: int, step: float, H: float) -> tuple[np.ndarray, tuple[
 
 def _embedding_size(grid: GridSpec) -> int:
     """Size of the circulant embedding, which is also the draws per path."""
-    return max(1, 2 * (int(grid.lattice_indices().max()) - 1))
+    return max(1, 2 * (int(grid.lattice_indices()[-1]) - 1))
 
 
 def _block_rows(n: int, m: int) -> int:
@@ -270,7 +289,7 @@ def _circulant_matrix(grid: GridSpec, H: float,
     if not grid.uniform:
         raise DomainError("circulant sampler requires a uniform lattice grid")
     idx = grid.lattice_indices()
-    n_inc = int(idx.max())
+    n_inc = int(idx[-1])
     if n_inc < 1:
         raise DomainError("circulant sampler needs at least one positive grid time")
     n = len(seeds)
@@ -282,32 +301,55 @@ def _circulant_matrix(grid: GridSpec, H: float,
     if n_inc == 1:
         # single increment: one N(0, step^{2H}) variate per path
         warns: tuple[str, ...] = ()
+        noise = np.empty((rows, 1))
         scale = grid.step**H
 
-        def increments(noise: np.ndarray) -> np.ndarray:
-            return noise * scale
+        def increments(k: int) -> np.ndarray:
+            x = noise[:k]
+            x *= scale
+            return x
     else:
         eig, warns = _fgn_spectrum(n_inc, grid.step, H)
         g = n_inc - 1
         amp0, ampg = np.sqrt(eig[0] / m), np.sqrt(eig[g] / m)
-        amp = np.sqrt(eig[1:g] / (2.0 * m))
-        W = np.empty((rows, m), dtype=complex)  # every column rewritten per block
+        amp = np.repeat(np.sqrt(eig[1:g] / (2.0 * m)), 2)
+        # The spectrum buffer: a block's noise is drawn into the first m
+        # floats of each row, where noise columns 2k and 2k+1 already sit at
+        # Re w_k and Im w_k.  Only column 1 moves, to Re w_g.
+        W = np.empty((rows, m), dtype=complex)
+        noise = W.view(float)[:, :m]
 
-        def increments(noise: np.ndarray) -> np.ndarray:
-            w = W[:len(noise)]
-            w[:, 0] = amp0 * noise[:, 0]
-            w[:, g] = ampg * noise[:, 1]
-            # frequencies k = 1..g-1 take noise columns 2k and 2k+1; their
-            # mirrors m-k run from m-1 down to g+1 (all empty when g = 1)
-            w[:, 1:g] = amp * (noise[:, 2:m:2] + 1j * noise[:, 3:m:2])
-            w[:, :g:-1] = np.conj(w[:, 1:g])
+        def increments(k: int) -> np.ndarray:
+            w = W[:k]
+            wf = w.view(float)
+            np.multiply(wf[:, 1], ampg, out=wf[:, m])
+            wf[:, m + 1] = 0.0
+            wf[:, 0] *= amp0
+            wf[:, 1] = 0.0
+            wf[:, 2:m] *= amp
+            # frequencies k = 1..g-1 mirror to m-k, from m-1 down to g+1
+            # (all empty when g = 1)
+            np.conjugate(w[:, 1:g], out=w[:, :g:-1])
             return np.fft.fft(w, axis=1).real[:, :n_inc]
-    out = np.zeros((n, grid.M))
+    # column-major, so that each column is sorted and searched contiguously
+    out = np.zeros((n, grid.M), order="F")
     pos = idx > 0
     cols = idx[pos] - 1
+    # When the positive times are the whole lattice 1..n_inc, as on every
+    # grid from 0, they are the last n_inc columns and take the cumsum as it
+    # is.  It is summed into a row-major buffer first: accumulating along
+    # the rows of the column-major result directly measured slower.
+    full = len(cols) == n_inc
+    csum = np.empty((rows, n_inc))
     for lo in range(0, n, rows):
-        noise = normal_matrix(seeds[lo:lo + rows], m)
-        out[lo:lo + rows, pos] = np.cumsum(increments(noise), axis=1)[:, cols]
+        block = seeds[lo:lo + rows]
+        k = len(block)
+        normal_matrix(block, m, out=noise[:k])
+        c = np.cumsum(increments(k), axis=1, out=csum[:k])
+        if full:
+            out[lo:lo + k, grid.M - n_inc:] = c
+        else:
+            out[lo:lo + k, pos] = c[:, cols]
     return out, warns
 
 
@@ -318,17 +360,18 @@ def _circulant_matrix(grid: GridSpec, H: float,
 def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
     """Estimated peak bytes of an n-path ensemble on ``grid`` and its sort.
 
-    Counts ``values`` and ``sorted_values`` (2·n·M·8 bytes) and the noise
-    held at once: one row block for the circulant sampler; all n rows and
-    the M²·8-byte factor for the Cholesky sampler.
+    Counts ``values`` and ``sorted_values`` (2·n·M·8 bytes) and what the
+    sampler holds besides: for the circulant sampler one row block's
+    complex spectrum, which the noise is drawn into, its FFT and the
+    cumsum of its n_inc increments (rows·(2·16·m + 8·n_inc) bytes); for the
+    Cholesky sampler all n rows of noise and the M²·8-byte factor.
     """
     M = grid.M
     if sampler_id == "cholesky":
-        noise = n * M + M * M
-    else:
-        m = _embedding_size(grid)
-        noise = _block_rows(n, m) * m
-    return 8 * (2 * n * M + noise)
+        return 8 * (2 * n * M + n * M + M * M)
+    m = _embedding_size(grid)
+    n_inc = int(grid.lattice_indices()[-1])
+    return 8 * 2 * n * M + _block_rows(n, m) * (2 * 16 * m + 8 * n_inc)
 
 
 _SAMPLERS = {"cholesky": _cholesky_matrix, "circulant": _circulant_matrix}

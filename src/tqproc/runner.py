@@ -75,6 +75,16 @@ def _is_number(val, integer: bool = False) -> bool:
             and isinstance(val, int if integer else (int, float)))
 
 
+def _float(key: str, val) -> float:
+    """A JSON number as a float, naming ``key`` if it is an integer too large
+    for one."""
+    try:
+        return float(val)
+    except OverflowError:
+        raise ConfigError(f"{key} holds an integer of {len(str(abs(val)))} "
+                          f"digits, too large for a float") from None
+
+
 def _want(cfg: dict, key: str, typ, default, check=None, msg: str = ""):
     val = cfg.get(key, default)
     if val is None:
@@ -83,7 +93,7 @@ def _want(cfg: dict, key: str, typ, default, check=None, msg: str = ""):
         what = "an integer" if typ is int else "a number"
         raise ConfigError(f"{key} must be {what}; got {val!r}")
     if typ is float:
-        val = float(val)
+        val = _float(key, val)
         if not math.isfinite(val):
             raise ConfigError(f"{key} must be a finite number; got {val!r}")
     elif not isinstance(val, typ):
@@ -101,7 +111,7 @@ def _numbers(cfg: dict, key: str):
         raise ConfigError(f"{key} must be a list of numbers; got {raw!r}")
     if not raw:
         raise ConfigError(f"{key} must be a non-empty list of numbers")
-    values = tuple(map(float, raw))
+    values = tuple(_float(key, v) for v in raw)
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{key} must hold finite numbers; got {list(values)}")
     return values
@@ -123,7 +133,7 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
                           f"got {raw!r}")
     if not all(_is_number(v) for row in raw for v in row):
         raise ConfigError(f"{key} must hold numbers; got {raw!r}")
-    nodes = tuple(tuple(map(float, row)) for row in raw)
+    nodes = tuple(tuple(_float(key, v) for v in row) for row in raw)
     if not all(math.isfinite(v) for row in nodes for v in row):
         raise ConfigError(f"{key} must hold finite numbers; got {raw!r}")
     if not all(row[i] > 0.0 or (zero_time and row[i] == 0.0)
@@ -135,16 +145,25 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
     return nodes
 
 
-# The most one ensemble may take (values, their column sort and the noise;
-# see fbm.ensemble_bytes), which bounds what each worker holds at a time.
-# A fixed bound, not a config key.
+# The most one ensemble may take (values, their column sort and the
+# synthesis buffers; see fbm.ensemble_bytes), which bounds what each worker
+# holds at a time.  A fixed bound, not a config key.
 WORKER_BYTES_BUDGET = 2 << 30
+# The most tasks one run may have (replications times ladder sizes, or R):
+# the parent process holds every task and every result at once.  Also a
+# fixed bound.
+MAX_TASKS = 100_000
 
 
 def _check_tasks(cfg: RunConfig, spec: Study) -> None:
-    """Reject a study whose worker grid the sampler cannot use, or whose
-    largest task would hold over ``WORKER_BYTES_BUDGET``, naming the keys
-    that set them."""
+    """Reject a study with over ``MAX_TASKS`` tasks, whose worker grid the
+    sampler cannot use, or whose largest task would hold over
+    ``WORKER_BYTES_BUDGET``, naming the keys that set them."""
+    tasks, r_key = ((cfg.ladder.replications * len(cfg.ladder.ns), "ladder")
+                    if cfg.ladder is not None else (cfg.R, "R"))
+    if tasks is not None and tasks > MAX_TASKS:
+        raise ConfigError(f"{tasks} tasks ({r_key}) exceed the bound of "
+                          f"{MAX_TASKS} tasks per run; lower {r_key}")
     n, n_key = ((max(cfg.ladder.ns), "ladder") if cfg.ladder is not None
                 else (cfg.n, "n"))
     if spec.grid is not None:
@@ -164,9 +183,13 @@ def _check_tasks(cfg: RunConfig, spec: Study) -> None:
     else:
         return
     if need > WORKER_BYTES_BUDGET:
+        # need may be an integer too large for a float; decimal is imported
+        # only here, since it adds to every run's footprint
+        from decimal import Decimal
         raise ConfigError(
-            f"{what} need about {need / 2**30:.3g} GiB for one {task}, over "
-            f"the {WORKER_BYTES_BUDGET / 2**30:g} GiB budget; lower {lower}")
+            f"{what} need about {Decimal(need) / 2**30:.3g} GiB for one "
+            f"{task}, over the {WORKER_BYTES_BUDGET / 2**30:g} GiB budget; "
+            f"lower {lower}")
 
 
 def _ladder(cfg: dict, default: dict) -> NLadder:
@@ -199,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer over Python's digit limit
         raise ConfigError(f"config is not well-formed JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

@@ -150,12 +150,17 @@ def generator_for(seed: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def normal_matrix(seeds: np.ndarray, draws: int) -> np.ndarray:
+def normal_matrix(seeds: np.ndarray, draws: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Standard-normal matrix with one independently seeded stream per row.
 
     Row ``i`` contains the first ``draws`` variates of the PCG64 stream for
     ``seeds[i]``; it is unaffected by the other rows, so ensembles can be
     extended or generated in any partition without changing existing rows.
+
+    With ``out`` the variates are drawn straight into it and it is returned:
+    a writable, aligned ``float64`` array of shape ``(len(seeds), draws)``
+    whose rows are contiguous, such as the first columns of a wider buffer.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.ndim != 1:
@@ -163,7 +168,17 @@ def normal_matrix(seeds: np.ndarray, draws: int) -> np.ndarray:
     draws = operator.index(draws)
     if draws < 0:
         raise DomainError(f"draws must be >= 0; got {draws}")
-    out = np.empty((len(seeds), draws))
+    if out is None:
+        out = np.empty((len(seeds), draws))
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == (len(seeds), draws)
+              and out.flags.writeable and out.flags.aligned
+              and (draws <= 1 or out.strides[1] == out.itemsize)):
+        raise DomainError(
+            f"out must be a writable float64 array of shape "
+            f"({len(seeds)}, {draws}) with contiguous rows; got "
+            f"{getattr(out, 'dtype', type(out).__name__)} of shape "
+            f"{getattr(out, 'shape', None)}")
     bg = np.random.PCG64()
     gen = np.random.Generator(bg)
     state = _state_words(bg)

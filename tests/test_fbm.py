@@ -3,9 +3,11 @@
 import ctypes
 import hashlib
 import math
+import pickle
 import tracemalloc
 import types
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -143,16 +145,45 @@ class TestSeeding:
         seeds = derive_seed(3, np.arange(25, dtype=np.uint64))
         blocks = []
 
-        def recording(block_seeds, draws):
-            noise = normal_matrix(block_seeds, draws)
-            blocks.append((block_seeds, draws, noise))
-            return noise
+        def recording(block_seeds, draws, out):
+            # each block's noise is drawn into the spectrum buffer, which the
+            # synthesis then overwrites in place, so the record is a copy
+            assert normal_matrix(block_seeds, draws, out=out) is out
+            assert not out.flags.c_contiguous  # the first m floats of each row
+            blocks.append((block_seeds, draws, out.copy()))
+            return out
         monkeypatch.setattr(fbm, "_BLOCK_BYTES", 16 * 14 * 7)  # 7 rows a block
         monkeypatch.setattr(fbm, "normal_matrix", recording)
         fbm._circulant_matrix(g, 0.35, seeds)
         assert [len(b[0]) for b in blocks] == [7, 7, 7, 4]
         for block_seeds, draws, noise in blocks:
             assert noise.tobytes() == _reference_rows(block_seeds, draws).tobytes()
+
+    @pytest.mark.parametrize("draws", [1, 14])
+    def test_strided_out_matches_public_state_setter(self, draws):
+        # the first ``draws`` floats of each row of a wider buffer
+        seeds = _seed_array(44)
+        buf = np.full((len(seeds), 2 * draws + 3), -7.0)
+        out = buf[:, :draws]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert normal_matrix(seeds, draws, out=out) is out
+        assert out.tobytes() == _reference_rows(seeds, draws).tobytes()
+        assert np.all(buf[:, draws:] == -7.0)  # nothing written past a row
+
+    @pytest.mark.parametrize("out", [
+        np.empty((5, 4)),
+        np.empty((4, 4), order="F"),
+        np.empty((4, 4), dtype=np.float32),
+        np.empty((4, 4), dtype=complex),
+        np.empty((4, 8))[:, ::2],
+        np.broadcast_to(np.empty(4), (4, 4)),
+        [[0.0] * 4] * 4,
+    ], ids=["shape", "column-major", "float32", "complex", "strided-rows",
+            "read-only", "list"])
+    def test_normal_matrix_rejects_bad_out(self, out):
+        with pytest.raises(DomainError, match="^out must be"):
+            normal_matrix(_seed_array(4), 4, out=out)
 
     @pytest.mark.parametrize("seed", _EDGE_SEEDS)
     def test_written_state_reads_back_as_state_dict(self, seed):
@@ -227,6 +258,26 @@ class TestGridSpec:
             GridSpec.from_times([1.0, 1.0, 2.0])
         with pytest.raises(DomainError):
             GridSpec(times=(0.5, 0.2), T=1.0, uniform=False)
+
+    def test_arrays_built_once_and_read_only(self, monkeypatch):
+        calls = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose",
+                            lambda *a, **k: calls.append(1) or allclose(*a, **k))
+        g = GridSpec.uniform_grid(2.0, 9, include_zero=True)
+        for _ in range(2):
+            make_ensemble(3, g, 0.5)
+        assert len(calls) == 1  # the lattice check runs once per grid
+        assert g.array is g.array and g.lattice_indices() is g.lattice_indices()
+        for arr in (g.array, g.lattice_indices()):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        # the cached arrays take no part in equality, hashing or pickling
+        fresh = GridSpec.uniform_grid(2.0, 9, include_zero=True)
+        assert g == fresh and hash(g) == hash(fresh)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and set(vars(copy)) == {f.name for f in fields(g)}
+        assert not copy.array.flags.writeable
 
     def test_index_of_requires_grid_time(self):
         g = GridSpec.uniform_grid(1.0, 4)
@@ -454,6 +505,43 @@ class TestEnsemble:
         assert e.sorted_values is sv
         with pytest.raises(ValueError):
             sv[0, 0] = 1.0
+
+    # a grid from 0 and one from step (the cumsum fills the last columns as
+    # one slice), and a sparse lattice (the cumsum is gathered)
+    @pytest.mark.parametrize("times", [tuple(np.linspace(0.0, 2.0, 9)),
+                                       (0.5, 1.0, 1.5), (1.5, 2.0, 3.5)],
+                             ids=["from-zero", "from-step", "sparse"])
+    @pytest.mark.parametrize("sampler", ["circulant", "cholesky"])
+    def test_values_column_major(self, sampler, times):
+        g = GridSpec.from_times(times)
+        e = make_ensemble(16, g, 0.5, sampler_id=sampler, master_seed=8)
+        assert e.values.flags.f_contiguous and not e.values.flags.c_contiguous
+
+    def test_sort_holds_one_copy(self):
+        # column-major values are sorted in a single copy, not copied into
+        # column-major order first
+        g = GridSpec.uniform_grid(2.0, 64, include_zero=True)
+        e = make_ensemble(8192, g, 0.5)
+        tracemalloc.start()
+        try:
+            e.sorted_values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * e.values.nbytes
+
+    @pytest.mark.parametrize("sampler", ["circulant", "cholesky"])
+    def test_ensemble_bytes_bounds_traced_peak(self, sampler):
+        g = GridSpec.uniform_grid(2.0, 64, include_zero=True)
+        make_ensemble(16, g, 0.5, sampler_id=sampler)  # cache spectrum, factor
+        tracemalloc.start()
+        try:
+            e = make_ensemble(8192, g, 0.5, sampler_id=sampler)
+            e.sorted_values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= fbm.ensemble_bytes(8192, g, sampler)
 
     def test_writable_values_rejected(self):
         # the cached column sort is only valid while values never change

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +34,21 @@ NON_LATTICE = {
     "swanson": ({"study": "swanson", "times": [0.5, 0.7], "n": 20, "R": 2},
                 "times"),
 }
+
+
+BIG = 10**400  # a JSON integer beyond the float range
+
+
+def _assert_cli_rejects(tmp_path, capsys, text, match):
+    """``tqproc run`` on the config text exits 1 with the message matching,
+    before it creates the output directory."""
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(match, err[7:].rstrip("\n"))
+    assert not out.exists()
 
 
 class TestParseConfig:
@@ -278,6 +294,44 @@ class TestParseConfig:
     def test_list_entries_must_be_json_numbers(self, conf, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(json.dumps(conf))
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"study": "bk_rate", "T": 1' + "0" * 400 + "}",
+         r"^T holds an integer of 401 digits, too large for a float$"),
+        (json.dumps({"study": "bk_rate", "H": -BIG}), r"^H holds an integer"),
+        (json.dumps({"study": "swanson", "times": [0.5, BIG]}),
+         r"^times holds an integer"),
+        (json.dumps({"study": "kernel_validation", "alpha_nodes": [[BIG, 0.5]]}),
+         r"^alpha_nodes holds an integer"),
+        (json.dumps({"study": "tail_fit", "n": BIG}),
+         r"\(n\) on 64 grid points \(M_t\) need about 9\.54e\+393 GiB for one "
+         r"ensemble, over the 2 GiB budget; lower n or M_t$"),
+        (json.dumps({"study": "classical_bk", "ladder": {"ns": [1000, BIG]}}),
+         r"uniforms \(ladder\) need about 9\.69e\+392 GiB for one "
+         r"replication, over the 2 GiB budget; lower ladder$"),
+    ], ids=["T", "H", "times", "alpha_nodes", "tail_fit-n", "classical-ladder"])
+    def test_huge_integers_name_their_key(self, tmp_path, capsys, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+        _assert_cli_rejects(tmp_path, capsys, text, match)
+
+    @pytest.mark.parametrize("conf, key", [
+        ({"study": "swanson", "R": 10**9}, "R"),
+        ({"study": "kernel_validation", "R": runner.MAX_TASKS + 1}, "R"),
+        ({"study": "bk_rate", "ladder": {"replications": 10**9}}, "ladder"),
+        ({"study": "classical_bk", "ladder": {
+            "ns": [4, 8], "replications": runner.MAX_TASKS // 2 + 1}}, "ladder"),
+    ], ids=["swanson-R", "kernel_validation-R", "bk_rate-ladder",
+            "classical_bk-ladder"])
+    def test_task_count_bounded(self, tmp_path, capsys, conf, key):
+        match = (rf"tasks \({key}\) exceed the bound of {runner.MAX_TASKS} "
+                 rf"tasks per run; lower {key}$")
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+        _assert_cli_rejects(tmp_path, capsys, json.dumps(conf), match)
+        # the bound itself is allowed
+        at_bound = {"study": "swanson", "R": runner.MAX_TASKS}
+        assert parse_config(json.dumps(at_bound)).R == runner.MAX_TASKS
 
     def test_cholesky_noise_and_factor_count(self):
         # the same ensemble fits when its noise is drawn one row block at a time
