@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import analytic
 from .errors import DomainError
@@ -271,7 +270,7 @@ def _x_sup_columns(sv: np.ndarray, ts: np.ndarray, H: float) -> np.ndarray:
             # all paths anchored at 0: F_n equals the degenerate marginal
             out[j] = 0.0
             continue
-        F = ndtr(sv[:, j] / ts[j] ** H)[:, None]
+        F = analytic.marginal_cdf(ts[j], sv[:, j], H)[:, None]
         out[j] = max(float(np.max(i - F)), float(np.max(F - (i - 1.0 / n))))
     return out
 

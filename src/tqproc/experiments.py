@@ -7,6 +7,10 @@ first (so the pool's last chunks hold the cheapest tasks), and results are
 aggregated in ladder order, so the outcome depends neither on the number of
 workers nor on the dispatch order.
 
+Every study that samples fBm runs each replication as one task,
+``_sampled``: sample the paths, scan the tie bound, reduce to the statistic.
+Only the classical constant, which draws uniforms, has a task of its own.
+
 Slope acceptance bands absorb the slowly varying factors multiplying the
 theoretical power laws; at desk-scale sample sizes those factors bias
 fitted log-log slopes upward by roughly +0.07, which is measured here by
@@ -18,14 +22,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import analytic, empirical
 from .empirical import LevelGrid
 from .errors import DataError, DomainError
-from .fbm import GridSpec, make_ensemble
+from .fbm import GridSpec, make_ensemble, tail_fit
 from .seeding import derive_seed, generator_for
 
 __all__ = [
@@ -138,15 +142,7 @@ class StudyResult:
     warnings: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        fit = None
-        if self.fit is not None:
-            fit = {"slope": self.fit.slope, "intercept": self.fit.intercept,
-                   "stderr": self.fit.stderr, "r_squared": self.fit.r_squared,
-                   "points": [list(p) for p in self.fit.points]}
-        return {"study": self.study, "config": self.config,
-                "per_n": list(self.per_n), "fit": fit,
-                "pass_flags": dict(self.pass_flags), "tables": self.tables,
-                "warnings": list(self.warnings)}
+        return asdict(self)
 
 
 def _summarize(n: int, values: np.ndarray, statistic: str) -> dict:
@@ -208,6 +204,18 @@ def _replicate(worker, seed: int, ns, R: int, args: tuple,
     return values, tie_violation, warnings
 
 
+def _sampled(task) -> tuple:
+    """One replication ``(seed, n, grid, H, sampler_id, ties, reduce, *args)``
+    of a study that samples fBm: n paths on ``grid``, the tie bound scanned
+    over each ``(levels, times)`` pair of ``ties`` (-inf for none) and the
+    statistic ``reduce(ensemble, *args)``, all on one column sort."""
+    seed, n, grid, H, sampler_id, ties, reduce, *args = task
+    ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
+    violation = max((empirical.tie_stats(ens, levels, times).max_violation
+                     for levels, times in ties), default=-math.inf)
+    return reduce(ens, *args), violation, ens.warnings
+
+
 def ladder_grid(T: float, M_t: int) -> GridSpec:
     """The grid of every study that samples [0, T]: M_t equally spaced
     times from 0.  A study builds its grid once and hands it to its workers."""
@@ -228,16 +236,11 @@ def _window_floor(n: int, gamma0: float, eta: float) -> float:
     return min(1.0, gamma0 * float(n) ** (-eta))
 
 
-def _bk_worker(args) -> tuple[float, float, tuple]:
-    (seed, n, H, grid, rho, M_alpha, gamma0, eta, weighted, sampler_id) = args
-    ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
-    levels = LevelGrid.uniform(rho, M_alpha)
-    t_min = None if weighted else _window_floor(n, gamma0, eta)
-    # both reductions read the ensemble's one column sort
-    fld = empirical.bk_remainder_field(ens, levels, weighted=weighted,
-                                       t_min=t_min)
-    ties = empirical.tie_stats(ens, levels)
-    return fld.sup_norm, ties.max_violation, ens.warnings
+def _bk_sup(ens, levels: LevelGrid, weighted: bool, gamma0: float,
+            eta: float) -> float:
+    t_min = None if weighted else _window_floor(ens.n, gamma0, eta)
+    return empirical.bk_remainder_field(ens, levels, weighted=weighted,
+                                        t_min=t_min).sup_norm
 
 
 def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
@@ -250,10 +253,11 @@ def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
     if not 1.0 < T:
         raise DomainError(f"study horizon must satisfy T > 1; got {T}")
     R = ladder.replications
+    levels = LevelGrid.uniform(rho, M_alpha)
     sups, tie_violation, warnings = _replicate(
-        _bk_worker, seed, ladder.ns, R,
-        (H, ladder_grid(T, M_t), rho, M_alpha, gamma0, eta, weighted,
-         sampler_id), workers)
+        _sampled, seed, ladder.ns, R,
+        (ladder_grid(T, M_t), H, sampler_id, ((levels, None),), _bk_sup,
+         levels, weighted, gamma0, eta), workers)
     stat_name = "sup_weighted_remainder" if weighted else "sup_bk_remainder"
     per_n = [_summarize(n, s, stat_name) for n, s in zip(ladder.ns, sups)]
     means = [np.mean(s) for s in sups]
@@ -314,22 +318,17 @@ def weighted_bk_rate_study(ladder: NLadder, H: float = 0.5, T: float = 2.0,
 # Kernel validation
 # ---------------------------------------------------------------------------
 
-def _kernel_worker(args) -> tuple[tuple[np.ndarray, np.ndarray], float, tuple]:
-    (seed, n, H, grid, x_nodes, alpha_nodes, sampler_id) = args
-    ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
-    sqrt_n = math.sqrt(n)
+def _node_values(ens, x_nodes, alpha_nodes) -> tuple[np.ndarray, np.ndarray]:
+    """v_n at the x nodes and f * u_n at the alpha nodes."""
+    H, sqrt_n = ens.H, math.sqrt(ens.n)
     v_vals = np.array([empirical.empirical_process(ens, t, x)
                        for t, x in x_nodes])
     fu_vals = np.empty(len(alpha_nodes))
-    violation = -math.inf
     for i, (t, a) in enumerate(alpha_nodes):
         tau_n = empirical.empirical_quantile(ens, t, a)
-        ties = empirical.tie_stats(
-            ens, LevelGrid(rho=min(a, 1.0 - a, 0.25), levels=(a,)), times=(t,))
-        violation = max(violation, ties.max_violation)
         tau = analytic.true_quantile(t, a, H)
         fu_vals[i] = analytic.density_quantile(t, a, H) * sqrt_n * (tau_n - tau)
-    return (v_vals, fu_vals), violation, ens.warnings
+    return v_vals, fu_vals
 
 
 def _cov_table(samples: np.ndarray, nodes, kernel_fn) -> list[dict]:
@@ -368,10 +367,13 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
         raise DomainError("kernel validation nodes need t > 0")
     if R < 2:
         raise DomainError(f"covariances need R >= 2 replications; got {R}")
+    # the tie bound at each alpha node's own (t, alpha)
+    ties = tuple((LevelGrid(rho=min(a, 1.0 - a, 0.25), levels=(a,)), (t,))
+                 for t, a in alpha_nodes)
     (out,), tie_violation, warns = _replicate(
-        _kernel_worker, seed, (n,), R,
-        (H, node_grid(x_nodes, alpha_nodes), tuple(x_nodes),
-         tuple(alpha_nodes), sampler_id), workers)
+        _sampled, seed, (n,), R,
+        (node_grid(x_nodes, alpha_nodes), H, sampler_id, ties, _node_values,
+         tuple(x_nodes), tuple(alpha_nodes)), workers)
     v_samples = np.vstack([v for v, _ in out])
     fu_samples = np.vstack([fu for _, fu in out])
     v_rows = _cov_table(v_samples, x_nodes,
@@ -403,13 +405,10 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
 _MEDIAN = LevelGrid(rho=0.25, levels=(0.5,))
 
 
-def _swanson_worker(args) -> tuple[np.ndarray, float, tuple]:
-    (seed, n, grid, sampler_id) = args
-    ens = make_ensemble(n, grid, 0.5, sampler_id=sampler_id, master_seed=seed)
-    # the medians and the tie scan read the ensemble's one column sort
-    med = ens.sorted_values[empirical.order_index(0.5, n) - 1]
-    ties = empirical.tie_stats(ens, _MEDIAN)
-    return math.sqrt(n) * med, ties.max_violation, ens.warnings
+def _scaled_median(ens) -> np.ndarray:
+    """sqrt(n) times the empirical median at every grid time."""
+    return math.sqrt(ens.n) * ens.sorted_values[
+        empirical.order_index(0.5, ens.n) - 1]
 
 
 def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
@@ -428,8 +427,9 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     if R < 2:
         raise DomainError(f"covariances need R >= 2 replications; got {R}")
     (out,), tie_violation, warns = _replicate(
-        _swanson_worker, seed, (n,), R, (GridSpec.from_times(times), sampler_id),
-        workers)
+        _sampled, seed, (n,), R,
+        (GridSpec.from_times(times), 0.5, sampler_id, ((_MEDIAN, None),),
+         _scaled_median), workers)
     med = np.vstack(out)  # (R, times)
     var_rows, cov_rows = [], []
     for i, t in enumerate(times):
@@ -468,12 +468,9 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
 # Iterated-logarithm traces
 # ---------------------------------------------------------------------------
 
-def _lil_worker(args) -> tuple[float, float, tuple]:
-    (seed, n, H, kappa, grid, sampler_id) = args
-    ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
+def _normalized_sup(ens, kappa: float) -> float:
     sup = empirical.weighted_sup_empirical(ens, kappa)
-    # no tie statistics on this path: report no violation
-    return sup / math.sqrt(2.0 * math.log(math.log(n))), -math.inf, ens.warnings
+    return sup / math.sqrt(2.0 * math.log(math.log(ens.n)))
 
 
 def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
@@ -492,9 +489,10 @@ def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
                           f"on the ladder; got {list(ladder.ns)}")
     _, sigma_kappa = analytic.lil_constants(1.0, T, kappa)
     R = ladder.replications
-    out, _, warns = _replicate(_lil_worker, seed, ladder.ns, R,
-                               (H, kappa, ladder_grid(T, M_t), sampler_id),
-                               workers)
+    # no tie statistics on this path
+    out, _, warns = _replicate(_sampled, seed, ladder.ns, R,
+                               (ladder_grid(T, M_t), H, sampler_id, (),
+                                _normalized_sup, kappa), workers)
     per_n = [_summarize(n, vals, "normalized_weighted_sup")
              for n, vals in zip(ladder.ns, out)]
     trace = [float(np.mean(vals)) for vals in out]
@@ -587,10 +585,10 @@ def tail_fit_study(levels_y=(1.5, 2.0, 2.5, 3.0), H: float = 0.5,
                    sampler_id: str = "circulant", seed: int = 0,
                    workers: int = 1) -> StudyResult:
     """Exponential tail fit of sup_t |B(t)|: P{sup > y} ~ d exp(-c y^2)."""
-    from .fbm import tail_fit as fit_tail
-    ens = make_ensemble(n, ladder_grid(T, M_t), H, sampler_id=sampler_id,
-                        master_seed=derive_seed(seed, n, 0))
-    tf = fit_tail(ens, levels_y)
+    # one replication: its one task runs in this process
+    [[tf]], _, ens_warnings = _replicate(
+        _sampled, seed, (n,), 1,
+        (ladder_grid(T, M_t), H, sampler_id, (), tail_fit, levels_y), workers)
     flags = {"c_hat_positive": tf.c_hat > 0.0,
              "r_squared_ok": tf.r_squared >= 0.95}
     warnings = tuple(f"tail level {y} dropped: zero empirical tail probability"
@@ -604,20 +602,12 @@ def tail_fit_study(levels_y=(1.5, 2.0, 2.5, 3.0), H: float = 0.5,
               "dropped_levels": list(tf.dropped_levels)}
     return StudyResult(study="tail_fit", config=config, per_n=per_n, fit=None,
                        pass_flags=flags, tables=tables,
-                       warnings=warnings + ens.warnings)
+                       warnings=warnings + ens_warnings)
 
 
 # ---------------------------------------------------------------------------
 # Quantile-deviation stability
 # ---------------------------------------------------------------------------
-
-def _deviation_worker(args) -> tuple[float, float, tuple]:
-    (seed, n, H, grid, rho, delta, C, sampler_id) = args
-    ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
-    stat = empirical.quantile_deviation_stat(ens, delta, rho, C=C)
-    ties = empirical.tie_stats(ens, LevelGrid.uniform(rho, 21))
-    return stat, ties.max_violation, ens.warnings
-
 
 def deviation_stability_study(ladder: NLadder, delta: float, H: float = 0.5,
                               T: float = 2.0, rho: float = 0.1, C: float = 1.0,
@@ -629,9 +619,11 @@ def deviation_stability_study(ladder: NLadder, delta: float, H: float = 0.5,
     ``DEVIATION_RATIO_MAX`` between the smallest and largest ladder size.
     """
     R = ladder.replications
+    levels = LevelGrid.uniform(rho, 21)
     out, tie_violation, warns = _replicate(
-        _deviation_worker, seed, ladder.ns, R,
-        (H, ladder_grid(T, M_t), rho, delta, C, sampler_id), workers)
+        _sampled, seed, ladder.ns, R,
+        (ladder_grid(T, M_t), H, sampler_id, ((levels, None),),
+         empirical.quantile_deviation_stat, delta, rho, C, levels), workers)
     per_n = [_summarize(n, vals, "quantile_deviation")
              for n, vals in zip(ladder.ns, out)]
     medians = [float(np.median(vals)) for vals in out]

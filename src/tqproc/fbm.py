@@ -423,12 +423,14 @@ class TailFit:
 def tail_fit(ensemble: Ensemble, levels) -> TailFit:
     """Fit d*exp(-c y^2) to the empirical tail of sup_t |B(t)| over the grid.
 
-    Levels whose empirical tail probability is zero are dropped (they carry
-    no information for the log fit); at least 3 must survive.
+    The levels must be distinct.  Those whose empirical tail probability is
+    zero are dropped (they inform no log fit); at least 3 must survive.
     """
     ys = np.asarray(sorted(float(y) for y in levels), dtype=float)
     if ys.size < 3:
         raise DataError(f"tail fit needs at least 3 levels; got {ys.size}")
+    if np.any(np.diff(ys) == 0.0):
+        raise DataError(f"tail fit needs distinct levels; got {ys.tolist()}")
     # max(max, -min) is max |values| without an (n, M) temporary
     values = ensemble.values
     sup = np.maximum(values.max(axis=1), -values.min(axis=1))

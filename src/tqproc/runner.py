@@ -31,7 +31,8 @@ import scipy
 from . import __version__, analytic, experiments
 from .errors import ConfigError, DataError, DomainError, NumericError
 from .experiments import NLadder
-from .fbm import Ensemble, GridSpec, ensemble_bytes, make_ensemble
+from .fbm import (MAX_CHOLESKY_POINTS, Ensemble, GridSpec, ensemble_bytes,
+                  make_ensemble)
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run_study",
            "export_ensemble", "main"]
@@ -173,6 +174,10 @@ def _check_tasks(cfg: RunConfig, spec: Study) -> None:
                 f"{key} must sit on one lattice {{k*step}} for the circulant "
                 f"sampler; got {grid.array.tolist()}; use sampler_id "
                 f"'cholesky' for other times")
+        if cfg.sampler_id == "cholesky" and grid.M > MAX_CHOLESKY_POINTS:
+            raise ConfigError(
+                f"{key} give {grid.M} grid points, over the cholesky "
+                f"sampler's limit of {MAX_CHOLESKY_POINTS}")
         need = ensemble_bytes(n, grid, cfg.sampler_id)
         what = f"{n} paths ({n_key}) on {grid.M} grid points ({key})"
         task, lower = "ensemble", f"{n_key} or {key}"
@@ -289,8 +294,10 @@ def parse_config(text: str) -> RunConfig:
     alpha_nodes = _nodes(cfg, "alpha_nodes", 2, "[t, alpha] pairs",
                          levels=(1,))
     levels_y = _numbers(cfg, "levels_y")
-    if levels_y is not None and len(levels_y) < 3:
-        raise ConfigError("levels_y needs at least 3 levels")
+    if levels_y is not None and (len(levels_y) < 3 or min(levels_y) <= 0.0
+                                 or len(set(levels_y)) < len(levels_y)):
+        raise ConfigError(f"levels_y needs at least 3 levels, positive and "
+                          f"distinct; got {list(levels_y)}")
     kind = _want(cfg, "kind", str, None,
                  lambda v: v in analytic.KERNEL_KINDS,
                  f"must be one of {list(analytic.KERNEL_KINDS)}")
@@ -318,14 +325,6 @@ def parse_config(text: str) -> RunConfig:
     return resolved
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    d = {key: val for key, val in asdict(cfg).items() if val is not None}
-    # delta, C and c1 were config keys that reached no CLI study; their
-    # defaults stay in the echo so result.json keeps its bytes.
-    d.update(delta=cfg.H / 4.0, C=1.0, c1=1.0)
-    return d
-
-
 def _numeric_config(cfg: RunConfig) -> dict:
     """The configuration keys that determine the numbers.
 
@@ -333,17 +332,19 @@ def _numeric_config(cfg: RunConfig) -> dict:
     result files and the config hash are identical across machines and
     worker counts.
     """
-    d = _config_dict(cfg)
-    d.pop("threads", None)
-    d.pop("out_dir", None)
+    d = {key: val for key, val in asdict(cfg).items()
+         if val is not None and key not in ("threads", "out_dir")}
+    # delta, C and c1 were config keys that reached no CLI study; their
+    # defaults stay in the echo so result.json keeps its bytes.
+    d.update(delta=cfg.H / 4.0, C=1.0, c1=1.0)
     return d
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical JSON of the resolved configuration (round-trips through parse)."""
     keys = _RUN_KEYS | set(STUDIES[cfg.study].keys)
-    return canonical_json({key: val for key, val in _config_dict(cfg).items()
-                           if key in keys})
+    return canonical_json({key: val for key, val in asdict(cfg).items()
+                           if key in keys and val is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +636,8 @@ def run_study(cfg: RunConfig, force: bool = False,
         "master_seed": cfg.master_seed,
         "warnings": warnings,
         "outputs": [p.name for p in written],
-        "config": _config_dict(cfg),
+        # the run's config as parse_config reads it, so it can run again
+        "config": json.loads(serialize_config(cfg)),
     }
     _write_atomic(out_dir / "manifest.json", canonical_json(manifest))
     written.append(out_dir / "manifest.json")

@@ -186,9 +186,10 @@ class TestWeightedStudy:
 
 
 class TestSharedSort:
-    """Workers reduce through the public functions, which share the
-    ensemble's one column sort; their outputs must equal those functions
-    called on a freshly sampled ensemble."""
+    """Every study's task is ``_sampled``, whose reducers go through the
+    public functions, which share the ensemble's one column sort; a task's
+    output must equal those functions called on a freshly sampled
+    ensemble."""
 
     # T = 2, M_t = 17: step 1/8.  gamma0 = 0.3 puts the floor between grid
     # points (0.25, 0.375); with eta = 0.3 it falls to 0.3 * 64**-0.3 ~ 0.086,
@@ -199,10 +200,11 @@ class TestSharedSort:
         n, H, T, M_t, rho, M_alpha, gamma0 = 64, 0.4, 2.0, 17, 0.1, 7, 0.3
         seed = derive_seed(99, n, 0)
         grid = GridSpec.uniform_grid(T, M_t, include_zero=True)
-        got = experiments._bk_worker((seed, n, H, grid, rho, M_alpha,
-                                      gamma0, eta, weighted, "circulant"))
-        ens = make_ensemble(n, grid, H, master_seed=seed)
         levels = LevelGrid.uniform(rho, M_alpha)
+        got = experiments._sampled((seed, n, grid, H, "circulant",
+                                    ((levels, None),), experiments._bk_sup,
+                                    levels, weighted, gamma0, eta))
+        ens = make_ensemble(n, grid, H, master_seed=seed)
         t_min = None if weighted else experiments._window_floor(n, gamma0, eta)
         fld = empirical.bk_remainder_field(ens, levels, weighted=weighted,
                                            t_min=t_min)
@@ -214,15 +216,34 @@ class TestSharedSort:
         n, times = 51, (0.5, 1.0, 2.0)
         seed = derive_seed(98, n, 0)
         grid = GridSpec.from_times(times)
-        med, violation, warns = experiments._swanson_worker(
-            (seed, n, grid, "circulant"))
+        median = LevelGrid(rho=0.25, levels=(0.5,))
+        med, violation, warns = experiments._sampled(
+            (seed, n, grid, 0.5, "circulant", ((median, None),),
+             experiments._scaled_median))
         ens = make_ensemble(n, grid, 0.5, master_seed=seed)
         k = empirical.order_index(0.5, n)
         want = np.partition(ens.values, k - 1, axis=0)[k - 1, :]
         np.testing.assert_array_equal(med, math.sqrt(n) * want)
-        ties = empirical.tie_stats(ens, LevelGrid(rho=0.25, levels=(0.5,)))
+        ties = empirical.tie_stats(ens, median)
         assert violation == ties.max_violation
         assert warns == ens.warnings
+
+    def test_violation_is_the_max_over_tie_pairs(self):
+        n, times = 40, (0.5, 1.0, 2.0)
+        seed = derive_seed(97, n, 0)
+        grid = GridSpec.from_times(times)
+        ties = ((LevelGrid(rho=0.25, levels=(0.25,)), (0.5,)),
+                (LevelGrid(rho=0.25, levels=(0.75,)), (2.0,)))
+        size = lambda ens: ens.n
+        got = experiments._sampled((seed, n, grid, 0.5, "circulant", ties,
+                                    size))
+        ens = make_ensemble(n, grid, 0.5, master_seed=seed)
+        want = max(empirical.tie_stats(ens, lv, ts).max_violation
+                   for lv, ts in ties)
+        assert got == (n, want, ens.warnings)
+        # no tie pairs: no violation
+        assert experiments._sampled(
+            (seed, n, grid, 0.5, "circulant", (), size))[1] == -math.inf
 
 
 class TestKernelValidation:

@@ -573,6 +573,15 @@ class TestTailFit:
         with pytest.raises(DataError):
             fbm.tail_fit(e, [18.0, 19.0, 20.0])
 
+    def test_repeated_levels_rejected(self):
+        # one distinct level fits a line through a single point exactly
+        g = GridSpec.uniform_grid(1.0, 16, include_zero=True)
+        e = make_ensemble(200, g, 0.5, master_seed=47)
+        with pytest.raises(DataError, match="distinct levels"):
+            fbm.tail_fit(e, [1.0, 1.0, 1.0])
+        with pytest.raises(DataError, match="distinct levels"):
+            fbm.tail_fit(e, [1.5, 1.0, 1.5, 2.0])
+
     def test_no_ensemble_sized_temporary(self):
         # the per-path sup is taken from the row max and min, not from an
         # (n, M) array of absolute values

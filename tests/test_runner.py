@@ -15,9 +15,10 @@ import pytest
 import tqproc
 from tqproc import analytic, experiments, runner
 from tqproc.errors import ConfigError, DataError
-from tqproc.fbm import GridSpec, ensemble_bytes
+from tqproc.fbm import MAX_CHOLESKY_POINTS, GridSpec, ensemble_bytes
 from tqproc.runner import (STUDIES, RunConfig, main, parse_config, run_study,
                            serialize_config)
+from tqproc.seeding import derive_seed
 
 
 TINY_SWANSON = {"study": "swanson", "master_seed": 42, "n": 51, "R": 30,
@@ -222,6 +223,47 @@ class TestParseConfig:
         conf, _ = NON_LATTICE[study]
         cfg = parse_config(json.dumps({**conf, "sampler_id": "cholesky"}))
         assert cfg.sampler_id == "cholesky"
+
+    @pytest.mark.parametrize("study", sorted(NON_LATTICE))
+    def test_cholesky_grid_capped(self, tmp_path, capsys, study):
+        conf, key = NON_LATTICE[study]
+        times = [0.001 * k for k in range(1, MAX_CHOLESKY_POINTS + 2)]
+        conf = {**conf, "sampler_id": "cholesky",
+                **({"times": times} if study == "swanson" else
+                   {"x_nodes": [[t, 0] for t in times]})}
+        match = (f"^{key} give {MAX_CHOLESKY_POINTS + 1} grid points, over "
+                 f"the cholesky sampler's limit of {MAX_CHOLESKY_POINTS}$")
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+        out = tmp_path / "never"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**conf, "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert f"error: {key} give" in capsys.readouterr().err
+        assert not out.exists()
+        # at the cap the grid parses
+        conf["times" if study == "swanson" else "x_nodes"].pop()
+        assert parse_config(json.dumps(conf)).sampler_id == "cholesky"
+
+    @pytest.mark.parametrize("levels", [[1.0, 1.0, 1.0], [1.0, 2.0, 1.0],
+                                        [-1.0, -0.5, 0.0], [0.0, 1.0, 2.0]],
+                             ids=["equal", "repeated", "negative", "zero"])
+    def test_degenerate_tail_levels_rejected(self, tmp_path, capsys, levels):
+        conf = {"study": "tail_fit", "levels_y": levels, "n": 2000}
+        with pytest.raises(ConfigError,
+                           match=r"^levels_y needs at least 3 levels, "
+                                 r"positive and distinct"):
+            parse_config(json.dumps(conf))
+        out = tmp_path / "never"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**conf, "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "error: levels_y" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unsorted_tail_levels_accepted(self):
+        cfg = parse_config('{"study": "tail_fit", "levels_y": [2, 1, 1.5]}')
+        assert cfg.levels_y == (2.0, 1.0, 1.5)
 
     def test_oversized_ensemble_rejected_before_allocating(self, tmp_path,
                                                            capsys):
@@ -431,12 +473,14 @@ class TestStudyGrid:
     @pytest.mark.parametrize("study", sorted(TINY_ENSEMBLE_STUDIES))
     def test_workers_sample_the_checked_grid(self, tmp_path, monkeypatch,
                                              study):
-        grids = []
+        grids, seeds = [], []
         for module in (experiments, runner):
             inner = module.make_ensemble
 
-            def recording(n, grid, *args, _inner=inner, **kwargs):
+            def recording(n, grid, *args, _inner=inner, _module=module,
+                          **kwargs):
                 grids.append(grid)
+                seeds.append((_module, n, kwargs["master_seed"]))
                 return _inner(n, grid, *args, **kwargs)
 
             monkeypatch.setattr(module, "make_ensemble", recording)
@@ -446,6 +490,13 @@ class TestStudyGrid:
         run_study(cfg)
         want, _ = STUDIES[study].grid(cfg)
         assert grids and all(g == want for g in grids)
+        # a study's replication r at size n samples from derive_seed(seed,
+        # n, r); fbm_gen samples its one ensemble from the seed itself
+        R = cfg.ladder.replications if cfg.ladder else (cfg.R or 1)
+        for module, n, seed in seeds:
+            assert seed in ({derive_seed(cfg.master_seed, n, r)
+                             for r in range(R)} if module is experiments
+                            else {cfg.master_seed})
 
 
 def _tiny_config_file(tmp_path, name):
@@ -600,6 +651,18 @@ class TestRunStudy:
         assert all(ln.split(",")[2] == "0.0" for ln in zero_rows)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["study"] == "fbm_gen"
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_manifest_config_runs_again(self, tmp_path, study):
+        tiny = {**TINY_ENSEMBLE_STUDIES,
+                "classical_bk": {"ladder": {"ns": [16, 32], "replications": 2}},
+                "kernel_eval": {"kind": "K"}}[study]
+        cfg = parse_config(json.dumps({
+            "study": study, "threads": 1, "out_dir": str(tmp_path / study),
+            **tiny}))
+        run_study(cfg)
+        manifest = json.loads((tmp_path / study / "manifest.json").read_text())
+        assert parse_config(json.dumps(manifest["config"])) == cfg
 
     def test_kernel_eval_outputs(self, tmp_path):
         conf = {"study": "kernel_eval", "kind": "swanson",
