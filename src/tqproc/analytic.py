@@ -273,14 +273,20 @@ def kernel_eval(kind: str, t1: float, a1: float | None, t2: float,
     ``G`` takes space arguments (a1, a2 are x-levels), ``K``/``weightedK``
     take quantile levels, ``swanson`` takes times only.  For kind ``G`` an
     optional kappa multiplies by the weight (t1 t2)^kappa used by the
-    weighted iterated-logarithm normalization.
+    weighted iterated-logarithm normalization (G only, and finite).
     """
+    if kappa is not None and kind != "G":
+        raise DomainError(f"kappa weights kind G only; got kind {kind!r}")
     if kind == "G":
         if a1 is None or a2 is None:
             raise DomainError("kind G requires x-levels for both nodes")
         val = limit_kernel_G(t1, a1, t2, a2, H)
         if kappa is not None:
-            val *= (t1 * t2) ** kappa
+            try:
+                val *= math.pow(t1 * t2, kappa)
+            except OverflowError:
+                raise DomainError(f"kappa={kappa} makes the weight "
+                                  f"(t1 t2)^kappa overflow") from None
     elif kind in ("K", "weightedK"):
         if a1 is None or a2 is None:
             raise DomainError(f"kind {kind} requires quantile levels for both nodes")

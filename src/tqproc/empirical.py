@@ -118,6 +118,8 @@ def _select_times(ensemble: Ensemble, times,
         cols = np.asarray([ensemble.grid.index_of(float(t)) for t in times], dtype=int)
     else:
         lo = -np.inf if t_min is None else t_min - 1e-12
+        if t_min is not None and t_min > 0.0:
+            lo = max(lo, math.ulp(0.0))  # a positive floor never takes t = 0
         cols = np.flatnonzero(grid >= lo)
     if cols.size == 0:
         raise DomainError("time window selects no grid points")

@@ -14,6 +14,8 @@ the cumsum of its FFT is the only other per-block buffer.  Both samplers
 return column-major values, which the column sort of
 ``Ensemble.sorted_values`` reads without another copy.
 
+``_check_grid`` alone decides which grids each sampler takes.
+
 Path diagnostic: an exponential tail fit of the ensemble supremum.
 """
 
@@ -94,10 +96,10 @@ class GridSpec:
         if ts.size >= 2:
             # candidate lattice step: the smallest positive gap (including the
             # anchor gap to 0); the grid is uniform when every time is an
-            # integer multiple of it
+            # integer multiple of it, below 2**53 so that it is exact in a float
             diffs = np.diff(ts)
             cand = float(min(diffs.min(), ts[0])) if ts[0] > 0 else float(diffs.min())
-            if cand > 0.0:
+            if 0.0 < cand and ts[-1] < 2**53 * cand:
                 ratios = ts / cand
                 on_lattice = np.abs(ratios - np.rint(ratios)) <= (
                     _LATTICE_RTOL * np.maximum(1.0, ratios))
@@ -221,10 +223,6 @@ def _cholesky_factor(grid: GridSpec, H: float) -> tuple[np.ndarray, tuple[str, .
 
 def _cholesky_matrix(grid: GridSpec, H: float,
                      seeds: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    if grid.M > MAX_CHOLESKY_POINTS:
-        raise DomainError(
-            f"cholesky sampler is limited to {MAX_CHOLESKY_POINTS} grid points; "
-            f"got {grid.M}")
     L, warns = _cholesky_factor(grid, H)
     pos_mask = grid.array > 0.0
     noise = normal_matrix(seeds, int(pos_mask.sum()))
@@ -286,12 +284,8 @@ def _block_rows(n: int, m: int) -> int:
 
 def _circulant_matrix(grid: GridSpec, H: float,
                       seeds: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    if not grid.uniform:
-        raise DomainError("circulant sampler requires a uniform lattice grid")
     idx = grid.lattice_indices()
     n_inc = int(idx[-1])
-    if n_inc < 1:
-        raise DomainError("circulant sampler needs at least one positive grid time")
     n = len(seeds)
     # Paths are synthesized block by block, so the temporaries do not grow
     # with n.  Each row depends only on its own stream, FFT and cumsum, so
@@ -357,6 +351,19 @@ def _circulant_matrix(grid: GridSpec, H: float,
 # Public sampling API
 # ---------------------------------------------------------------------------
 
+def _check_grid(grid: GridSpec, sampler_id: str) -> None:
+    """Reject a grid the sampler cannot sample; the message reads on from
+    the name of what set the grid, which the runner puts in front of it."""
+    if sampler_id == "circulant" and not (grid.uniform and grid.lattice_indices()[-1] > 0):
+        raise DomainError(
+            f"must sit on one lattice {{k*step}} holding a positive time for "
+            f"the circulant sampler; got {grid.array.tolist()}; use "
+            f"sampler_id 'cholesky' for other times")
+    if sampler_id == "cholesky" and grid.M > MAX_CHOLESKY_POINTS:
+        raise DomainError(f"give {grid.M} grid points, over the cholesky "
+                          f"sampler's limit of {MAX_CHOLESKY_POINTS}")
+
+
 def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
     """Estimated peak bytes of an n-path ensemble on ``grid`` and its sort.
 
@@ -366,6 +373,7 @@ def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
     cumsum of its n_inc increments (rows·(2·16·m + 8·n_inc) bytes); for the
     Cholesky sampler all n rows of noise and the M²·8-byte factor.
     """
+    _check_grid(grid, sampler_id)
     M = grid.M
     if sampler_id == "cholesky":
         return 8 * (2 * n * M + n * M + M * M)
@@ -391,6 +399,7 @@ def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant
     if sampler_id not in _SAMPLERS:
         raise DomainError(f"unknown sampler {sampler_id!r}; "
                           f"expected one of {sorted(_SAMPLERS)}")
+    _check_grid(grid, sampler_id)
     if not 0.0 < H < 1.0:
         raise DomainError(f"Hurst index must satisfy 0 < H < 1; got {H}")
     seeds = derive_seed(master_seed, np.arange(n, dtype=np.uint64))

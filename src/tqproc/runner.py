@@ -31,8 +31,7 @@ import scipy
 from . import __version__, analytic, experiments
 from .errors import ConfigError, DataError, DomainError, NumericError
 from .experiments import NLadder
-from .fbm import (MAX_CHOLESKY_POINTS, Ensemble, GridSpec, ensemble_bytes,
-                  make_ensemble)
+from .fbm import Ensemble, GridSpec, ensemble_bytes, make_ensemble
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run_study",
            "export_ensemble", "main"]
@@ -69,34 +68,31 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 _RUN_KEYS = frozenset({"study", "threads", "out_dir"})
 
 
-def _is_number(val, integer: bool = False) -> bool:
-    """Whether val is a JSON number (a JSON integer if ``integer``); a bool
-    or a numeric string is not."""
-    return (not isinstance(val, bool)
-            and isinstance(val, int if integer else (int, float)))
-
-
-def _float(key: str, val) -> float:
-    """A JSON number as a float, naming ``key`` if it is an integer too large
-    for one."""
+def _number(key: str, val, integer: bool = False):
+    """A JSON number as a finite float (a JSON integer as an int if
+    ``integer``); any other value, bools and numeric strings too, names key."""
+    if (isinstance(val, bool)
+            or not isinstance(val, int if integer else (int, float))):
+        what = "an integer" if integer else "a number"
+        raise ConfigError(f"{key} must be {what}; got {val!r}")
+    if integer:
+        return val
     try:
-        return float(val)
+        val = float(val)
     except OverflowError:
         raise ConfigError(f"{key} holds an integer of {len(str(abs(val)))} "
                           f"digits, too large for a float") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"{key} must be a finite number; got {val!r}")
+    return val
 
 
 def _want(cfg: dict, key: str, typ, default, check=None, msg: str = ""):
     val = cfg.get(key, default)
     if val is None:
         return None
-    if typ in (int, float) and not _is_number(val, integer=typ is int):
-        what = "an integer" if typ is int else "a number"
-        raise ConfigError(f"{key} must be {what}; got {val!r}")
-    if typ is float:
-        val = _float(key, val)
-        if not math.isfinite(val):
-            raise ConfigError(f"{key} must be a finite number; got {val!r}")
+    if typ in (int, float):
+        val = _number(key, val, integer=typ is int)
     elif not isinstance(val, typ):
         raise ConfigError(f"{key} must be of type {typ.__name__}; got {val!r}")
     if check is not None and not check(val):
@@ -108,14 +104,10 @@ def _numbers(cfg: dict, key: str):
     raw = cfg.get(key)
     if raw is None:
         return None
-    if not isinstance(raw, list) or not all(map(_is_number, raw)):
-        raise ConfigError(f"{key} must be a list of numbers; got {raw!r}")
-    if not raw:
-        raise ConfigError(f"{key} must be a non-empty list of numbers")
-    values = tuple(_float(key, v) for v in raw)
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{key} must hold finite numbers; got {list(values)}")
-    return values
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{key} must be a non-empty list of numbers; "
+                          f"got {raw!r}")
+    return tuple(_number(key, v) for v in raw)
 
 
 def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
@@ -132,11 +124,7 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
                        for row in raw)):
         raise ConfigError(f"{key} must be a non-empty list of {shape}; "
                           f"got {raw!r}")
-    if not all(_is_number(v) for row in raw for v in row):
-        raise ConfigError(f"{key} must hold numbers; got {raw!r}")
-    nodes = tuple(tuple(_float(key, v) for v in row) for row in raw)
-    if not all(math.isfinite(v) for row in nodes for v in row):
-        raise ConfigError(f"{key} must hold finite numbers; got {raw!r}")
+    nodes = tuple(tuple(_number(key, v) for v in row) for row in raw)
     if not all(row[i] > 0.0 or (zero_time and row[i] == 0.0)
                for row in nodes for i in times):
         rule = "nonnegative" if zero_time else "positive"
@@ -157,8 +145,8 @@ MAX_TASKS = 100_000
 
 
 def _check_tasks(cfg: RunConfig, spec: Study) -> None:
-    """Reject a study with over ``MAX_TASKS`` tasks, whose worker grid the
-    sampler cannot use, or whose largest task would hold over
+    """Reject a study with over ``MAX_TASKS`` tasks, whose worker grid
+    ``fbm`` will not sample, or whose largest task would hold over
     ``WORKER_BYTES_BUDGET``, naming the keys that set them."""
     tasks, r_key = ((cfg.ladder.replications * len(cfg.ladder.ns), "ladder")
                     if cfg.ladder is not None else (cfg.R, "R"))
@@ -169,16 +157,10 @@ def _check_tasks(cfg: RunConfig, spec: Study) -> None:
                 else (cfg.n, "n"))
     if spec.grid is not None:
         grid, key = spec.grid(cfg)
-        if cfg.sampler_id == "circulant" and not grid.uniform:
-            raise ConfigError(
-                f"{key} must sit on one lattice {{k*step}} for the circulant "
-                f"sampler; got {grid.array.tolist()}; use sampler_id "
-                f"'cholesky' for other times")
-        if cfg.sampler_id == "cholesky" and grid.M > MAX_CHOLESKY_POINTS:
-            raise ConfigError(
-                f"{key} give {grid.M} grid points, over the cholesky "
-                f"sampler's limit of {MAX_CHOLESKY_POINTS}")
-        need = ensemble_bytes(n, grid, cfg.sampler_id)
+        try:
+            need = ensemble_bytes(n, grid, cfg.sampler_id)
+        except DomainError as exc:
+            raise ConfigError(f"{key} {exc}") from None
         what = f"{n} paths ({n_key}) on {grid.M} grid points ({key})"
         task, lower = "ensemble", f"{n_key} or {key}"
     elif n is not None:
@@ -206,14 +188,13 @@ def _ladder(cfg: dict, default: dict) -> NLadder:
     if extra:
         raise ConfigError(f"unknown ladder key(s): {sorted(extra)}")
     raw = {**default, **raw}
-    ns, replications = raw["ns"], raw["replications"]
-    if not isinstance(ns, list) or not all(_is_number(v, True) for v in ns):
+    ns = raw["ns"]
+    if not isinstance(ns, list):
         raise ConfigError(f"ladder ns must be a list of integers; got {ns!r}")
-    if not _is_number(replications, True):
-        raise ConfigError(f"ladder replications must be an integer; "
-                          f"got {replications!r}")
+    ns = tuple(_number("ladder ns", v, integer=True) for v in ns)
+    replications = _number("ladder replications", raw["replications"], True)
     try:
-        return NLadder(ns=tuple(ns), replications=replications)
+        return NLadder(ns=ns, replications=replications)
     except DomainError as exc:
         raise ConfigError(f"ladder: {exc}") from exc
 
@@ -265,6 +246,10 @@ def parse_config(text: str) -> RunConfig:
     gamma0 = _want(cfg, "gamma0", float, 0.25, lambda v: 0.0 < v <= 1.0,
                    "must lie in (0, 1]")
     kappa = _want(cfg, "kappa", float, 0.5, lambda v: v > 0.0, "must be positive")
+    try:
+        T**kappa  # lil_trace's normalizing constant
+    except OverflowError:
+        raise ConfigError(f"kappa must keep T**kappa finite; got {kappa!r}") from None
     ladder = None
     if "ladder" in spec.keys:
         ladder = _ladder(cfg, spec.defaults["ladder"])
@@ -275,7 +260,8 @@ def parse_config(text: str) -> RunConfig:
     R = _want(cfg, "R", int, None, lambda v: v >= 2, "must be >= 2")
     M_t = _want(cfg, "M_t", int, 64, lambda v: 2 <= v <= 4096,
                 "must lie in [2, 4096]")
-    M_alpha = _want(cfg, "M_alpha", int, 21, lambda v: v >= 1, "must be >= 1")
+    M_alpha = _want(cfg, "M_alpha", int, 21, lambda v: 1 <= v <= 4096,
+                    "must lie in [1, 4096]")
     sampler_id = _want(cfg, "sampler_id", str, "circulant",
                        lambda v: v in ("circulant", "cholesky"),
                        "must be 'circulant' or 'cholesky'")
@@ -650,15 +636,12 @@ def run_study(cfg: RunConfig, force: bool = False,
 
 def _load_config(path: str, overrides: dict) -> RunConfig:
     text = Path(path).read_text()
-    if overrides:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not well-formed JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        raw.update(overrides)
-        text = json.dumps(raw)
+    try:
+        raw = json.loads(text) if overrides else None
+    except ValueError:  # parse_config reports it
+        raw = None
+    if isinstance(raw, dict):
+        text = json.dumps({**raw, **overrides})
     return parse_config(text)
 
 
@@ -677,15 +660,14 @@ def _cmd_run(args, check: bool) -> int:
 
 def _cmd_kernel(args) -> int:
     """Evaluate one node of the kernel_eval study, parsed as a config is."""
-    if args.kappa is not None and not math.isfinite(args.kappa):
-        raise ConfigError(f"--kappa must be a finite number; got {args.kappa!r}")
+    kappa = None if args.kappa is None else _number("--kappa", args.kappa)
     try:
         node = [float(v) for v in args.args]
     except ValueError as exc:
         raise ConfigError(f"kernel_nodes must hold numbers; {exc}") from exc
     cfg = parse_config(json.dumps({"study": "kernel_eval", "kind": args.kind,
                                    "kernel_nodes": [node], "H": args.hurst}))
-    [row] = _kernel_rows(cfg, kappa=args.kappa)
+    [row] = _kernel_rows(cfg, kappa=kappa)
     print(",".join(map(_fmt_cell, row)))
     return 0
 

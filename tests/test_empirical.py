@@ -215,6 +215,14 @@ class TestRemainderField:
         assert np.allclose(wtd.values, ts[None, :] ** 0.5 * unw.values,
                            atol=1e-12)
 
+    @pytest.mark.parametrize("t_min", [1e-13, 1e-12])
+    def test_positive_floor_never_takes_zero(self, t_min):
+        grid = GridSpec.uniform_grid(1.0, 5, include_zero=True)
+        e = make_ensemble(8, grid, 0.5, master_seed=74)
+        lv = LevelGrid.uniform(0.2, 3)
+        fld = empirical.bk_remainder_field(e, lv, t_min=t_min)
+        assert fld.times == grid.times[1:]
+
     def test_unweighted_requires_positive_floor(self):
         grid = GridSpec.uniform_grid(1.0, 5, include_zero=True)
         e = make_ensemble(8, grid, 0.5, master_seed=73)

@@ -253,6 +253,18 @@ class TestGridSpec:
         g = GridSpec.from_times([0.1, 0.25, 0.4])
         assert not g.uniform
 
+    @pytest.mark.parametrize("t0", [1e-300, 5e-324, 1.0 / 2**53])
+    def test_from_times_lattice_index_below_2_53(self, t0):
+        # every time is within the relative tolerance of a multiple of t0,
+        # but the index of t = 1 is no integer a float holds exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = GridSpec.from_times([t0, 1.0])
+        assert not g.uniform and g.step == 0.0
+        # below 2**53 the lattice stands
+        g = GridSpec.from_times([1.0 / 2**52, 1.0])
+        assert g.uniform and g.lattice_indices()[-1] == 2**52
+
     def test_validation(self):
         with pytest.raises(DomainError):
             GridSpec.from_times([1.0, 1.0, 2.0])
@@ -340,7 +352,7 @@ class TestCholesky:
 class TestCirculant:
     def test_requires_uniform(self):
         g = GridSpec.from_times([0.1, 0.25, 0.4])
-        with pytest.raises(DomainError, match="uniform"):
+        with pytest.raises(DomainError, match="^must sit on one lattice"):
             make_ensemble(1, g, 0.5, sampler_id="circulant", master_seed=0)
 
     def test_seed_determinism(self):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,8 +15,8 @@ import pytest
 
 import tqproc
 from tqproc import analytic, experiments, runner
-from tqproc.errors import ConfigError, DataError
-from tqproc.fbm import MAX_CHOLESKY_POINTS, GridSpec, ensemble_bytes
+from tqproc.errors import ConfigError, DataError, DomainError
+from tqproc.fbm import MAX_CHOLESKY_POINTS, GridSpec, ensemble_bytes, make_ensemble
 from tqproc.runner import (STUDIES, RunConfig, main, parse_config, run_study,
                            serialize_config)
 from tqproc.seeding import derive_seed
@@ -245,6 +246,40 @@ class TestParseConfig:
         conf["times" if study == "swanson" else "x_nodes"].pop()
         assert parse_config(json.dumps(conf)).sampler_id == "cholesky"
 
+    @pytest.mark.parametrize("study", sorted(NON_LATTICE))
+    @pytest.mark.parametrize("sampler_id", ["circulant", "cholesky"])
+    def test_sampler_and_config_reject_the_same_grids(self, study, sampler_id):
+        # fbm alone holds the grid rules: parse_config puts the key in front
+        # of the very message make_ensemble raises
+        conf, key = NON_LATTICE[study]
+        if sampler_id == "cholesky":
+            times = [0.001 * k for k in range(1, MAX_CHOLESKY_POINTS + 2)]
+            conf = {**conf, **({"times": times} if study == "swanson" else
+                               {"x_nodes": [[t, 0] for t in times]})}
+        other = "cholesky" if sampler_id == "circulant" else "circulant"
+        cfg = parse_config(json.dumps({**conf, "sampler_id": other}))
+        grid, _ = STUDIES[study].grid(cfg)
+        with pytest.raises(DomainError) as sampled:
+            make_ensemble(1, grid, 0.5, sampler_id=sampler_id)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(json.dumps({**conf, "sampler_id": sampler_id}))
+        assert str(parsed.value) == f"{key} {sampled.value}"
+
+    def test_lattice_too_fine_for_its_indices(self, tmp_path, capsys):
+        # the index 1e300 of t = 1 on a lattice of step 1e-300 is no integer
+        # a float holds, so the times are no lattice: circulant rejects them
+        # naming times, and the cholesky sampler samples them
+        conf = {"study": "swanson", "times": [1e-300, 1.0], "n": 20, "R": 2}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^times must sit on one lattice"):
+                parse_config(json.dumps(conf))
+            _assert_cli_rejects(tmp_path, capsys, json.dumps(conf),
+                                "^times must sit on one lattice")
+            cfg = parse_config(json.dumps({**conf, "sampler_id": "cholesky"}))
+            grid, _ = STUDIES["swanson"].grid(cfg)
+            assert make_ensemble(3, grid, 0.5, sampler_id="cholesky").n == 3
+
     @pytest.mark.parametrize("levels", [[1.0, 1.0, 1.0], [1.0, 2.0, 1.0],
                                         [-1.0, -0.5, 0.0], [0.0, 1.0, 2.0]],
                              ids=["equal", "repeated", "negative", "zero"])
@@ -317,20 +352,20 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("conf, match", [
         ({"study": "bk_rate", "ladder": {"ns": [256, 512.9]}},
-         r"^ladder ns must be a list of integers"),
+         r"^ladder ns must be an integer; got 512\.9$"),
         ({"study": "bk_rate", "ladder": {"ns": [256, 512],
                                          "replications": 2.7}},
          r"^ladder replications must be an integer"),
         ({"study": "bk_rate", "ladder": {"ns": ["256", "512"]}},
-         r"^ladder ns must be a list of integers"),
+         r"^ladder ns must be an integer; got '256'$"),
         ({"study": "swanson", "times": [True, 2]},
-         r"^times must be a list of numbers"),
+         r"^times must be a number; got True$"),
         ({"study": "swanson", "times": ["0.5", " 1e0 "]},
-         r"^times must be a list of numbers"),
+         r"^times must be a number; got '0\.5'$"),
         ({"study": "tail_fit", "levels_y": [True, 2, 3]},
-         r"^levels_y must be a list of numbers"),
+         r"^levels_y must be a number; got True$"),
         ({"study": "kernel_validation", "x_nodes": [["1", "0"]]},
-         r"^x_nodes must hold numbers"),
+         r"^x_nodes must be a number; got '1'$"),
     ], ids=["ns-fraction", "replications-fraction", "ns-strings",
             "times-bool", "times-strings", "levels_y-bool", "x_nodes-strings"])
     def test_list_entries_must_be_json_numbers(self, conf, match):
@@ -399,6 +434,36 @@ class TestParseConfig:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert not out.exists()
+
+    def test_kappa_overflowing_the_lil_constant_rejected(self, tmp_path,
+                                                         capsys):
+        conf = {"study": "lil_trace", "kappa": 1e300}
+        match = r"^kappa must keep T\*\*kappa finite; got 1e\+300$"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+        _assert_cli_rejects(tmp_path, capsys, json.dumps(conf), match)
+        # T = 1 keeps any kappa finite
+        assert parse_config(json.dumps({**conf, "T": 1})).kappa == 1e300
+
+    def test_level_grid_size_bounded(self, tmp_path, capsys):
+        # parsed only: a run would build a 10**9-level grid
+        conf = {"study": "weighted_bk_rate", "M_alpha": 10**9}
+        match = r"^M_alpha must lie in \[1, 4096\]; got 1000000000$"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+        _assert_cli_rejects(tmp_path, capsys, json.dumps(conf), match)
+        assert parse_config(json.dumps({**conf, "M_alpha": 4096})).M_alpha == 4096
+
+    @pytest.mark.parametrize("conf", [{"H": 0.1, "eta": 4.9},
+                                      {"gamma0": 1e-13}],
+                             ids=["eta", "gamma0"])
+    def test_window_floor_below_tolerance_runs(self, tmp_path, conf):
+        # a window floor under 1e-12 takes every positive grid time, not t = 0
+        cfg = parse_config(json.dumps({
+            "study": "bk_rate", "ladder": {"ns": [256, 512], "replications": 2},
+            "M_t": 8, "M_alpha": 3, "threads": 1,
+            "out_dir": str(tmp_path / "out"), **conf}))
+        assert run_study(cfg)[0] == 0
 
     def test_study_floors_are_reachable(self, tmp_path):
         cfg = parse_config(json.dumps({
@@ -723,7 +788,7 @@ class TestCli:
         assert err.startswith("error:") and "'a'" in err
 
     @pytest.mark.parametrize("argv, match", [
-        (["swanson", "inf", "1"], "kernel_nodes must hold finite numbers"),
+        (["swanson", "inf", "1"], "kernel_nodes must be a finite number"),
         (["G", "1", "0", "4", "0", "--kappa", "nan"],
          "--kappa must be a finite number"),
         (["K", "1", "0.5", "4", "0.5", "--hurst", "nan"],
@@ -734,6 +799,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {match}")
+
+    @pytest.mark.parametrize("argv, match", [
+        (["G", "1", "0", "4", "0", "--kappa", "1e300"],
+         r"kappa=1e\+300 makes the weight \(t1 t2\)\^kappa overflow"),
+        (["K", "1", "0.5", "4", "0.5", "--kappa", "0.3"],
+         r"kappa weights kind G only; got kind 'K'"),
+        (["weightedK", "1", "0.5", "4", "0.5", "--kappa", "0.3"],
+         r"kappa weights kind G only; got kind 'weightedK'"),
+        (["swanson", "1", "4", "--kappa", "0.3"],
+         r"kappa weights kind G only; got kind 'swanson'"),
+    ], ids=["G-overflow", "K", "weightedK", "swanson"])
+    def test_kernel_kappa_rejected(self, capsys, argv, match):
+        assert main(["kernel", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {match}\n", captured.err)
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"study": ', "config is not well-formed JSON"),
+        ("[1, 2]", "config must be a JSON object"),
+    ], ids=["malformed", "not-object"])
+    def test_cli_overrides_leave_json_errors_to_parse_config(
+            self, tmp_path, capsys, text, match):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(text)
+        assert str(parsed.value).startswith(match)
+        assert main(["run", "--config", str(cfg_path), "--threads", "1",
+                     "--out-dir", str(tmp_path / "never")]) == 1
+        assert capsys.readouterr().err == f"error: {parsed.value}\n"
+        assert not (tmp_path / "never").exists()
 
     def test_run_and_check_cli(self, tmp_path, capsys):
         conf = dict(TINY_SWANSON)
