@@ -6,17 +6,21 @@ covariance kernels of the time-dependent empirical and quantile processes
 and iterated-logarithm normalization constants.  Everything here is
 deterministic and safe to call concurrently.
 
-Importing this module loads numpy and ``scipy.special`` only.
-``scipy.integrate`` loads on the first bivariate-CDF call, that is, when a
-``G`` or ``K`` kernel is first evaluated; the studies that never evaluate
-one never pay for it.
+Importing this module loads numpy only.  ``scipy.special`` (``ndtr``,
+``ndtri``) loads on the first call of a function that evaluates the normal
+CDF or quantile, and ``scipy.integrate`` on the first bivariate-CDF call,
+that is, when a ``G`` or ``K`` kernel is first evaluated; a study that never
+evaluates one never pays for it.  The studies whose pool tasks evaluate the
+normal CDF or quantile (``bk_rate``, ``weighted_bk_rate``,
+``kernel_validation``, ``lil_trace``) have ``runner.parse_config`` import
+``scipy.special`` up front, so forked workers inherit it rather than each
+import it again.
 """
 
 from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 
@@ -53,6 +57,7 @@ def _check_hurst(H: float) -> float:
 
 def std_normal_cdf(x):
     """Standard normal CDF, accurate to machine precision on finite reals."""
+    from scipy.special import ndtr
     return ndtr(x)
 
 
@@ -66,8 +71,10 @@ def std_normal_pdf(x):
 def std_normal_quantile(alpha):
     """Inverse of the standard normal CDF on (0, 1)."""
     a = np.asarray(alpha, dtype=float)
-    if np.any(a <= 0.0) or np.any(a >= 1.0):
+    # written so that NaN fails too
+    if not np.all((0.0 < a) & (a < 1.0)):
         raise DomainError(f"quantile level must lie in (0, 1); got {alpha}")
+    from scipy.special import ndtri
     out = ndtri(a)
     return float(out) if out.ndim == 0 else out
 
@@ -88,6 +95,7 @@ def marginal_cdf(t: float, x, H: float):
     if t == 0.0:
         out = np.where(x >= 0.0, 1.0, 0.0)
     else:
+        from scipy.special import ndtr
         out = ndtr(x / t**H)
     return float(out) if out.ndim == 0 else out
 
@@ -170,6 +178,7 @@ def bivariate_normal_cdf(x: float, y: float, rho: float) -> float:
         raise DomainError(f"correlation must lie in [-1, 1]; got {rho}")
     if math.isnan(x) or math.isnan(y):
         raise DomainError("bivariate CDF arguments must not be NaN")
+    from scipy.special import ndtr
     if rho == 1.0:
         return float(min(ndtr(x), ndtr(y)))
     if rho == -1.0:

@@ -62,10 +62,11 @@ class LevelGrid:
         if not 0.0 < self.rho < 0.5:
             raise DomainError(f"rho must lie in (0, 1/2); got {self.rho}")
         lv = np.asarray(self.levels, dtype=float)
-        if lv.size == 0 or np.any(np.diff(lv) <= 0.0):
+        # both checks are written so that a NaN level fails them
+        if lv.size == 0 or not np.all(np.diff(lv) > 0.0):
             raise DomainError("levels must be nonempty and strictly increasing")
         tol = 1e-12
-        if lv[0] < self.rho - tol or lv[-1] > 1.0 - self.rho + tol:
+        if not (self.rho - tol <= lv[0] and lv[-1] <= 1.0 - self.rho + tol):
             raise DomainError(
                 f"levels must lie within [rho, 1-rho] = [{self.rho}, {1 - self.rho}]")
 

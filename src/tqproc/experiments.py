@@ -25,6 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+# np.median loads numpy.ma on its first call; load it with this module instead
+import numpy.ma  # noqa: F401
 
 from . import analytic, empirical
 from .empirical import LevelGrid

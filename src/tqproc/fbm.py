@@ -10,9 +10,13 @@ scheduled.  The circulant sampler synthesizes the paths in row blocks of
 about 1 MB of spectrum each, so beyond the (n, M) result an ensemble needs
 only a few MB of temporaries, whatever n is.  Each block's noise is drawn
 straight into its spectrum buffer, where it is scaled and mirrored in place;
-the cumsum of its FFT is the only other per-block buffer.  Both samplers
-return column-major values, which the column sort of
-``Ensemble.sorted_values`` reads without another copy.
+the cumsum of its FFT is the only other block buffer.  The two buffers are a
+per-thread workspace of one block: each thread keeps those of its last
+block shape and reuses them for every block and ensemble of that shape, so
+a run of like ensembles does not free and fault in fresh pages per task,
+and concurrent threads never share one.  Both samplers return column-major
+values, which the column sort of ``Ensemble.sorted_values`` reads without
+another copy.
 
 ``_check_grid`` alone decides which grids each sampler takes.
 
@@ -22,10 +26,13 @@ Path diagnostic: an exponential tail fit of the ensemble supremum.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
+# numpy 2 loads numpy.fft on first use; loaded here, before any pool forks
+import numpy.fft  # noqa: F401
 
 from . import analytic
 from .errors import DataError, DomainError, NumericError
@@ -282,6 +289,22 @@ def _block_rows(n: int, m: int) -> int:
     return min(n, max(1, _BLOCK_BYTES // (16 * m)))
 
 
+_workspace = threading.local()
+
+
+def _block_buffers(rows: int, m: int, n_inc: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's spectrum block, ``(rows, m)`` complex, and cumsum
+    buffer, ``(rows, n_inc)``: kept from the last call of the same shape,
+    else replaced, so a thread holds one block at most."""
+    W, csum = getattr(_workspace, "buffers", (None, None))
+    if W is None or W.shape != (rows, m) or csum.shape != (rows, n_inc):
+        _workspace.buffers = W = csum = None  # free the old block first
+        W = np.empty((rows, m), dtype=complex)
+        csum = np.empty((rows, n_inc))
+        _workspace.buffers = W, csum
+    return W, csum
+
+
 def _circulant_matrix(grid: GridSpec, H: float,
                       seeds: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     idx = grid.lattice_indices()
@@ -292,10 +315,13 @@ def _circulant_matrix(grid: GridSpec, H: float,
     # the output bits do not depend on the block size.
     m = _embedding_size(grid)  # draws per path
     rows = _block_rows(n, m)
+    # A block's noise is drawn into the first m floats of each row of its
+    # spectrum buffer W.
+    W, csum = _block_buffers(rows, m, n_inc)
+    noise = W.view(float)[:, :m]
     if n_inc == 1:
         # single increment: one N(0, step^{2H}) variate per path
         warns: tuple[str, ...] = ()
-        noise = np.empty((rows, 1))
         scale = grid.step**H
 
         def increments(k: int) -> np.ndarray:
@@ -307,11 +333,8 @@ def _circulant_matrix(grid: GridSpec, H: float,
         g = n_inc - 1
         amp0, ampg = np.sqrt(eig[0] / m), np.sqrt(eig[g] / m)
         amp = np.repeat(np.sqrt(eig[1:g] / (2.0 * m)), 2)
-        # The spectrum buffer: a block's noise is drawn into the first m
-        # floats of each row, where noise columns 2k and 2k+1 already sit at
-        # Re w_k and Im w_k.  Only column 1 moves, to Re w_g.
-        W = np.empty((rows, m), dtype=complex)
-        noise = W.view(float)[:, :m]
+        # Noise columns 2k and 2k+1 already sit at Re w_k and Im w_k of the
+        # spectrum; only column 1 moves, to Re w_g.
 
         def increments(k: int) -> np.ndarray:
             w = W[:k]
@@ -334,7 +357,6 @@ def _circulant_matrix(grid: GridSpec, H: float,
     # is.  It is summed into a row-major buffer first: accumulating along
     # the rows of the column-major result directly measured slower.
     full = len(cols) == n_inc
-    csum = np.empty((rows, n_inc))
     for lo in range(0, n, rows):
         block = seeds[lo:lo + rows]
         k = len(block)
@@ -370,8 +392,10 @@ def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
     Counts ``values`` and ``sorted_values`` (2·n·M·8 bytes) and what the
     sampler holds besides: for the circulant sampler one row block's
     complex spectrum, which the noise is drawn into, its FFT and the
-    cumsum of its n_inc increments (rows·(2·16·m + 8·n_inc) bytes); for the
-    Cholesky sampler all n rows of noise and the M²·8-byte factor.
+    cumsum of its n_inc increments (rows·(2·16·m + 8·n_inc) bytes; the
+    spectrum and cumsum buffers stay with the thread for its next
+    ensemble); for the Cholesky sampler all n rows of noise and the
+    M²·8-byte factor.
     """
     _check_grid(grid, sampler_id)
     M = grid.M

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -256,6 +257,12 @@ def parse_config(text: str) -> RunConfig:
         if ladder.ns[0] < spec.n_floor:
             raise ConfigError(f"ladder sizes must be >= {spec.n_floor} for "
                               f"study {study!r}; got {list(ladder.ns)}")
+    if "eta" in spec.keys and experiments._window_floor(
+            ladder.ns[-1], gamma0, eta) == 0.0:
+        raise ConfigError(
+            f"eta must keep the window floor gamma0 * n**-eta positive at the "
+            f"ladder's largest n = {ladder.ns[-1]}; got eta={eta!r} with "
+            f"gamma0={gamma0!r}, for which it underflows to 0")
     n = _want(cfg, "n", int, None, lambda v: v >= 1, "must be >= 1")
     R = _want(cfg, "R", int, None, lambda v: v >= 2, "must be >= 2")
     M_t = _want(cfg, "M_t", int, 64, lambda v: 2 <= v <= 4096,
@@ -308,6 +315,8 @@ def parse_config(text: str) -> RunConfig:
         kernel_nodes=kernel_nodes)
     # what the study's workers will run, checked before any run starts
     _check_tasks(resolved, spec)
+    if spec.normal_cdf:
+        importlib.import_module("scipy.special")
     return resolved
 
 
@@ -491,12 +500,16 @@ class Study:
     files ``write`` creates, which a run will not overwrite unforced.
     ``grid`` maps a config of a study that samples ensembles to the grid
     its workers sample on, built by the function the study itself calls,
-    and to the config key that sets that grid.
+    and to the config key that sets that grid.  ``normal_cdf`` marks a
+    study whose pool tasks evaluate the normal CDF or quantile: for it
+    parse_config imports ``scipy.special``, so that the forked workers
+    inherit it, and the other studies start without it.
     """
     keys: tuple[str, ...]
     defaults: dict
     function: str | None = None
     grid: Callable[[RunConfig], tuple[GridSpec, str]] | None = None
+    normal_cdf: bool = False
     write: Callable = _write_result
     outputs: tuple[str, ...] = ("result.json", "summary.csv")
     T_floor: float = 0.0   # T must exceed it (or reach it, if T_floor_closed)
@@ -515,10 +528,12 @@ _RATE_LADDER = {"ns": [2**k for k in range(8, 14)], "replications": 50}
 STUDIES = {
     "bk_rate": Study(
         function="bk_rate_study", keys=_RATE_KEYS + ("eta", "gamma0"),
-        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0),
+        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0,
+        normal_cdf=True),
     "weighted_bk_rate": Study(
         function="weighted_bk_rate_study", keys=_RATE_KEYS,
-        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0),
+        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0,
+        normal_cdf=True),
     "kernel_validation": Study(
         function="kernel_validation_study",
         keys=("x_nodes", "alpha_nodes", "H", "n", "R", "sampler_id",
@@ -529,7 +544,8 @@ STUDIES = {
                   "alpha_nodes": [[1.0, 0.5], [4.0, 0.5], [1.0, 0.25],
                                   [4.0, 0.75]]},
         grid=lambda cfg: (experiments.node_grid(cfg.x_nodes, cfg.alpha_nodes),
-                          "x_nodes / alpha_nodes times")),
+                          "x_nodes / alpha_nodes times"),
+        normal_cdf=True),
     # Brownian ensembles only: H is fixed at 1/2
     "swanson": Study(
         function="swanson_median_study",
@@ -543,7 +559,7 @@ STUDIES = {
         defaults={"ladder": {"ns": [2**k for k in range(8, 13)],
                              "replications": 4}},
         grid=_ladder_grid, T_floor=1.0, T_floor_closed=True,
-        n_floor=experiments.LIL_MIN_N),
+        n_floor=experiments.LIL_MIN_N, normal_cdf=True),
     "classical_bk": Study(
         function="classical_bk_study", keys=("ladder", "master_seed"),
         defaults={"ladder": {"ns": [2**k for k in range(12, 17)],

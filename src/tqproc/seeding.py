@@ -40,6 +40,9 @@ import functools
 import operator
 
 import numpy as np
+# numpy 2 loads these on first use; loaded here, before any pool forks
+import numpy.ctypeslib  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .errors import DomainError
 

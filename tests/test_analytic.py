@@ -65,6 +65,12 @@ class TestStdNormal:
             with pytest.raises(DomainError):
                 analytic.std_normal_quantile(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, [0.5, math.nan]],
+                             ids=["scalar", "array"])
+    def test_quantile_rejects_nan(self, bad):
+        with pytest.raises(DomainError, match="quantile level"):
+            analytic.std_normal_quantile(bad)
+
 
 class TestMarginal:
     def test_median_is_half(self):

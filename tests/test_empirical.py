@@ -174,6 +174,14 @@ class TestTieStats:
         assert np.allclose(gap, (ks / n - lv.array)[:, None], atol=1e-15)
         assert ts.max_violation <= 0.0
 
+    @pytest.mark.parametrize("levels", [(math.nan,), (0.2, math.nan, 0.3),
+                                        (0.2, math.nan)],
+                             ids=["alone", "inner", "last"])
+    def test_nan_level_rejected(self, levels):
+        # a NaN level fails LevelGrid itself, before order_index sees it
+        with pytest.raises(DomainError, match="levels must"):
+            LevelGrid(rho=0.1, levels=levels)
+
     def test_skips_time_zero(self):
         grid = GridSpec.uniform_grid(1.0, 5, include_zero=True)
         e = make_ensemble(40, grid, 0.5, master_seed=31)

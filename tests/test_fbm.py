@@ -2,12 +2,18 @@
 
 import ctypes
 import hashlib
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+import threading
 import tracemalloc
 import types
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,6 +442,112 @@ class TestCirculant:
         finally:
             tracemalloc.stop()
         assert peak <= e.values.nbytes + 4 * fbm._BLOCK_BYTES
+
+    # ensembles on two grids, from 0 and sparse from t > 0, at two sizes;
+    # with blocks of 7 rows each takes several blocks, a ragged one last
+    WORKSPACE_CALLS = ((tuple(np.linspace(0.0, 2.0, 9)), 25),
+                       ((1.5, 2.0, 3.5), 25),
+                       (tuple(np.linspace(0.0, 2.0, 9)), 17),
+                       ((1.5, 2.0, 3.5), 30))
+
+    @staticmethod
+    def _workspace_digest(times, n) -> str:
+        e = make_ensemble(n, GridSpec.from_times(times), 0.35, master_seed=n)
+        return hashlib.sha256(e.values.tobytes()).hexdigest()
+
+    # _workspace_digest of the call in argv[1], made first in its process
+    WORKSPACE_SCRIPT = """
+import hashlib, json, sys
+from tqproc import fbm
+fbm._BLOCK_BYTES = 16 * 14 * 7
+times, n = json.loads(sys.argv[1])
+e = fbm.make_ensemble(n, fbm.GridSpec.from_times(times), 0.35, master_seed=n)
+print(hashlib.sha256(e.values.tobytes()).hexdigest())
+"""
+
+    def test_workspace_reuse_keeps_bits(self, monkeypatch):
+        # each call's bits, made first in a fresh process, against the same
+        # call made in this process after the others, in interleaved order
+        src = str(Path(fbm.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        first = [subprocess.run(
+                     [sys.executable, "-c", self.WORKSPACE_SCRIPT,
+                      json.dumps(call)],
+                     capture_output=True, text=True, env=env, check=True,
+                     timeout=120).stdout.split()[-1]
+                 for call in self.WORKSPACE_CALLS]
+        monkeypatch.setattr(fbm, "_BLOCK_BYTES", 16 * 14 * 7)
+        order = [0, 1, 2, 3, 1, 0, 3, 2, 0, 0]
+        got = [self._workspace_digest(*self.WORKSPACE_CALLS[i]) for i in order]
+        assert got == [first[i] for i in order]
+
+    def test_concurrent_threads_get_serial_bits(self, monkeypatch):
+        # more threads than cores, switching often, each in its own order
+        monkeypatch.setattr(fbm, "_BLOCK_BYTES", 16 * 14 * 7)
+        calls = self.WORKSPACE_CALLS
+        serial = [self._workspace_digest(*call) for call in calls]
+        orders = [tuple((i + k) % len(calls) for i in range(len(calls)))
+                  for k in range(4)]
+        barrier = threading.Barrier(len(orders), timeout=60)
+        results = {}
+
+        def sample(order):
+            barrier.wait()
+            results[order] = [(i, self._workspace_digest(*calls[i]))
+                              for _ in range(5) for i in order]
+
+        threads = [threading.Thread(target=sample, args=(order,))
+                   for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == sorted(orders)
+        for pairs in results.values():
+            assert all(digest == serial[i] for i, digest in pairs)
+
+    def test_workspace_holds_one_block_per_thread(self, monkeypatch):
+        monkeypatch.setattr(fbm, "_BLOCK_BYTES", 16 * 14 * 7)
+
+        def held() -> list[tuple[int, ...]]:
+            return [b.shape for b in fbm._workspace.buffers]
+
+        # grid from 0: 8 increments, 14 draws; sparse grid: 7 and 12
+        self._workspace_digest(*self.WORKSPACE_CALLS[0])
+        assert held() == [(7, 14), (7, 8)]
+        for times, n in self.WORKSPACE_CALLS:  # cache both spectra
+            self._workspace_digest(times, n)
+        tracemalloc.start()
+        try:
+            for times, n in self.WORKSPACE_CALLS:
+                self._workspace_digest(times, n)
+            # what fbm itself still holds; numpy's own small caches aside
+            kept = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, fbm.__file__)])
+        finally:
+            tracemalloc.stop()
+        # the last block only: 8 rows of 12 draws (16 * 12 * 8 = 1536 bytes
+        # of spectrum) and their cumsum of 7 increments; the slack is under
+        # the 2016 bytes of the other grid's block
+        assert held() == [(8, 12), (8, 7)]
+        held_bytes = sum(t.size for t in kept.traces)
+        assert held_bytes <= 8 * (16 * 12 + 8 * 7) + 1024
+        other = []
+        t = threading.Thread(target=lambda: (
+            self._workspace_digest(*self.WORKSPACE_CALLS[2]),
+            other.append(held())))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert other == [[(7, 14), (7, 8)]]
+        assert held() == [(8, 12), (8, 7)]  # the other thread's is its own
 
     def test_single_increment_grid(self):
         g = GridSpec.from_times([0.5])

@@ -465,6 +465,27 @@ class TestParseConfig:
             "out_dir": str(tmp_path / "out"), **conf}))
         assert run_study(cfg)[0] == 0
 
+    def test_window_floor_underflow_rejected(self, tmp_path, capsys):
+        # eta < 1/(2H) = 500, but gamma0 * 128**-499 underflows to 0.0
+        conf = {"study": "bk_rate", "H": 0.001, "eta": 499, "M_t": 8,
+                "M_alpha": 3, "ladder": {"ns": [64, 128], "replications": 2}}
+        assert experiments._window_floor(128, 0.25, 499.0) == 0.0
+        match = (r"^eta must keep the window floor gamma0 \* n\*\*-eta "
+                 r"positive at the ladder's largest n = 128; got eta=499\.0 "
+                 r"with gamma0=0\.25, for which it underflows to 0$")
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+        _assert_cli_rejects(tmp_path, capsys, json.dumps(conf), match)
+        # at eta = 160 the floor is 2**-962 at n = 64 and underflows at 128
+        conf["eta"] = 160
+        with pytest.raises(ConfigError, match="^eta must keep"):
+            parse_config(json.dumps(conf))
+        assert experiments._window_floor(64, 0.25, 160.0) == 2.0**-962
+        cfg = parse_config(json.dumps({
+            **conf, "ladder": {"ns": [32, 64], "replications": 2},
+            "threads": 1, "out_dir": str(tmp_path / "out")}))
+        assert run_study(cfg)[0] == 0
+
     def test_study_floors_are_reachable(self, tmp_path):
         cfg = parse_config(json.dumps({
             "study": "lil_trace", "T": 1, "M_t": 8, "threads": 1,
@@ -907,16 +928,78 @@ print(json.dumps({"studies_loaded": studies_loaded,
 """
 
 
+# Run in a fresh interpreter: import the runner, parse the config in the
+# first argument (with the study's normal_cdf mark removed if the second is
+# "unmark") and run it; reports whether scipy.special was loaded after each.
+_SPECIAL_SCRIPT = """
+import dataclasses, json, sys
+def loaded():
+    return "scipy.special" in sys.modules
+from tqproc import runner
+steps = {"import": loaded()}
+conf = json.loads(sys.argv[1])
+if sys.argv[2] == "unmark":
+    runner.STUDIES[conf["study"]] = dataclasses.replace(
+        runner.STUDIES[conf["study"]], normal_cdf=False)
+cfg = runner.parse_config(sys.argv[1])
+steps["parse"] = loaded()
+runner.run_study(cfg)
+steps["run"] = loaded()
+print(json.dumps(steps))
+"""
+
+# a tiny config of every study; kernel_eval's swanson kernel evaluates no
+# normal CDF
+FOOTPRINT_CONFIGS = {
+    **TINY_ENSEMBLE_STUDIES,
+    "classical_bk": {"ladder": {"ns": [16, 32], "replications": 2}},
+    "kernel_eval": {"kind": "swanson", "kernel_nodes": [[1, 2]]},
+}
+# the studies whose pool tasks evaluate the normal CDF or quantile
+NORMAL_CDF_STUDIES = {"bk_rate", "weighted_bk_rate", "kernel_validation",
+                      "lil_trace"}
+
+
+def _fresh_python(*args: str) -> dict:
+    """Run ``python -c`` args in a fresh interpreter that imports this
+    tqproc; return the JSON object on the last line of its stdout."""
+    src = str(Path(tqproc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", *args], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestImportFootprint:
+    def test_marked_studies(self):
+        assert set(FOOTPRINT_CONFIGS) == set(STUDIES)
+        assert {s for s, spec in STUDIES.items()
+                if spec.normal_cdf} == NORMAL_CDF_STUDIES
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_scipy_special_loads_at_parse_for_marked_studies(self, tmp_path,
+                                                             study):
+        # the runner's import loads no scipy.special; parse_config loads it
+        # for a marked study, before any pool exists, and no run of an
+        # unmarked study ever loads it
+        conf = {"study": study, "threads": 1, "out_dir": str(tmp_path / "out"),
+                **FOOTPRINT_CONFIGS[study]}
+        steps = _fresh_python(_SPECIAL_SCRIPT, json.dumps(conf), "keep")
+        marked = study in NORMAL_CDF_STUDIES
+        assert steps == {"import": False, "parse": marked, "run": marked}
+
+    @pytest.mark.parametrize("study", sorted(NORMAL_CDF_STUDIES))
+    def test_marked_studies_evaluate_the_normal_cdf(self, tmp_path, study):
+        # without its mark, the run itself loads scipy.special
+        conf = {"study": study, "threads": 1, "out_dir": str(tmp_path / "out"),
+                **FOOTPRINT_CONFIGS[study]}
+        steps = _fresh_python(_SPECIAL_SCRIPT, json.dumps(conf), "unmark")
+        assert steps == {"import": False, "parse": False, "run": True}
+
     def test_scipy_integrate_loads_only_for_the_bivariate_cdf(self, tmp_path):
-        src = str(Path(tqproc.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)],
-            capture_output=True, text=True, env=env, check=True, timeout=120)
-        report = json.loads(proc.stdout.splitlines()[-1])
+        report = _fresh_python(_FOOTPRINT_SCRIPT, str(tmp_path))
         assert report["studies_loaded"] is False
         assert report["cdf_loaded"] is True
         expected = analytic.bivariate_normal_cdf(0.3, -0.2, 0.4)
