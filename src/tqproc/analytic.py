@@ -6,15 +6,17 @@ covariance kernels of the time-dependent empirical and quantile processes
 and iterated-logarithm normalization constants.  Everything here is
 deterministic and safe to call concurrently.
 
-Importing this module loads numpy only.  ``scipy.special`` (``ndtr``,
-``ndtri``) loads on the first call of a function that evaluates the normal
-CDF or quantile, and ``scipy.integrate`` on the first bivariate-CDF call,
-that is, when a ``G`` or ``K`` kernel is first evaluated; a study that never
-evaluates one never pays for it.  The studies whose pool tasks evaluate the
-normal CDF or quantile (``bk_rate``, ``weighted_bk_rate``,
-``kernel_validation``, ``lil_trace``) have ``runner.parse_config`` import
-``scipy.special`` up front, so forked workers inherit it rather than each
-import it again.
+Importing this module loads numpy only.  The normal quantile is an
+in-repo port of Cephes ``ndtri`` that matches ``scipy.special.ndtri`` bit
+for bit, so no quantile evaluation loads scipy.  ``scipy.special``
+(``ndtr``) loads on the first call of a function that evaluates the normal
+CDF, and ``scipy.integrate`` on the first bivariate-CDF call, that is, when
+a ``G`` or ``K`` kernel is first evaluated; a study that never evaluates
+one never pays for it.  The studies whose pool tasks evaluate the normal
+CDF (``kernel_validation``, ``lil_trace``) have ``runner.parse_config``
+import ``scipy.special`` up front, so forked workers inherit it rather than
+each import it again.  Domain checks are negated comparisons such as
+``not (t >= 0.0)``, so that a NaN fails them too.
 """
 
 from __future__ import annotations
@@ -68,15 +70,103 @@ def std_normal_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the algorithm scipy.special.ndtri runs: a rational
+# approximation in y - 1/2 on the centre, and two in 1/sqrt(-2 log y) on the
+# tails.  Coefficients are highest degree first; the Q's leading 1 is
+# implicit.
+_NDTRI_P0 = (
+    -5.99633501014107895267E1, 9.80010754185999661536E1,
+    -5.66762857469070293439E1, 1.39312609387279679503E1,
+    -1.23916583867381258016E0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834E0, 4.67627912898881538453E0,
+    8.63602421390890590575E1, -2.25462687854119370527E2,
+    2.00260212380060660359E2, -8.20372256168333339912E1,
+    1.59056225126211695515E1, -1.18331621121330003142E0,
+)
+# tails with 2 <= sqrt(-2 log y) < 8, i.e. exp(-32) < y <= exp(-2)
+_NDTRI_P1 = (
+    4.05544892305962419923E0, 3.15251094599893866154E1,
+    5.71628192246421288162E1, 4.40805073893200834700E1,
+    1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+    -8.57456785154685413611E-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731E1, 4.53907635128879210584E1,
+    4.13172038254672030440E1, 1.50425385692907503408E1,
+    2.50464946208309415979E0, -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4,
+)
+# tails with sqrt(-2 log y) >= 8, i.e. y <= exp(-32)
+_NDTRI_P2 = (
+    3.23774891776946035970E0, 6.91522889068984211695E0,
+    3.93881025292474443415E0, 1.33303460815807542389E0,
+    2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6,
+    6.23974539184983293730E-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255E0, 3.67983563856160859403E0,
+    1.37702099489081330271E0, 2.16236993594496635890E-1,
+    1.34204006088543189037E-2, 3.28014464682127739104E-4,
+    2.89247864745380683936E-6, 6.79019408009981274425E-9,
+)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+# Cephes' sqrt(2 pi): one ulp above math.sqrt(2.0 * math.pi)
+_NDTRI_S2PI = 2.50662827463100050242E0
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    # as _polevl, with an implicit leading coefficient of 1
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """Cephes ndtri for 0 < y < 1, bit for bit: the same approximations in
+    the same order of operations, with libm's log and sqrt (math, never
+    numpy, whose vectorised log can differ from libm's in the last bit)."""
+    negate = True
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def std_normal_quantile(alpha):
     """Inverse of the standard normal CDF on (0, 1)."""
     a = np.asarray(alpha, dtype=float)
     # written so that NaN fails too
     if not np.all((0.0 < a) & (a < 1.0)):
         raise DomainError(f"quantile level must lie in (0, 1); got {alpha}")
-    from scipy.special import ndtri
-    out = ndtri(a)
-    return float(out) if out.ndim == 0 else out
+    if a.ndim == 0:
+        return _ndtri(float(a))
+    return np.array([_ndtri(y) for y in a.flat]).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +179,7 @@ def marginal_cdf(t: float, x, H: float):
     B(0) = 0 almost surely, hence the degenerate marginal at t=0.
     """
     _check_hurst(H)
-    if t < 0.0:
+    if not (t >= 0.0):
         raise DomainError(f"time must be nonnegative; got {t}")
     x = np.asarray(x, dtype=float)
     if t == 0.0:
@@ -103,7 +193,7 @@ def marginal_cdf(t: float, x, H: float):
 def density_quantile(t: float, alpha: float, H: float) -> float:
     """Marginal density at the true quantile: exp(-z_a^2/2) / (t^H sqrt(2 pi))."""
     _check_hurst(H)
-    if t <= 0.0:
+    if not (t > 0.0):
         raise DomainError(f"density degenerates at t <= 0; got t={t}")
     z = std_normal_quantile(alpha)
     return math.exp(-0.5 * z * z) / (t**H * _SQRT_2PI)
@@ -112,7 +202,7 @@ def density_quantile(t: float, alpha: float, H: float) -> float:
 def true_quantile(t: float, alpha: float, H: float) -> float:
     """Level-alpha quantile of B(t): t^H z_alpha."""
     _check_hurst(H)
-    if t < 0.0:
+    if not (t >= 0.0):
         raise DomainError(f"time must be nonnegative; got {t}")
     z = std_normal_quantile(alpha)
     return t**H * z
@@ -138,7 +228,7 @@ def fbm_covariance(s, t, H: float):
 def fbm_correlation(s: float, t: float, H: float) -> float:
     """Correlation of (B(s), B(t)), i.e. the covariance over s^H t^H."""
     _check_hurst(H)
-    if s <= 0.0 or t <= 0.0:
+    if not (s > 0.0 and t > 0.0):
         raise DomainError(f"correlation needs s, t > 0; got s={s}, t={t}")
     if s == t:
         # exactly 1 only on the diagonal; avoids a rounding loss of ~1 ulp
@@ -220,11 +310,12 @@ def quantile_kernel_K(t1: float, alpha1: float, t2: float, alpha2: float,
     for a in (alpha1, alpha2):
         if not 0.0 < a < 1.0:
             raise DomainError(f"quantile level must lie in (0, 1); got {a}")
-    if weighted and (t1 == 0.0 or t2 == 0.0):
-        if t1 < 0.0 or t2 < 0.0:
+    if weighted:
+        if not (t1 >= 0.0 and t2 >= 0.0):
             raise DomainError(f"times must be nonnegative; got {t1}, {t2}")
-        return 0.0
-    if t1 <= 0.0 or t2 <= 0.0:
+        if t1 == 0.0 or t2 == 0.0:
+            return 0.0
+    elif not (t1 > 0.0 and t2 > 0.0):
         raise DomainError(f"unweighted kernel needs t1, t2 > 0; got {t1}, {t2}")
     rho = fbm_correlation(t1, t2, H)
     z1 = std_normal_quantile(alpha1)
@@ -240,7 +331,7 @@ def swanson_kernel(t1: float, t2: float) -> float:
 
     sqrt(t1 t2) * arcsin( min(t1,t2) / sqrt(t1 t2) ); 0 if either time is 0.
     """
-    if t1 < 0.0 or t2 < 0.0:
+    if not (t1 >= 0.0 and t2 >= 0.0):
         raise DomainError(f"times must be nonnegative; got {t1}, {t2}")
     if t1 == 0.0 or t2 == 0.0:
         return 0.0
@@ -262,7 +353,7 @@ def lil_constants(gamma: float, T: float, kappa: float) -> tuple[float, float]:
     """
     if not (0.0 < gamma <= 1.0 <= T):
         raise DomainError(f"window must satisfy 0 < gamma <= 1 <= T; got ({gamma}, {T})")
-    if kappa <= 0.0:
+    if not (kappa > 0.0):
         raise DomainError(f"kappa must be positive; got {kappa}")
     return 0.5, T**kappa / 2.0
 

@@ -501,7 +501,8 @@ class Study:
     ``grid`` maps a config of a study that samples ensembles to the grid
     its workers sample on, built by the function the study itself calls,
     and to the config key that sets that grid.  ``normal_cdf`` marks a
-    study whose pool tasks evaluate the normal CDF or quantile: for it
+    study whose pool tasks evaluate the normal CDF (``scipy.special.ndtr``;
+    the normal quantile is computed in-repo and needs no mark): for it
     parse_config imports ``scipy.special``, so that the forked workers
     inherit it, and the other studies start without it.
     """
@@ -528,12 +529,10 @@ _RATE_LADDER = {"ns": [2**k for k in range(8, 14)], "replications": 50}
 STUDIES = {
     "bk_rate": Study(
         function="bk_rate_study", keys=_RATE_KEYS + ("eta", "gamma0"),
-        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0,
-        normal_cdf=True),
+        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0),
     "weighted_bk_rate": Study(
         function="weighted_bk_rate_study", keys=_RATE_KEYS,
-        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0,
-        normal_cdf=True),
+        defaults={"ladder": _RATE_LADDER}, grid=_ladder_grid, T_floor=1.0),
     "kernel_validation": Study(
         function="kernel_validation_study",
         keys=("x_nodes", "alpha_nodes", "H", "n", "R", "sampler_id",

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.special import ndtri
 
 from tqproc import analytic
+from tqproc.empirical import LevelGrid
 from tqproc.errors import DomainError
 
 
@@ -61,7 +63,8 @@ class TestStdNormal:
                 analytic.std_normal_quantile(a)) == pytest.approx(a, abs=1e-10)
 
     def test_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.1, 1.5):
+        for bad in (0.0, 1.0, -0.1, 1.5, math.inf, -math.inf, [0.5, 0.0],
+                    [[0.5], [1.0]]):
             with pytest.raises(DomainError):
                 analytic.std_normal_quantile(bad)
 
@@ -70,6 +73,96 @@ class TestStdNormal:
     def test_quantile_rejects_nan(self, bad):
         with pytest.raises(DomainError, match="quantile level"):
             analytic.std_normal_quantile(bad)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestNdtriPort:
+    """``analytic._ndtri`` is Cephes ndtri, bit for bit scipy's."""
+
+    @staticmethod
+    def _levels() -> np.ndarray:
+        rng = np.random.default_rng(20161)
+        exp2, exp32 = math.exp(-2.0), math.exp(-32.0)
+        edges = np.array([exp2, exp32, 1.0 - exp2, 0.5])
+        grids = [LevelGrid.uniform(rho, count).array
+                 for rho in (1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3)
+                 for count in (2, 3, 5, 21, 64, 101, 1000)]
+        return np.concatenate([
+            rng.uniform(0.0, 1.0, 300_000),                # mostly the centre
+            10.0 ** rng.uniform(-300.0, 0.0, 100_000),     # lower tails
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 100_000),  # upper tail
+            np.exp(-rng.uniform(1.0, 40.0, 50_000)),       # both tail fits
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            [5e-324, 2.2250738585072014e-308, 2.0**-53, 1.0 - 2.0**-53],
+            *grids,
+        ])
+
+    def test_matches_scipy_bit_for_bit(self):
+        y = self._levels()
+        y = y[(0.0 < y) & (y < 1.0)]
+        assert y.size >= 500_000
+        # every branch is exercised: the centre, and both tail fits on the
+        # lower (y <= exp(-2)) and the upper (1 - y <= exp(-2)) side
+        low = np.minimum(y, 1.0 - y)
+        branches = {"centre": low > math.exp(-2.0),
+                    "tail": (low <= math.exp(-2.0)) & (low > math.exp(-32.0)),
+                    "far tail": low <= math.exp(-32.0)}
+        for name, hit in branches.items():
+            assert np.count_nonzero(hit & (y < 0.5)) >= 1000, name
+            assert np.count_nonzero(hit & (y > 0.5)) >= 1000, name
+        ours = np.array([analytic._ndtri(v) for v in y.tolist()])
+        mismatched = np.flatnonzero(_bits(ours) != _bits(ndtri(y)))
+        assert mismatched.size == 0, y[mismatched[:5]]
+
+    def test_array_keeps_shape_and_bits(self):
+        a = np.linspace(0.01, 0.99, 24).reshape(2, 3, 4)
+        out = analytic.std_normal_quantile(a)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == a.shape and out.dtype == np.float64
+        assert np.array_equal(_bits(out), _bits(ndtri(a)))
+        assert analytic.std_normal_quantile(np.empty((0, 3))).shape == (0, 3)
+        assert analytic.std_normal_quantile([0.25]).shape == (1,)
+
+    @pytest.mark.parametrize("alpha", [0.3, np.float64(0.3), np.array(0.3)],
+                             ids=["float", "numpy scalar", "0-d array"])
+    def test_scalar_gives_float(self, alpha):
+        out = analytic.std_normal_quantile(alpha)
+        assert type(out) is float
+        assert _bits(out) == _bits(ndtri(0.3))
+
+
+class TestNanTimes:
+    """Every time check fails on a NaN time, as on a negative one."""
+
+    @pytest.mark.parametrize("call", [
+        lambda t: analytic.marginal_cdf(t, 0.3, 0.5),
+        lambda t: analytic.true_quantile(t, 0.3, 0.5),
+        lambda t: analytic.density_quantile(t, 0.3, 0.5),
+        lambda t: analytic.fbm_correlation(t, 1.0, 0.5),
+        lambda t: analytic.fbm_correlation(1.0, t, 0.5),
+        lambda t: analytic.swanson_kernel(t, 1.0),
+        lambda t: analytic.swanson_kernel(1.0, t),
+        lambda t: analytic.quantile_kernel_K(t, 0.3, 1.0, 0.4, 0.5),
+        lambda t: analytic.quantile_kernel_K(1.0, 0.3, t, 0.4, 0.5),
+        lambda t: analytic.quantile_kernel_K(t, 0.3, 1.0, 0.4, 0.5,
+                                             weighted=True),
+        lambda t: analytic.quantile_kernel_K(0.0, 0.3, t, 0.4, 0.5,
+                                             weighted=True),
+    ], ids=["marginal_cdf", "true_quantile", "density_quantile",
+            "fbm_correlation-s", "fbm_correlation-t", "swanson_kernel-t1",
+            "swanson_kernel-t2", "K-t1", "K-t2", "weightedK-t1",
+            "weightedK-zero-t1"])
+    @pytest.mark.parametrize("t", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_rejected(self, call, t):
+        with pytest.raises(DomainError):
+            call(t)
+
+    def test_nan_kappa_rejected(self):
+        with pytest.raises(DomainError, match="kappa"):
+            analytic.lil_constants(0.5, 2.0, math.nan)
 
 
 class TestMarginal:
