@@ -73,15 +73,15 @@ def std_normal_pdf(x):
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
 # Functions, 1989), the algorithm scipy.special.ndtri runs: a rational
 # approximation in y - 1/2 on the centre, and two in 1/sqrt(-2 log y) on the
-# tails.  Coefficients are highest degree first; the Q's leading 1 is
-# implicit.
+# tails.  Coefficients are highest degree first; each Q leads with Cephes'
+# implicit 1 (1.0 * x + q is exactly x + q, as in its p1evl).
 _NDTRI_P0 = (
     -5.99633501014107895267E1, 9.80010754185999661536E1,
     -5.66762857469070293439E1, 1.39312609387279679503E1,
     -1.23916583867381258016E0,
 )
 _NDTRI_Q0 = (
-    1.95448858338141759834E0, 4.67627912898881538453E0,
+    1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
     8.63602421390890590575E1, -2.25462687854119370527E2,
     2.00260212380060660359E2, -8.20372256168333339912E1,
     1.59056225126211695515E1, -1.18331621121330003142E0,
@@ -95,7 +95,7 @@ _NDTRI_P1 = (
     -8.57456785154685413611E-4,
 )
 _NDTRI_Q1 = (
-    1.57799883256466749731E1, 4.53907635128879210584E1,
+    1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
     4.13172038254672030440E1, 1.50425385692907503408E1,
     2.50464946208309415979E0, -1.42182922854787788574E-1,
     -3.80806407691578277194E-2, -9.33259480895457427372E-4,
@@ -109,7 +109,7 @@ _NDTRI_P2 = (
     6.23974539184983293730E-9,
 )
 _NDTRI_Q2 = (
-    6.02427039364742014255E0, 3.67983563856160859403E0,
+    1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
     1.37702099489081330271E0, 2.16236993594496635890E-1,
     1.34204006088543189037E-2, 3.28014464682127739104E-4,
     2.89247864745380683936E-6, 6.79019408009981274425E-9,
@@ -126,14 +126,6 @@ def _polevl(x: float, coef: tuple[float, ...]) -> float:
     return ans
 
 
-def _p1evl(x: float, coef: tuple[float, ...]) -> float:
-    # as _polevl, with an implicit leading coefficient of 1
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def _ndtri(y: float) -> float:
     """Cephes ndtri for 0 < y < 1, bit for bit: the same approximations in
     the same order of operations, with libm's log and sqrt (math, never
@@ -145,15 +137,15 @@ def _ndtri(y: float) -> float:
     if y > _EXP_M2:
         y -= 0.5
         y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
         return x * _NDTRI_S2PI
     x = math.sqrt(-2.0 * math.log(y))
     x0 = x - math.log(x) / x
     z = 1.0 / x
     if x < 8.0:
-        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
     else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
     x = x0 - x1
     return -x if negate else x
 
@@ -164,9 +156,8 @@ def std_normal_quantile(alpha):
     # written so that NaN fails too
     if not np.all((0.0 < a) & (a < 1.0)):
         raise DomainError(f"quantile level must lie in (0, 1); got {alpha}")
-    if a.ndim == 0:
-        return _ndtri(float(a))
-    return np.array([_ndtri(y) for y in a.flat]).reshape(a.shape)
+    out = np.array([_ndtri(y) for y in a.flat]).reshape(a.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
