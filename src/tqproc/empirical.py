@@ -1,10 +1,12 @@
 """Time-dependent empirical distribution, quantile, and remainder statistics.
 
-All operations are pure reductions over an immutable ensemble; those that
-read order statistics share its one column sort, ``Ensemble.sorted_values``.
-The empirical CDF in x is an exact step function, so suprema over x are
-taken at the jump abscissas (order statistics and their left limits) and
-are exact; suprema over t and the quantile level are grid suprema.
+Every reduction is a pure function of an immutable ensemble and reads its
+one column sort, ``Ensemble.sorted_values``: F_n is a count on a sorted
+column (``_fn_at``) and tau_n a row of it (``_tau_n_matrix``), the one
+implementation of each, which kernel validation's node values share.  The
+empirical CDF in x is an exact step function, so suprema over x are taken
+at the jump abscissas (order statistics and their left limits) and are
+exact; suprema over t and the quantile level are grid suprema.
 
 The quantile index convention is ceil(alpha * n) with a 1e-9 guard against
 binary-float products like 0.1 * n landing just above an integer.
@@ -27,9 +29,6 @@ __all__ = [
     "TieStats",
     "tie_bound_m",
     "order_index",
-    "empirical_cdf",
-    "empirical_process",
-    "empirical_quantile",
     "tie_stats",
     "bk_remainder_field",
     "weighted_sup_empirical",
@@ -78,33 +77,6 @@ class LevelGrid:
     @property
     def array(self) -> np.ndarray:
         return np.asarray(self.levels, dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Pointwise operations
-# ---------------------------------------------------------------------------
-
-def empirical_cdf(ensemble: Ensemble, t: float, x: float) -> float:
-    """F_n(t, x): fraction of paths with B(t) <= x (closed at atoms)."""
-    vals = ensemble.values_at(t)
-    return float(np.count_nonzero(vals <= x)) / ensemble.n
-
-
-def empirical_process(ensemble: Ensemble, t: float, x: float) -> float:
-    """v_n(t, x) = sqrt(n) (F_n(t, x) - F(t, x))."""
-    if t <= 0.0:
-        raise DomainError(f"empirical process needs t > 0; got t={t}")
-    Fn = empirical_cdf(ensemble, t, x)
-    F = float(analytic.marginal_cdf(t, x, ensemble.H))
-    return math.sqrt(ensemble.n) * (Fn - F)
-
-
-def empirical_quantile(ensemble: Ensemble, t: float, alpha: float) -> float:
-    """The ceil(alpha*n)-th smallest path value at time t."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1); got {alpha}")
-    j = ensemble.grid.index_of(t)
-    return float(ensemble.sorted_values[order_index(alpha, ensemble.n) - 1, j])
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +191,21 @@ class RemainderField:
     t_max: float
 
 
-def bk_remainder_field(ensemble: Ensemble, levels: LevelGrid, times=None,
+def bk_remainder_field(ensemble: Ensemble, levels: LevelGrid,
                        weighted: bool = False,
                        t_min: float | None = None) -> RemainderField:
-    """Remainder of the quantile representation over a (times, levels) grid.
+    """Remainder of the quantile representation over the grid times at or
+    above ``t_min`` and the levels.
 
-    For the unweighted form every evaluated time must be positive, so either
-    pass explicit positive ``times`` or a window floor ``t_min > 0``; the
-    weighted form admits t=0 and defaults to the whole grid.
+    The unweighted form is undefined at t=0, so it needs a window floor
+    ``t_min > 0``; the weighted form admits t=0 and defaults to the whole
+    grid.
     """
-    if not weighted and times is None and (t_min is None or t_min <= 0.0):
+    # written so that a NaN floor fails too
+    if not weighted and (t_min is None or not (t_min > 0.0)):
         raise DomainError(
-            "unweighted remainder needs a positive window floor t_min "
-            "(or explicit positive times)")
-    ts, cols = _select_times(ensemble, times, t_min)
-    if not weighted and np.any(ts <= 0.0):
-        raise DomainError("unweighted remainder is undefined at t = 0")
+            "unweighted remainder needs a positive window floor t_min")
+    ts, cols = _select_times(ensemble, None, t_min)
     sv = _sorted_columns(ensemble, cols)
     sqrt_n = math.sqrt(ensemble.n)
     lv = levels.array
@@ -284,7 +255,7 @@ def weighted_sup_empirical(ensemble: Ensemble, kappa: float) -> float:
     Exact in x (the empirical CDF is piecewise constant between order
     statistics); the time supremum is over the grid.
     """
-    if kappa <= 0.0:
+    if not (kappa > 0.0):  # written so that NaN fails too
         raise DomainError(f"kappa must be positive; got {kappa}")
     ts, cols = _select_times(ensemble, None, None)
     sv = _sorted_columns(ensemble, cols)

@@ -254,6 +254,8 @@ def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
             f"eta must satisfy 0 <= eta < 1/(2H) = {1.0 / (2.0 * H):.6g}; got {eta}")
     if not 1.0 < T:
         raise DomainError(f"study horizon must satisfy T > 1; got {T}")
+    if not 0.0 < gamma0 <= 1.0:  # NaN fails too
+        raise DomainError(f"gamma0 must satisfy 0 < gamma0 <= 1; got {gamma0}")
     R = ladder.replications
     levels = LevelGrid.uniform(rho, M_alpha)
     sups, tie_violation, warnings = _replicate(
@@ -321,13 +323,22 @@ def weighted_bk_rate_study(ladder: NLadder, H: float = 0.5, T: float = 2.0,
 # ---------------------------------------------------------------------------
 
 def _node_values(ens, x_nodes, alpha_nodes) -> tuple[np.ndarray, np.ndarray]:
-    """v_n at the x nodes and f * u_n at the alpha nodes."""
-    H, sqrt_n = ens.H, math.sqrt(ens.n)
-    v_vals = np.array([empirical.empirical_process(ens, t, x)
-                       for t, x in x_nodes])
+    """v_n at the x nodes and f * u_n at the alpha nodes, read off the
+    ensemble's sorted time columns; every node time is a grid time."""
+    H, n, sqrt_n = ens.H, ens.n, math.sqrt(ens.n)
+    sv = ens.sorted_values
+    col = {t: j for j, t in enumerate(ens.grid.times)}
+    ts = np.array([t for t, _ in x_nodes])
+    xs = np.array([x for _, x in x_nodes])
+    v_vals = np.empty(len(x_nodes))
+    for t in dict.fromkeys(t for t, _ in x_nodes):
+        at = ts == t
+        j = col[t]
+        Fn = empirical._fn_at(sv[:, j:j + 1], xs[at, None])[:, 0]
+        v_vals[at] = sqrt_n * (Fn - analytic.marginal_cdf(t, xs[at], H))
     fu_vals = np.empty(len(alpha_nodes))
     for i, (t, a) in enumerate(alpha_nodes):
-        tau_n = empirical.empirical_quantile(ens, t, a)
+        tau_n = sv[empirical.order_index(a, n) - 1, col[t]]
         tau = analytic.true_quantile(t, a, H)
         fu_vals[i] = analytic.density_quantile(t, a, H) * sqrt_n * (tau_n - tau)
     return v_vals, fu_vals
@@ -365,7 +376,7 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
     """
     x_nodes = [(float(t), float(x)) for t, x in x_nodes]
     alpha_nodes = [(float(t), float(a)) for t, a in alpha_nodes]
-    if any(t <= 0.0 for t, _ in x_nodes + alpha_nodes):
+    if not all(t > 0.0 for t, _ in x_nodes + alpha_nodes):  # NaN fails too
         raise DomainError("kernel validation nodes need t > 0")
     if R < 2:
         raise DomainError(f"covariances need R >= 2 replications; got {R}")
@@ -424,7 +435,7 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     sqrt(t1 t2) arcsin(min/sqrt(t1 t2)); the Hurst index is fixed at 1/2.
     """
     times = tuple(float(t) for t in times)
-    if any(t <= 0.0 for t in times):
+    if not all(t > 0.0 for t in times):  # NaN fails too
         raise DomainError("median study times must be positive")
     if R < 2:
         raise DomainError(f"covariances need R >= 2 replications; got {R}")

@@ -72,15 +72,16 @@ class GridSpec:
         ts = np.asarray(self.times, dtype=float)
         if ts.size == 0:
             raise DomainError("grid needs at least one time point")
-        if np.any(np.diff(ts) <= 0.0):
+        # both checks are written so that a NaN time or T fails them
+        if not np.all(np.diff(ts) > 0.0):
             raise DomainError("grid times must be strictly increasing")
-        if ts[0] < 0.0 or ts[-1] > self.T + 1e-12 * max(1.0, self.T):
+        if not (ts[0] >= 0.0 and ts[-1] <= self.T + 1e-12 * max(1.0, self.T)):
             raise DomainError(f"grid times must lie in [0, T={self.T}]")
 
     @classmethod
     def uniform_grid(cls, T: float, M: int, include_zero: bool = False) -> "GridSpec":
         """M equally spaced points: k*T/(M-1) from 0, or (k+1)*T/M from T/M."""
-        if M < 1 or T <= 0.0:
+        if M < 1 or not (T > 0.0):
             raise DomainError(f"need M >= 1 and T > 0; got M={M}, T={T}")
         if include_zero:
             if M < 2:
@@ -114,7 +115,7 @@ class GridSpec:
                     uniform, step = True, cand
         elif ts.size == 1 and ts[0] > 0.0:
             uniform, step = True, float(ts[0])
-        return cls(times=tuple(ts), T=float(T), uniform=uniform,
+        return cls(times=tuple(ts.tolist()), T=float(T), uniform=uniform,
                    step=step if uniform else 0.0)
 
     def __getstate__(self) -> dict:
@@ -191,9 +192,6 @@ class Ensemble:
         sv = np.sort(np.asfortranarray(self.values), axis=0)
         sv.setflags(write=False)
         return sv
-
-    def values_at(self, t: float) -> np.ndarray:
-        return self.values[:, self.grid.index_of(t)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from tqproc import analytic, empirical
 from tqproc.empirical import LevelGrid, order_index, tie_bound_m
 from tqproc.errors import DomainError
+from tqproc.experiments import _node_values
 from tqproc.fbm import Ensemble, GridSpec, make_ensemble
 
 
@@ -40,48 +41,51 @@ class TestOrderIndex:
         assert order_index(1.0 - 1e-12, 5) == 5
 
 
+def fn_at(e: Ensemble, x) -> np.ndarray:
+    """F_n at the points x of a one-time ensemble, read off its sort."""
+    xs = np.asarray(x, dtype=float)[:, None]
+    return empirical._fn_at(e.sorted_values, xs)[:, 0]
+
+
+def tau_n(e: Ensemble, alphas) -> np.ndarray:
+    """Empirical quantiles (levels, times), rows of the sorted columns."""
+    return empirical._tau_n_matrix(e.sorted_values, np.asarray(alphas))
+
+
+def v_n(e: Ensemble, t: float, x: float) -> float:
+    """v_n(t, x) as kernel validation's node values compute it."""
+    return float(_node_values(e, [(t, x)], [])[0][0])
+
+
 class TestEmpiricalCdf:
     def test_hand_count(self):
         e = fake_ensemble({1.0: FOUR})
-        assert empirical.empirical_cdf(e, 1.0, 0.0) == 0.5
+        assert fn_at(e, [0.0])[0] == 0.5
 
     def test_extremes(self):
         e = fake_ensemble({1.0: FOUR})
-        assert empirical.empirical_cdf(e, 1.0, -5.0) == 0.0
-        assert empirical.empirical_cdf(e, 1.0, 2.0) == 1.0
-        assert empirical.empirical_cdf(e, 1.0, 3.0) == 1.0
+        assert fn_at(e, [-5.0, 2.0, 3.0]).tolist() == [0.0, 1.0, 1.0]
 
     def test_closed_at_atom(self):
         e = fake_ensemble({1.0: FOUR})
-        assert empirical.empirical_cdf(e, 1.0, -0.3) == 0.5
-
-    def test_off_grid_time_rejected(self):
-        e = fake_ensemble({1.0: FOUR})
-        with pytest.raises(DomainError):
-            empirical.empirical_cdf(e, 1.5, 0.0)
+        assert fn_at(e, [-0.3])[0] == 0.5
 
 
 class TestEmpiricalProcess:
     def test_hand_zero(self):
         e = fake_ensemble({1.0: FOUR})
-        assert empirical.empirical_process(e, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert v_n(e, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_vanishes_at_infinity(self):
         e = fake_ensemble({1.0: FOUR})
-        assert empirical.empirical_process(e, 1.0, 1e9) == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_time_rejected(self):
-        e = fake_ensemble({1.0: FOUR})
-        with pytest.raises(DomainError):
-            empirical.empirical_process(e, 0.0, 0.0)
+        assert v_n(e, 1.0, 1e9) == pytest.approx(0.0, abs=1e-12)
 
     def test_unbiased(self):
         # mean of v_n over many independent ensembles is 0 within 3 SE
         reps, n, t, x = 4000, 8, 1.0, 0.3
         grid = GridSpec.from_times([t])
         vals = np.array([
-            empirical.empirical_process(
-                make_ensemble(n, grid, 0.5, master_seed=s), t, x)
+            v_n(make_ensemble(n, grid, 0.5, master_seed=s), t, x)
             for s in range(reps)])
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean()) <= 3 * se
@@ -92,8 +96,7 @@ class TestEmpiricalProcess:
         grid = GridSpec.from_times([t])
         F = float(analytic.marginal_cdf(t, x, H))
         vals = np.array([
-            empirical.empirical_process(
-                make_ensemble(n, grid, H, master_seed=10_000 + s), t, x)
+            v_n(make_ensemble(n, grid, H, master_seed=10_000 + s), t, x)
             for s in range(reps)])
         v = vals.var(ddof=1)
         se = np.var((vals - vals.mean()) ** 2, ddof=1) ** 0.5 / math.sqrt(reps)
@@ -103,16 +106,15 @@ class TestEmpiricalProcess:
 class TestEmpiricalQuantile:
     def test_hand_median(self):
         e = fake_ensemble({1.0: FOUR})
-        assert empirical.empirical_quantile(e, 1.0, 0.5) == -0.3
+        assert tau_n(e, [0.5])[0, 0] == -0.3
 
     def test_odd_sample_median(self):
         e = fake_ensemble({1.0: [3.0, -1.0, 0.25]})
-        assert empirical.empirical_quantile(e, 1.0, 0.5) == 0.25
+        assert tau_n(e, [0.5])[0, 0] == 0.25
 
     def test_monotone_in_alpha(self):
         e = fake_ensemble({1.0: FOUR})
-        q25 = empirical.empirical_quantile(e, 1.0, 0.25)
-        q50 = empirical.empirical_quantile(e, 1.0, 0.5)
+        q25, q50 = tau_n(e, [0.25, 0.5])[:, 0]
         assert q25 == -1.2
         assert q25 <= q50
 
@@ -120,21 +122,23 @@ class TestEmpiricalQuantile:
         grid = GridSpec.uniform_grid(2.0, 8)
         e = make_ensemble(37, grid, 0.4, master_seed=6)
         lv = LevelGrid.uniform(0.05, 33)
-        for t in grid.times:
-            tau_n = [empirical.empirical_quantile(e, t, a) for a in lv.levels]
-            assert np.all(np.diff(tau_n) >= 0.0)
+        assert np.all(np.diff(tau_n(e, lv.array), axis=0) >= 0.0)
 
     def test_galois_inversion(self):
+        # F_n(tau^n(a)) >= a, and F_n < a just below tau^n(a)
         grid = GridSpec.uniform_grid(1.0, 4)
         e = make_ensemble(23, grid, 0.5, master_seed=15)
-        for t in grid.times:
-            col = np.sort(e.values_at(t))
-            for a in (0.1, 0.37, 0.5, 0.82):
-                tau = empirical.empirical_quantile(e, t, a)
-                assert empirical.empirical_cdf(e, t, tau) >= a
-                below = col[col < tau]
+        alphas = np.array([0.1, 0.37, 0.5, 0.82])
+        sv = e.sorted_values
+        tau = tau_n(e, alphas)
+        assert np.all(empirical._fn_at(sv, tau) >= alphas[:, None])
+        for j in range(grid.M):
+            col = sv[:, j]
+            for a, q in zip(alphas, tau[:, j]):
+                below = col[col < q]
                 if below.size:
-                    assert empirical.empirical_cdf(e, t, below[-1]) < a
+                    F = empirical._fn_at(sv[:, j:j + 1], below[-1:, None])
+                    assert F[0, 0] < a
 
 
 class TestQuantileProcess:
@@ -196,14 +200,14 @@ class TestRemainderField:
         # v_n = 0, u_n = -0.7071, f = 0.398942 -> R = -0.282095
         e = fake_ensemble({1.0: [-0.5, 0.5]})
         lv = LevelGrid(rho=0.25, levels=(0.5,))
-        fld = empirical.bk_remainder_field(e, lv, times=[1.0])
+        fld = empirical.bk_remainder_field(e, lv, t_min=1.0)
         assert fld.values[0, 0] == pytest.approx(-0.2820947917738781, abs=1e-9)
         assert fld.sup_norm == pytest.approx(0.2820947917738781, abs=1e-9)
 
     def test_vanishes_when_both_terms_vanish(self):
         e = fake_ensemble({1.0: [0.0, 0.7]})
         lv = LevelGrid(rho=0.25, levels=(0.5,))
-        fld = empirical.bk_remainder_field(e, lv, times=[1.0])
+        fld = empirical.bk_remainder_field(e, lv, t_min=1.0)
         assert fld.values[0, 0] == 0.0
 
     def test_weighted_zero_at_origin(self):
@@ -235,10 +239,9 @@ class TestRemainderField:
         grid = GridSpec.uniform_grid(1.0, 5, include_zero=True)
         e = make_ensemble(8, grid, 0.5, master_seed=73)
         lv = LevelGrid.uniform(0.2, 3)
-        with pytest.raises(DomainError):
-            empirical.bk_remainder_field(e, lv)
-        with pytest.raises(DomainError):
-            empirical.bk_remainder_field(e, lv, times=[0.0, 0.5])
+        for t_min in (None, 0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="positive window floor"):
+                empirical.bk_remainder_field(e, lv, t_min=t_min)
 
 
 class TestSharedColumnSort:
@@ -256,7 +259,7 @@ class TestSharedColumnSort:
         lv = LevelGrid.uniform(0.1, 5)
         empirical.bk_remainder_field(e, lv, t_min=0.25)
         empirical.tie_stats(e, lv)
-        empirical.empirical_quantile(e, 1.0, 0.3)
+        _node_values(e, [(1.0, 0.3)], [(1.0, 0.3)])
         empirical.weighted_sup_empirical(e, 0.5)
         empirical.quantile_deviation_stat(e, 0.25, 0.1)
         assert calls == [e.values.shape]
@@ -266,9 +269,6 @@ class TestSharedColumnSort:
         grid = GridSpec.uniform_grid(2.0, 9, include_zero=True)
         e = make_ensemble(40, grid, 0.5, master_seed=75)
         lv = LevelGrid.uniform(0.1, 5)
-        full = empirical.bk_remainder_field(e, lv, t_min=0.25)
-        part = empirical.bk_remainder_field(e, lv, times=[1.75, 0.5])
-        np.testing.assert_array_equal(part.values, full.values[:, [6, 1]])
         ties = empirical.tie_stats(e, lv, times=[1.75, 0.5])
         np.testing.assert_array_equal(
             ties.delta_n, empirical.tie_stats(e, lv).delta_n[:, [6, 1]])

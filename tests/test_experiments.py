@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tqproc import empirical, experiments
+from tqproc import analytic, empirical, experiments
 from tqproc.empirical import LevelGrid
 from tqproc.errors import DataError, DomainError
 from tqproc.experiments import (NLadder, bk_rate_study, classical_bk_study,
@@ -14,6 +14,7 @@ from tqproc.experiments import (NLadder, bk_rate_study, classical_bk_study,
                                 loglog_fit, swanson_median_study,
                                 tail_fit_study, weighted_bk_rate_study)
 from tqproc.fbm import GridSpec, make_ensemble
+from tqproc.runner import STUDIES
 from tqproc.seeding import derive_seed
 
 
@@ -154,6 +155,12 @@ class TestBkRateStudy:
         with pytest.raises(DomainError, match="T"):
             bk_rate_study(SMALL_LADDER, T=0.9)
 
+    @pytest.mark.parametrize("gamma0", [math.nan, 5.0, 0.0, -0.25])
+    def test_gamma0_checked(self, gamma0):
+        # min(1, gamma0 n^-eta) would clip 5.0 and NaN to a floor of 1
+        with pytest.raises(DomainError, match="gamma0"):
+            bk_rate_study(SMALL_LADDER, gamma0=gamma0)
+
 
 class TestWindowFloor:
     """gamma_n = min(1, gamma0 n^{-eta}), the floor of bk_rate's window."""
@@ -244,6 +251,90 @@ class TestSharedSort:
         # no tie pairs: no violation
         assert experiments._sampled(
             (seed, n, grid, 0.5, "circulant", (), size))[1] == -math.inf
+
+
+def _node_values_reference(ens, x_nodes, alpha_nodes):
+    """The retired per-node formulas: F_n counts the paths ``<= x`` in the
+    unsorted time column, and tau_n is the ceil(alpha n)-th smallest value
+    of that column."""
+    H, n, sqrt_n = ens.H, ens.n, math.sqrt(ens.n)
+    v = np.empty(len(x_nodes))
+    for i, (t, x) in enumerate(x_nodes):
+        col = ens.values[:, ens.grid.index_of(t)]
+        Fn = float(np.count_nonzero(col <= x)) / n
+        v[i] = sqrt_n * (Fn - float(analytic.marginal_cdf(t, x, H)))
+    fu = np.empty(len(alpha_nodes))
+    for i, (t, a) in enumerate(alpha_nodes):
+        col = np.sort(ens.values[:, ens.grid.index_of(t)])
+        tau_n = float(col[empirical.order_index(a, n) - 1])
+        tau = analytic.true_quantile(t, a, H)
+        fu[i] = analytic.density_quantile(t, a, H) * sqrt_n * (tau_n - tau)
+    return v, fu
+
+
+_DEFAULTS = STUDIES["kernel_validation"].defaults
+DEFAULT_X = [tuple(p) for p in _DEFAULTS["x_nodes"]]
+DEFAULT_ALPHA = [tuple(p) for p in _DEFAULTS["alpha_nodes"]]
+
+
+class TestNodeValues:
+    """kernel_validation's node values, read off the one column sort, keep
+    the bits of the per-node formulas they replaced."""
+
+    @pytest.mark.parametrize("H", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 41, 500])
+    @pytest.mark.parametrize("extra", [False, True],
+                             ids=["default", "extra_nodes"])
+    def test_bit_equal_to_per_node_formulas(self, H, n, extra):
+        x_nodes, alpha_nodes = list(DEFAULT_X), list(DEFAULT_ALPHA)
+        if extra:
+            # nodes on shared times, and a time (3.0) no default node has
+            x_nodes += [(1.0, 0.3), (4.0, -0.5), (3.0, 0.2)]
+            alpha_nodes += [(0.5, 0.1), (1.0, 0.5), (3.0, 0.6), (2.0, 0.9)]
+        grid = experiments.node_grid(x_nodes, alpha_nodes)
+        for seed in range(4):
+            ens = make_ensemble(n, grid, H, master_seed=derive_seed(seed, n, 0))
+            got = experiments._node_values(ens, x_nodes, alpha_nodes)
+            want = _node_values_reference(ens, x_nodes, alpha_nodes)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                np.testing.assert_array_equal(g.view(np.uint64),
+                                              w.view(np.uint64))
+
+
+class TestNanRejected:
+    """A NaN time, horizon or exponent fails each library check."""
+
+    @staticmethod
+    def _ens():
+        return make_ensemble(8, GridSpec.uniform_grid(1.0, 4), 0.5)
+
+    # each message names the check that must catch the NaN, not a later one
+    @pytest.mark.parametrize("call, match", [
+        (lambda: GridSpec(times=(math.nan,), T=1.0, uniform=False),
+         "must lie in"),
+        (lambda: GridSpec(times=(0.5, math.nan, 1.0), T=1.0, uniform=False),
+         "strictly increasing"),
+        (lambda: GridSpec(times=(0.5, 1.0), T=math.nan, uniform=False),
+         "must lie in"),
+        (lambda: GridSpec.uniform_grid(math.nan, 4), "T > 0"),
+        (lambda: GridSpec.uniform_grid(math.nan, 4, include_zero=True),
+         "T > 0"),
+        (lambda: GridSpec.from_times([0.5, math.nan]), "grid times"),
+        (lambda: empirical.weighted_sup_empirical(TestNanRejected._ens(),
+                                                  math.nan), "kappa"),
+        (lambda: kernel_validation_study([(math.nan, 0.0)], [], n=10, R=10),
+         "t > 0"),
+        (lambda: kernel_validation_study([(1.0, 0.0)], [(math.nan, 0.5)],
+                                         n=10, R=10), "t > 0"),
+        (lambda: swanson_median_study(times=(math.nan, 1.0), n=11, R=5),
+         "must be positive"),
+    ], ids=["grid_time", "grid_inner_time", "grid_T", "uniform_T",
+            "uniform_T_from_zero", "from_times", "weighted_sup_kappa",
+            "kernel_x_node", "kernel_alpha_node", "swanson_time"])
+    def test_raises_domain_error(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call()
 
 
 class TestKernelValidation:

@@ -271,6 +271,16 @@ class TestGridSpec:
         g = GridSpec.from_times([1.0 / 2**52, 1.0])
         assert g.uniform and g.lattice_indices()[-1] == 2**52
 
+    @pytest.mark.parametrize("times", [
+        [0.5, 1.0, 1.5], [1, 3, 2], np.array([0.0, 0.25, 1.0]),
+        (np.float32(0.5), np.float64(2.0)), [0.3, 1.7]])
+    def test_from_times_stores_floats(self, times):
+        # np.float64 subclasses float, so the test is on the exact type
+        g = GridSpec.from_times(times)
+        assert all(type(t) is float for t in g.times)
+        assert list(g.times) == sorted(float(t) for t in times)
+        assert type(g.T) is float and type(g.step) is float
+
     def test_validation(self):
         with pytest.raises(DomainError):
             GridSpec.from_times([1.0, 1.0, 2.0])
