@@ -8,14 +8,15 @@ deterministic and safe to call concurrently.
 
 Importing this module loads numpy only.  The normal quantile is an
 in-repo port of Cephes ``ndtri`` that matches ``scipy.special.ndtri`` bit
-for bit, so no quantile evaluation loads scipy.  ``scipy.special``
-(``ndtr``) loads on the first call of a function that evaluates the normal
-CDF, and ``scipy.integrate`` on the first bivariate-CDF call, that is, when
-a ``G`` or ``K`` kernel is first evaluated; a study that never evaluates
-one never pays for it.  The studies whose pool tasks evaluate the normal
-CDF (``kernel_validation``, ``lil_trace``) have ``runner.parse_config``
-import ``scipy.special`` up front, so forked workers inherit it rather than
-each import it again.  Domain checks are negated comparisons such as
+for bit, so no quantile evaluation loads scipy.  Every normal CDF goes
+through ``std_normal_cdf``, which loads ``scipy.special`` (``ndtr``) on its
+first call, and ``scipy.integrate`` loads on the first bivariate-CDF call,
+that is, when a ``G`` or ``K`` kernel is first evaluated; a study that
+never evaluates one never pays for it.  A study whose pool tasks evaluate
+the normal CDF (``lil_trace``) loads ``scipy.special`` before its pool
+starts, so forked workers inherit it rather than each import it again;
+``kernel_validation`` evaluates its node truths in the parent, which loads
+it there.  Domain checks are negated comparisons such as
 ``not (t >= 0.0)``, so that a NaN fails them too.
 """
 
@@ -58,7 +59,8 @@ def _check_hurst(H: float) -> float:
 # ---------------------------------------------------------------------------
 
 def std_normal_cdf(x):
-    """Standard normal CDF, accurate to machine precision on finite reals."""
+    """Standard normal CDF, accurate to machine precision on finite reals;
+    every normal CDF in this module is evaluated here."""
     from scipy.special import ndtr
     return ndtr(x)
 
@@ -176,8 +178,7 @@ def marginal_cdf(t: float, x, H: float):
     if t == 0.0:
         out = np.where(x >= 0.0, 1.0, 0.0)
     else:
-        from scipy.special import ndtr
-        out = ndtr(x / t**H)
+        out = std_normal_cdf(x / t**H)
     return float(out) if out.ndim == 0 else out
 
 
@@ -259,18 +260,17 @@ def bivariate_normal_cdf(x: float, y: float, rho: float) -> float:
         raise DomainError(f"correlation must lie in [-1, 1]; got {rho}")
     if math.isnan(x) or math.isnan(y):
         raise DomainError("bivariate CDF arguments must not be NaN")
-    from scipy.special import ndtr
     if rho == 1.0:
-        return float(min(ndtr(x), ndtr(y)))
+        return float(min(std_normal_cdf(x), std_normal_cdf(y)))
     if rho == -1.0:
-        return float(max(0.0, ndtr(x) + ndtr(y) - 1.0))
+        return float(max(0.0, std_normal_cdf(x) + std_normal_cdf(y) - 1.0))
     # clamp extreme arguments; beyond |40| the marginal is 0/1 to full precision
     x = min(40.0, max(-40.0, x))
     y = min(40.0, max(-40.0, y))
     from scipy.integrate import quad
     corr, _ = quad(_biv_integrand, 0.0, math.asin(rho), args=(x, y),
                    epsabs=1e-13, epsrel=1e-13, limit=200)
-    val = float(ndtr(x)) * float(ndtr(y)) + corr / (2.0 * math.pi)
+    val = float(std_normal_cdf(x)) * float(std_normal_cdf(y)) + corr / (2.0 * math.pi)
     return min(1.0, max(0.0, val))
 
 

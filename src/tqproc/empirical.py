@@ -1,12 +1,14 @@
 """Time-dependent empirical distribution, quantile, and remainder statistics.
 
 Every reduction is a pure function of an immutable ensemble and reads its
-one column sort, ``Ensemble.sorted_values``: F_n is a count on a sorted
-column (``_fn_at``) and tau_n a row of it (``_tau_n_matrix``), the one
-implementation of each, which kernel validation's node values share.  The
-empirical CDF in x is an exact step function, so suprema over x are taken
-at the jump abscissas (order statistics and their left limits) and are
-exact; suprema over t and the quantile level are grid suprema.
+one column sort, ``Ensemble.sorted_values``, over a window of grid times:
+an interval of the grid, hence a contiguous run of columns, read as a view
+(``_window``).  F_n is a count on a sorted column (``_fn_at``) and tau_n a
+row of it (``_tau_n_matrix``), the one implementation of each, which
+kernel validation's node values share.  The empirical CDF in x is an exact
+step function, so suprema over x are taken at the jump abscissas (order
+statistics and their left limits) and are exact; suprema over t and the
+quantile level are grid suprema.
 
 The quantile index convention is ceil(alpha * n) with a 1e-9 guard against
 binary-float products like 0.1 * n landing just above an integer.
@@ -83,29 +85,19 @@ class LevelGrid:
 # Grid machinery shared by field-level statistics
 # ---------------------------------------------------------------------------
 
-def _select_times(ensemble: Ensemble, times,
-                  t_min: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve a time sub-grid to (times, column indices) of the ensemble grid."""
-    grid = ensemble.grid.array
-    if times is not None:
-        cols = np.asarray([ensemble.grid.index_of(float(t)) for t in times], dtype=int)
-    else:
-        lo = -np.inf if t_min is None else t_min - 1e-12
-        if t_min is not None and t_min > 0.0:
-            lo = max(lo, math.ulp(0.0))  # a positive floor never takes t = 0
-        cols = np.flatnonzero(grid >= lo)
+def _window(ensemble: Ensemble, keep: np.ndarray,
+            empty: str) -> tuple[np.ndarray, np.ndarray]:
+    """The grid times where ``keep`` holds and their columns of the
+    ensemble's one column sort.
+
+    Every window is an interval of the strictly increasing grid, so its
+    columns are a contiguous run and the sorted columns a view.
+    """
+    cols = np.flatnonzero(keep)
     if cols.size == 0:
-        raise DomainError("time window selects no grid points")
-    return grid[cols], cols
-
-
-def _sorted_columns(ensemble: Ensemble, cols: np.ndarray) -> np.ndarray:
-    """Columns ``cols`` of the ensemble's one column sort; a view when the
-    columns are contiguous."""
-    sv = ensemble.sorted_values
-    if np.all(np.diff(cols) == 1):
-        return sv[:, cols[0]:cols[-1] + 1]
-    return sv[:, cols]
+        raise DomainError(empty)
+    run = slice(cols[0], cols[-1] + 1)
+    return ensemble.grid.array[run], ensemble.sorted_values[:, run]
 
 
 def _tau_n_matrix(sv: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -145,20 +137,17 @@ class TieStats:
     max_violation: float
 
 
-def tie_stats(ensemble: Ensemble, levels: LevelGrid, times=None) -> TieStats:
-    """Tie statistics of the empirical quantiles over a (times, levels) grid.
+def tie_stats(ensemble: Ensemble, levels: LevelGrid) -> TieStats:
+    """Tie statistics of the empirical quantiles over the grid's positive
+    times and the levels.
 
     Only positive times are scanned: at t=0 every path is anchored at 0, so
     all values coincide by construction and the multiplicity bound does not
     apply there.
     """
-    ts, cols = _select_times(ensemble, times, None)
-    keep = ts > 0.0
-    ts, cols = ts[keep], cols[keep]
-    if cols.size == 0:
-        raise DomainError("tie statistics need at least one positive grid time")
+    ts, sv = _window(ensemble, ensemble.grid.array > 0.0,
+                     "tie statistics need at least one positive grid time")
     n = ensemble.n
-    sv = _sorted_columns(ensemble, cols)
     lv = levels.array
     gap = _fn_at(sv, _tau_n_matrix(sv, lv)) - lv[:, None]
     m = tie_bound_m(ensemble.H)
@@ -205,8 +194,11 @@ def bk_remainder_field(ensemble: Ensemble, levels: LevelGrid,
     if not weighted and (t_min is None or not (t_min > 0.0)):
         raise DomainError(
             "unweighted remainder needs a positive window floor t_min")
-    ts, cols = _select_times(ensemble, None, t_min)
-    sv = _sorted_columns(ensemble, cols)
+    lo = -np.inf if t_min is None else t_min - 1e-12
+    if t_min is not None and t_min > 0.0:
+        lo = max(lo, math.ulp(0.0))  # a positive floor never takes t = 0
+    ts, sv = _window(ensemble, ensemble.grid.array >= lo,
+                     "time window selects no grid points")
     sqrt_n = math.sqrt(ensemble.n)
     lv = levels.array
     z = analytic.std_normal_quantile(lv)
@@ -257,9 +249,8 @@ def weighted_sup_empirical(ensemble: Ensemble, kappa: float) -> float:
     """
     if not (kappa > 0.0):  # written so that NaN fails too
         raise DomainError(f"kappa must be positive; got {kappa}")
-    ts, cols = _select_times(ensemble, None, None)
-    sv = _sorted_columns(ensemble, cols)
-    d = _x_sup_columns(sv, ts, ensemble.H)
+    ts = ensemble.grid.array
+    d = _x_sup_columns(ensemble.sorted_values, ts, ensemble.H)
     return float(np.max(ts**kappa * d) * math.sqrt(ensemble.n))
 
 
@@ -276,6 +267,8 @@ def quantile_deviation_stat(ensemble: Ensemble, delta: float, rho: float,
     H = ensemble.H
     if not 0.0 < delta <= H:
         raise DomainError(f"delta must satisfy 0 < delta <= H={H}; got {delta}")
+    if not (C >= 0.0):  # written so that NaN fails too
+        raise DomainError(f"C must be nonnegative; got {C}")
     n = ensemble.n
     if n < 16:
         raise DomainError(f"need n >= 16 so that loglog n > 0; got {n}")
@@ -283,14 +276,11 @@ def quantile_deviation_stat(ensemble: Ensemble, delta: float, rho: float,
     a_n = C * (lln / n) ** (1.0 / (2.0 * delta))
     t_hi = ensemble.grid.T
     grid = ensemble.grid.array
-    cols = np.flatnonzero((grid > a_n) & (grid <= t_hi + 1e-12))
-    if cols.size == 0:
-        raise DomainError(
-            f"window (a_n, T] = ({a_n:.3e}, {t_hi}] contains no grid times")
-    ts = grid[cols]
+    ts, sv = _window(
+        ensemble, (grid > a_n) & (grid <= t_hi + 1e-12),
+        f"window (a_n, T] = ({a_n:.3e}, {t_hi}] contains no grid times")
     if levels is None:
         levels = LevelGrid.uniform(rho, 21)
-    sv = _sorted_columns(ensemble, cols)
     lv = levels.array
     tau_n = _tau_n_matrix(sv, lv)
     tau = np.outer(analytic.std_normal_quantile(lv), ts**H)

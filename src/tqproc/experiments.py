@@ -209,12 +209,12 @@ def _replicate(worker, seed: int, ns, R: int, args: tuple,
 def _sampled(task) -> tuple:
     """One replication ``(seed, n, grid, H, sampler_id, ties, reduce, *args)``
     of a study that samples fBm: n paths on ``grid``, the tie bound scanned
-    over each ``(levels, times)`` pair of ``ties`` (-inf for none) and the
-    statistic ``reduce(ensemble, *args)``, all on one column sort."""
+    over the positive grid times and the levels ``ties`` (-inf for None)
+    and the statistic ``reduce(ensemble, *args)``, all on one column sort."""
     seed, n, grid, H, sampler_id, ties, reduce, *args = task
     ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
-    violation = max((empirical.tie_stats(ens, levels, times).max_violation
-                     for levels, times in ties), default=-math.inf)
+    violation = (-math.inf if ties is None
+                 else empirical.tie_stats(ens, ties).max_violation)
     return reduce(ens, *args), violation, ens.warnings
 
 
@@ -260,7 +260,7 @@ def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
     levels = LevelGrid.uniform(rho, M_alpha)
     sups, tie_violation, warnings = _replicate(
         _sampled, seed, ladder.ns, R,
-        (ladder_grid(T, M_t), H, sampler_id, ((levels, None),), _bk_sup,
+        (ladder_grid(T, M_t), H, sampler_id, levels, _bk_sup,
          levels, weighted, gamma0, eta), workers)
     stat_name = "sup_weighted_remainder" if weighted else "sup_bk_remainder"
     per_n = [_summarize(n, s, stat_name) for n, s in zip(ladder.ns, sups)]
@@ -322,26 +322,35 @@ def weighted_bk_rate_study(ladder: NLadder, H: float = 0.5, T: float = 2.0,
 # Kernel validation
 # ---------------------------------------------------------------------------
 
-def _node_values(ens, x_nodes, alpha_nodes) -> tuple[np.ndarray, np.ndarray]:
-    """v_n at the x nodes and f * u_n at the alpha nodes, read off the
-    ensemble's sorted time columns; every node time is a grid time."""
-    H, n, sqrt_n = ens.H, ens.n, math.sqrt(ens.n)
-    sv = ens.sorted_values
-    col = {t: j for j, t in enumerate(ens.grid.times)}
+def _node_truths(grid: GridSpec, x_nodes, alpha_nodes, H: float,
+                 n: int) -> tuple:
+    """Where kernel validation's nodes sit on the sorted columns of n paths
+    on ``grid``, and the limit values there: the x nodes' columns, abscissas
+    and F(t, x), and the alpha nodes' rows (order index - 1), columns,
+    densities f(t, tau_alpha(t)) and quantiles tau_alpha(t).  Every node
+    time is a grid time."""
+    col = {t: j for j, t in enumerate(grid.times)}
     ts = np.array([t for t, _ in x_nodes])
     xs = np.array([x for _, x in x_nodes])
-    v_vals = np.empty(len(x_nodes))
+    F = np.empty(len(x_nodes))
     for t in dict.fromkeys(t for t, _ in x_nodes):
         at = ts == t
-        j = col[t]
-        Fn = empirical._fn_at(sv[:, j:j + 1], xs[at, None])[:, 0]
-        v_vals[at] = sqrt_n * (Fn - analytic.marginal_cdf(t, xs[at], H))
-    fu_vals = np.empty(len(alpha_nodes))
-    for i, (t, a) in enumerate(alpha_nodes):
-        tau_n = sv[empirical.order_index(a, n) - 1, col[t]]
-        tau = analytic.true_quantile(t, a, H)
-        fu_vals[i] = analytic.density_quantile(t, a, H) * sqrt_n * (tau_n - tau)
-    return v_vals, fu_vals
+        F[at] = analytic.marginal_cdf(t, xs[at], H)
+    rows = np.array([empirical.order_index(a, n) - 1 for _, a in alpha_nodes],
+                    dtype=int)
+    f = np.array([analytic.density_quantile(t, a, H) for t, a in alpha_nodes])
+    tau = np.array([analytic.true_quantile(t, a, H) for t, a in alpha_nodes])
+    return (np.array([col[t] for t, _ in x_nodes], dtype=int), xs, F,
+            rows, np.array([col[t] for t, _ in alpha_nodes], dtype=int), f, tau)
+
+
+def _node_values(ens, x_cols, xs, F, rows, alpha_cols, f,
+                 tau) -> tuple[np.ndarray, np.ndarray]:
+    """v_n at the x nodes and f * u_n at the alpha nodes, read off the
+    ensemble's sorted columns at the places ``_node_truths`` gives."""
+    sv, sqrt_n = ens.sorted_values, math.sqrt(ens.n)
+    Fn = empirical._fn_at(sv[:, x_cols], xs[None, :])[0]
+    return sqrt_n * (Fn - F), f * sqrt_n * (sv[rows, alpha_cols] - tau)
 
 
 def _cov_table(samples: np.ndarray, nodes, kernel_fn) -> list[dict]:
@@ -363,6 +372,19 @@ def _cov_table(samples: np.ndarray, nodes, kernel_fn) -> list[dict]:
     return rows
 
 
+def _node_ties(alpha_nodes) -> LevelGrid | None:
+    """The alpha nodes' distinct levels, for one tie scan over the node grid.
+
+    A time column without tied values has F_n(t, X_(k)) = k/n, so each
+    (t, alpha) violation depends on alpha and n only, and the scan's maximum
+    is the maximum over the alpha nodes' own (t, alpha)."""
+    if not alpha_nodes:
+        return None
+    levels = sorted({a for _, a in alpha_nodes})
+    rho = min(0.25, min(min(a, 1.0 - a) for a in levels))
+    return LevelGrid(rho=rho, levels=tuple(levels))
+
+
 def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
                             R: int = 4000, sampler_id: str = "circulant",
                             seed: int = 0, workers: int = 1) -> StudyResult:
@@ -380,13 +402,11 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
         raise DomainError("kernel validation nodes need t > 0")
     if R < 2:
         raise DomainError(f"covariances need R >= 2 replications; got {R}")
-    # the tie bound at each alpha node's own (t, alpha)
-    ties = tuple((LevelGrid(rho=min(a, 1.0 - a, 0.25), levels=(a,)), (t,))
-                 for t, a in alpha_nodes)
+    grid = node_grid(x_nodes, alpha_nodes)
     (out,), tie_violation, warns = _replicate(
         _sampled, seed, (n,), R,
-        (node_grid(x_nodes, alpha_nodes), H, sampler_id, ties, _node_values,
-         tuple(x_nodes), tuple(alpha_nodes)), workers)
+        (grid, H, sampler_id, _node_ties(alpha_nodes), _node_values,
+         *_node_truths(grid, x_nodes, alpha_nodes, H, n)), workers)
     v_samples = np.vstack([v for v, _ in out])
     fu_samples = np.vstack([fu for _, fu in out])
     v_rows = _cov_table(v_samples, x_nodes,
@@ -441,7 +461,7 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
         raise DomainError(f"covariances need R >= 2 replications; got {R}")
     (out,), tie_violation, warns = _replicate(
         _sampled, seed, (n,), R,
-        (GridSpec.from_times(times), 0.5, sampler_id, ((_MEDIAN, None),),
+        (GridSpec.from_times(times), 0.5, sampler_id, _MEDIAN,
          _scaled_median), workers)
     med = np.vstack(out)  # (R, times)
     var_rows, cov_rows = [], []
@@ -502,9 +522,11 @@ def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
                           f"on the ladder; got {list(ladder.ns)}")
     _, sigma_kappa = analytic.lil_constants(1.0, T, kappa)
     R = ladder.replications
+    # the tasks evaluate the normal CDF: loaded here, forked workers inherit it
+    import scipy.special  # noqa: F401
     # no tie statistics on this path
     out, _, warns = _replicate(_sampled, seed, ladder.ns, R,
-                               (ladder_grid(T, M_t), H, sampler_id, (),
+                               (ladder_grid(T, M_t), H, sampler_id, None,
                                 _normalized_sup, kappa), workers)
     per_n = [_summarize(n, vals, "normalized_weighted_sup")
              for n, vals in zip(ladder.ns, out)]
@@ -601,7 +623,7 @@ def tail_fit_study(levels_y=(1.5, 2.0, 2.5, 3.0), H: float = 0.5,
     # one replication: its one task runs in this process
     [[tf]], _, ens_warnings = _replicate(
         _sampled, seed, (n,), 1,
-        (ladder_grid(T, M_t), H, sampler_id, (), tail_fit, levels_y), workers)
+        (ladder_grid(T, M_t), H, sampler_id, None, tail_fit, levels_y), workers)
     flags = {"c_hat_positive": tf.c_hat > 0.0,
              "r_squared_ok": tf.r_squared >= 0.95}
     warnings = tuple(f"tail level {y} dropped: zero empirical tail probability"
@@ -635,7 +657,7 @@ def deviation_stability_study(ladder: NLadder, delta: float, H: float = 0.5,
     levels = LevelGrid.uniform(rho, 21)
     out, tie_violation, warns = _replicate(
         _sampled, seed, ladder.ns, R,
-        (ladder_grid(T, M_t), H, sampler_id, ((levels, None),),
+        (ladder_grid(T, M_t), H, sampler_id, levels,
          empirical.quantile_deviation_stat, delta, rho, C, levels), workers)
     per_n = [_summarize(n, vals, "quantile_deviation")
              for n, vals in zip(ladder.ns, out)]

@@ -133,16 +133,6 @@ class GridSpec:
     def M(self) -> int:
         return len(self.times)
 
-    def index_of(self, t: float) -> int:
-        """Index of a grid time; no interpolation is performed."""
-        ts = self.array
-        j = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[j] - t) > 1e-12 * max(1.0, abs(t)):
-            raise DomainError(
-                f"t={t} is not a grid time (nearest is {ts[j]}); "
-                "statistics are defined on grid times only")
-        return j
-
     @cached_property
     def _lattice(self) -> np.ndarray:
         if not self.uniform:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -315,8 +314,6 @@ def parse_config(text: str) -> RunConfig:
         kernel_nodes=kernel_nodes)
     # what the study's workers will run, checked before any run starts
     _check_tasks(resolved, spec)
-    if spec.normal_cdf:
-        importlib.import_module("scipy.special")
     return resolved
 
 
@@ -500,17 +497,14 @@ class Study:
     files ``write`` creates, which a run will not overwrite unforced.
     ``grid`` maps a config of a study that samples ensembles to the grid
     its workers sample on, built by the function the study itself calls,
-    and to the config key that sets that grid.  ``normal_cdf`` marks a
-    study whose pool tasks evaluate the normal CDF (``scipy.special.ndtr``;
-    the normal quantile is computed in-repo and needs no mark): for it
-    parse_config imports ``scipy.special``, so that the forked workers
-    inherit it, and the other studies start without it.
+    and to the config key that sets that grid.  Whatever a study's workers
+    import, the study loads before its pool starts (see
+    ``tqproc.analytic``), so the runner loads no study's modules.
     """
     keys: tuple[str, ...]
     defaults: dict
     function: str | None = None
     grid: Callable[[RunConfig], tuple[GridSpec, str]] | None = None
-    normal_cdf: bool = False
     write: Callable = _write_result
     outputs: tuple[str, ...] = ("result.json", "summary.csv")
     T_floor: float = 0.0   # T must exceed it (or reach it, if T_floor_closed)
@@ -543,8 +537,7 @@ STUDIES = {
                   "alpha_nodes": [[1.0, 0.5], [4.0, 0.5], [1.0, 0.25],
                                   [4.0, 0.75]]},
         grid=lambda cfg: (experiments.node_grid(cfg.x_nodes, cfg.alpha_nodes),
-                          "x_nodes / alpha_nodes times"),
-        normal_cdf=True),
+                          "x_nodes / alpha_nodes times")),
     # Brownian ensembles only: H is fixed at 1/2
     "swanson": Study(
         function="swanson_median_study",
@@ -558,7 +551,7 @@ STUDIES = {
         defaults={"ladder": {"ns": [2**k for k in range(8, 13)],
                              "replications": 4}},
         grid=_ladder_grid, T_floor=1.0, T_floor_closed=True,
-        n_floor=experiments.LIL_MIN_N, normal_cdf=True),
+        n_floor=experiments.LIL_MIN_N),
     "classical_bk": Study(
         function="classical_bk_study", keys=("ladder", "master_seed"),
         defaults={"ladder": {"ns": [2**k for k in range(12, 17)],

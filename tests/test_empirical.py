@@ -8,7 +8,7 @@ import pytest
 from tqproc import analytic, empirical
 from tqproc.empirical import LevelGrid, order_index, tie_bound_m
 from tqproc.errors import DomainError
-from tqproc.experiments import _node_values
+from tqproc.experiments import _node_truths, _node_values
 from tqproc.fbm import Ensemble, GridSpec, make_ensemble
 
 
@@ -54,7 +54,8 @@ def tau_n(e: Ensemble, alphas) -> np.ndarray:
 
 def v_n(e: Ensemble, t: float, x: float) -> float:
     """v_n(t, x) as kernel validation's node values compute it."""
-    return float(_node_values(e, [(t, x)], [])[0][0])
+    truths = _node_truths(e.grid, [(t, x)], [], e.H, e.n)
+    return float(_node_values(e, *truths)[0][0])
 
 
 class TestEmpiricalCdf:
@@ -259,19 +260,11 @@ class TestSharedColumnSort:
         lv = LevelGrid.uniform(0.1, 5)
         empirical.bk_remainder_field(e, lv, t_min=0.25)
         empirical.tie_stats(e, lv)
-        _node_values(e, [(1.0, 0.3)], [(1.0, 0.3)])
+        _node_values(e, *_node_truths(e.grid, [(1.0, 0.3)], [(1.0, 0.3)],
+                                      e.H, e.n))
         empirical.weighted_sup_empirical(e, 0.5)
         empirical.quantile_deviation_stat(e, 0.25, 0.1)
         assert calls == [e.values.shape]
-
-    def test_scattered_times_match_full_field(self):
-        # non-contiguous, unordered columns take the indexed path
-        grid = GridSpec.uniform_grid(2.0, 9, include_zero=True)
-        e = make_ensemble(40, grid, 0.5, master_seed=75)
-        lv = LevelGrid.uniform(0.1, 5)
-        ties = empirical.tie_stats(e, lv, times=[1.75, 0.5])
-        np.testing.assert_array_equal(
-            ties.delta_n, empirical.tie_stats(e, lv).delta_n[:, [6, 1]])
 
 
 class TestWeightedSupEmpirical:
@@ -342,6 +335,27 @@ class TestQuantileDeviation:
         e = fake_ensemble({1.0: list(range(20))})
         with pytest.raises(DomainError, match="delta"):
             empirical.quantile_deviation_stat(e, 0.75, 0.2)
+
+    @pytest.mark.parametrize("C", [-1.0, math.nan])
+    def test_negative_or_nan_C_rejected(self, C):
+        # a negative C would put t = 0 in the window, where 0 * inf is NaN
+        grid = GridSpec.uniform_grid(2.0, 9, include_zero=True)
+        e = make_ensemble(64, grid, 0.5, master_seed=104)
+        with pytest.raises(DomainError, match="C must be nonnegative"):
+            empirical.quantile_deviation_stat(e, 0.25, 0.1, C=C)
+
+    def test_zero_C_keeps_the_whole_positive_grid(self):
+        grid = GridSpec.uniform_grid(2.0, 8, include_zero=True)
+        e = make_ensemble(64, grid, 0.5, master_seed=103)
+        lv = LevelGrid.uniform(0.1, 5)
+        tau_n = empirical._tau_n_matrix(e.sorted_values[:, 1:], lv.array)
+        ts = grid.array[1:]
+        tau = np.outer(analytic.std_normal_quantile(lv.array), ts**0.5)
+        dev = np.abs(tau_n - tau) * ts[None, :] ** (0.125 - 0.5)
+        lln = math.log(math.log(64))
+        assert empirical.quantile_deviation_stat(e, 0.125, 0.1, C=0.0,
+                                                 levels=lv) == float(
+            np.max(dev) * math.sqrt(64) / math.sqrt(lln))
 
     def test_positive_finite(self):
         grid = GridSpec.uniform_grid(2.0, 16)

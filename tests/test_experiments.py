@@ -209,7 +209,7 @@ class TestSharedSort:
         grid = GridSpec.uniform_grid(T, M_t, include_zero=True)
         levels = LevelGrid.uniform(rho, M_alpha)
         got = experiments._sampled((seed, n, grid, H, "circulant",
-                                    ((levels, None),), experiments._bk_sup,
+                                    levels, experiments._bk_sup,
                                     levels, weighted, gamma0, eta))
         ens = make_ensemble(n, grid, H, master_seed=seed)
         t_min = None if weighted else experiments._window_floor(n, gamma0, eta)
@@ -225,7 +225,7 @@ class TestSharedSort:
         grid = GridSpec.from_times(times)
         median = LevelGrid(rho=0.25, levels=(0.5,))
         med, violation, warns = experiments._sampled(
-            (seed, n, grid, 0.5, "circulant", ((median, None),),
+            (seed, n, grid, 0.5, "circulant", median,
              experiments._scaled_median))
         ens = make_ensemble(n, grid, 0.5, master_seed=seed)
         k = empirical.order_index(0.5, n)
@@ -236,21 +236,24 @@ class TestSharedSort:
         assert warns == ens.warnings
 
     def test_violation_is_the_max_over_tie_pairs(self):
+        # the scan over a level grid is the max over its (time, level) pairs
         n, times = 40, (0.5, 1.0, 2.0)
         seed = derive_seed(97, n, 0)
         grid = GridSpec.from_times(times)
-        ties = ((LevelGrid(rho=0.25, levels=(0.25,)), (0.5,)),
-                (LevelGrid(rho=0.25, levels=(0.75,)), (2.0,)))
+        ties = LevelGrid(rho=0.25, levels=(0.25, 0.75))
         size = lambda ens: ens.n
         got = experiments._sampled((seed, n, grid, 0.5, "circulant", ties,
                                     size))
         ens = make_ensemble(n, grid, 0.5, master_seed=seed)
-        want = max(empirical.tie_stats(ens, lv, ts).max_violation
-                   for lv, ts in ties)
-        assert got == (n, want, ens.warnings)
-        # no tie pairs: no violation
+        scan = empirical.tie_stats(ens, ties)
+        assert scan.times == times
+        want = max(empirical.tie_stats(ens, LevelGrid(rho=0.25, levels=(a,)))
+                   .max_violation for a in ties.levels)
+        assert got == (n, scan.max_violation, ens.warnings)
+        assert scan.max_violation == want
+        # no levels: no violation
         assert experiments._sampled(
-            (seed, n, grid, 0.5, "circulant", (), size))[1] == -math.inf
+            (seed, n, grid, 0.5, "circulant", None, size))[1] == -math.inf
 
 
 def _node_values_reference(ens, x_nodes, alpha_nodes):
@@ -260,12 +263,12 @@ def _node_values_reference(ens, x_nodes, alpha_nodes):
     H, n, sqrt_n = ens.H, ens.n, math.sqrt(ens.n)
     v = np.empty(len(x_nodes))
     for i, (t, x) in enumerate(x_nodes):
-        col = ens.values[:, ens.grid.index_of(t)]
+        col = ens.values[:, ens.grid.times.index(t)]
         Fn = float(np.count_nonzero(col <= x)) / n
         v[i] = sqrt_n * (Fn - float(analytic.marginal_cdf(t, x, H)))
     fu = np.empty(len(alpha_nodes))
     for i, (t, a) in enumerate(alpha_nodes):
-        col = np.sort(ens.values[:, ens.grid.index_of(t)])
+        col = np.sort(ens.values[:, ens.grid.times.index(t)])
         tau_n = float(col[empirical.order_index(a, n) - 1])
         tau = analytic.true_quantile(t, a, H)
         fu[i] = analytic.density_quantile(t, a, H) * sqrt_n * (tau_n - tau)
@@ -292,14 +295,72 @@ class TestNodeValues:
             x_nodes += [(1.0, 0.3), (4.0, -0.5), (3.0, 0.2)]
             alpha_nodes += [(0.5, 0.1), (1.0, 0.5), (3.0, 0.6), (2.0, 0.9)]
         grid = experiments.node_grid(x_nodes, alpha_nodes)
+        # once per study, as kernel_validation_study computes them
+        truths = experiments._node_truths(grid, x_nodes, alpha_nodes, H, n)
         for seed in range(4):
             ens = make_ensemble(n, grid, H, master_seed=derive_seed(seed, n, 0))
-            got = experiments._node_values(ens, x_nodes, alpha_nodes)
+            got = experiments._node_values(ens, *truths)
             want = _node_values_reference(ens, x_nodes, alpha_nodes)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 np.testing.assert_array_equal(g.view(np.uint64),
                                               w.view(np.uint64))
+
+
+def _tie_scan_reference(ens, alpha_nodes):
+    """The retired per-node tie scan: the violation at each alpha node's
+    own (t, alpha) only, the largest over the nodes (-inf for none)."""
+    n, m = ens.n, empirical.tie_bound_m(ens.H)
+    worst = -math.inf
+    for t, a in alpha_nodes:
+        col = np.sort(ens.values[:, ens.grid.times.index(t)])
+        tau_n = col[empirical.order_index(a, n) - 1]
+        gap = np.count_nonzero(col <= tau_n) / n - a
+        worst = max(worst, gap - m / n, -gap - 1e-9 / n)
+    return worst
+
+
+# (sampler, x nodes, alpha nodes): the default lattice, a non-lattice grid
+# only the Cholesky sampler takes, repeated alpha levels, no alpha nodes
+TIE_LAYOUTS = {
+    "lattice": ("circulant", DEFAULT_X, DEFAULT_ALPHA),
+    "cholesky": ("cholesky", [(0.3, 0.1), (1.7, -0.4)],
+                 [(0.3, 0.2), (1.1, 0.5), (2.9, 0.8)]),
+    "repeated_levels": ("circulant", DEFAULT_X,
+                        [(1.0, 0.5), (4.0, 0.5), (2.0, 0.25), (0.5, 0.25),
+                         (4.0, 0.9)]),
+    "no_alpha": ("circulant", DEFAULT_X, []),
+}
+
+
+class TestTieScan:
+    """kernel_validation's one tie scan over its node grid and distinct
+    levels keeps the bits of the per-node scans it replaced: a column
+    without ties has F_n(t, X_(k)) = k/n, so a (t, alpha) violation depends
+    on alpha and n only."""
+
+    @pytest.mark.parametrize("H", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 41, 500])
+    @pytest.mark.parametrize("layout", sorted(TIE_LAYOUTS))
+    def test_one_scan_equals_per_node_max(self, H, n, layout):
+        sampler, x_nodes, alpha_nodes = TIE_LAYOUTS[layout]
+        grid = experiments.node_grid(x_nodes, alpha_nodes)
+        assert grid.uniform == (layout != "cholesky")
+        ties = experiments._node_ties(alpha_nodes)
+        assert (ties is None) == (not alpha_nodes)
+        for seed in range(4):
+            ens, violation, _ = experiments._sampled(
+                (derive_seed(seed, n, 0), n, grid, H, sampler, ties,
+                 lambda e: e))
+            want = _tie_scan_reference(ens, alpha_nodes)
+            assert violation == want
+            assert math.isfinite(want) == bool(alpha_nodes)
+
+    def test_study_without_alpha_nodes_has_no_violation(self):
+        r = kernel_validation_study([(1.0, 0.0), (2.0, 0.5)], [], n=20, R=5)
+        assert r.tables["u_pairs"] == []
+        assert r.tables["tie_max_violation"] == -math.inf
+        assert r.pass_flags["tie_bound_ok"]
 
 
 class TestNanRejected:
@@ -429,6 +490,12 @@ class TestTailFitStudy:
 
 
 class TestDeviationStability:
+    @pytest.mark.parametrize("C", [-1.0, math.nan])
+    def test_negative_or_nan_C_rejected(self, C):
+        lad = NLadder(ns=(16, 32), replications=2)
+        with pytest.raises(DomainError, match="C must be nonnegative"):
+            deviation_stability_study(lad, delta=0.125, C=C, M_t=8, seed=1)
+
     def test_smoke(self):
         lad = NLadder(ns=(256, 1024), replications=20)
         r = deviation_stability_study(lad, delta=0.125, M_t=32, seed=37)

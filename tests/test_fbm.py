@@ -307,12 +307,6 @@ class TestGridSpec:
         assert copy == g and set(vars(copy)) == {f.name for f in fields(g)}
         assert not copy.array.flags.writeable
 
-    def test_index_of_requires_grid_time(self):
-        g = GridSpec.uniform_grid(1.0, 4)
-        assert g.index_of(0.5) == 1
-        with pytest.raises(DomainError):
-            g.index_of(0.3)
-
 
 class TestCholesky:
     def test_hand_factor_two_points(self):

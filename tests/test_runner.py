@@ -931,18 +931,20 @@ print(json.dumps({"studies_loaded": studies_loaded,
 
 
 # Run in a fresh interpreter: import the runner, parse the config in the
-# first argument (with the study's normal_cdf mark removed if the second is
-# "unmark") and run it; reports whether scipy.special was loaded after each.
+# argument and run it; reports whether scipy.special was loaded after the
+# import, after parse_config, on entry to the study's worker pool
+# (experiments._run_tasks, for a study that has one) and after the run.
 _SPECIAL_SCRIPT = """
-import dataclasses, json, sys
+import json, sys
 def loaded():
     return "scipy.special" in sys.modules
-from tqproc import runner
+from tqproc import experiments, runner
 steps = {"import": loaded()}
-conf = json.loads(sys.argv[1])
-if sys.argv[2] == "unmark":
-    runner.STUDIES[conf["study"]] = dataclasses.replace(
-        runner.STUDIES[conf["study"]], normal_cdf=False)
+run_tasks = experiments._run_tasks
+def entered(worker, tasks, workers):
+    steps.setdefault("pool", loaded())
+    return run_tasks(worker, tasks, workers)
+experiments._run_tasks = entered
 cfg = runner.parse_config(sys.argv[1])
 steps["parse"] = loaded()
 runner.run_study(cfg)
@@ -957,9 +959,13 @@ FOOTPRINT_CONFIGS = {
     "classical_bk": {"ladder": {"ns": [16, 32], "replications": 2}},
     "kernel_eval": {"kind": "swanson", "kernel_nodes": [[1, 2]]},
 }
-# the studies whose pool tasks evaluate the normal CDF; the normal quantile
-# is computed in-repo, so the rate studies need no scipy.special
+# the studies that evaluate the normal CDF, and so load scipy.special before
+# their pool starts: kernel_validation's parent evaluates it at the x nodes,
+# lil_trace's tasks do; the normal quantile is computed in-repo, so the rate
+# studies need no scipy.special
 NORMAL_CDF_STUDIES = {"kernel_validation", "lil_trace"}
+# the studies that run no worker pool
+POOLLESS_STUDIES = {"fbm_gen", "kernel_eval"}
 
 
 def _fresh_python(*args: str) -> dict:
@@ -976,29 +982,52 @@ def _fresh_python(*args: str) -> dict:
 
 class TestImportFootprint:
     def test_marked_studies(self):
+        # every study has a tiny config, and the marked sets name studies
         assert set(FOOTPRINT_CONFIGS) == set(STUDIES)
-        assert {s for s, spec in STUDIES.items()
-                if spec.normal_cdf} == NORMAL_CDF_STUDIES
+        assert NORMAL_CDF_STUDIES | POOLLESS_STUDIES <= set(STUDIES)
 
     @pytest.mark.parametrize("study", sorted(STUDIES))
-    def test_scipy_special_loads_at_parse_for_marked_studies(self, tmp_path,
-                                                             study):
-        # the runner's import loads no scipy.special; parse_config loads it
-        # for a marked study, before any pool exists, and no run of an
-        # unmarked study ever loads it
+    def test_scipy_special_loaded_before_the_pool(self, tmp_path, study):
+        # neither the runner's import nor parse_config loads scipy.special;
+        # a study in NORMAL_CDF_STUDIES has loaded it when its pool starts,
+        # so forked workers inherit it, and no run of another study loads it
         conf = {"study": study, "threads": 1, "out_dir": str(tmp_path / "out"),
                 **FOOTPRINT_CONFIGS[study]}
-        steps = _fresh_python(_SPECIAL_SCRIPT, json.dumps(conf), "keep")
+        steps = _fresh_python(_SPECIAL_SCRIPT, json.dumps(conf))
         marked = study in NORMAL_CDF_STUDIES
-        assert steps == {"import": False, "parse": marked, "run": marked}
+        want = {"import": False, "parse": False, "run": marked}
+        if study not in POOLLESS_STUDIES:
+            want["pool"] = marked
+        assert steps == want
 
     @pytest.mark.parametrize("study", sorted(NORMAL_CDF_STUDIES))
-    def test_marked_studies_evaluate_the_normal_cdf(self, tmp_path, study):
-        # without its mark, the run itself loads scipy.special
+    def test_marked_studies_evaluate_the_normal_cdf(self, tmp_path,
+                                                    monkeypatch, study):
+        # kernel_validation evaluates it in the parent, at its x nodes, and
+        # not in its tasks; lil_trace's tasks evaluate it
+        calls = {"parent": 0, "tasks": 0, "after": 0}
+        where = ["parent"]
+        cdf, run_tasks = analytic.std_normal_cdf, experiments._run_tasks
+
+        def counted_cdf(x):
+            calls[where[0]] += 1
+            return cdf(x)
+
+        def entered(worker, tasks, workers):
+            where[0] = "tasks"
+            try:
+                return run_tasks(worker, tasks, workers)
+            finally:
+                where[0] = "after"
+
+        monkeypatch.setattr(analytic, "std_normal_cdf", counted_cdf)
+        monkeypatch.setattr(experiments, "_run_tasks", entered)
         conf = {"study": study, "threads": 1, "out_dir": str(tmp_path / "out"),
                 **FOOTPRINT_CONFIGS[study]}
-        steps = _fresh_python(_SPECIAL_SCRIPT, json.dumps(conf), "unmark")
-        assert steps == {"import": False, "parse": False, "run": True}
+        run_study(parse_config(json.dumps(conf)))
+        in_parent = study == "kernel_validation"
+        assert (calls["parent"] > 0, calls["tasks"] > 0) == (in_parent,
+                                                            not in_parent)
 
     def test_scipy_integrate_loads_only_for_the_bivariate_cdf(self, tmp_path):
         report = _fresh_python(_FOOTPRINT_SCRIPT, str(tmp_path))
