@@ -20,6 +20,7 @@ fitting the exact rate sequence itself (see ``loglog_fit``).
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -173,12 +174,18 @@ def _run_tasks(worker, tasks: list, workers: int) -> list:
     """Map worker over tasks, preserving order; results never depend on pool size.
 
     The pool never has more processes than there are CPUs this process
-    may use.
+    may use.  It forks its workers where the platform can, whatever the
+    interpreter's default start method, so they inherit the modules this
+    process has loaded instead of importing them again.
     """
     workers = min(workers, usable_cpus())
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        context = (multiprocessing.get_context("fork")
+                   if "fork" in multiprocessing.get_all_start_methods()
+                   else None)
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=context) as pool:
             return list(pool.map(worker, tasks, chunksize=chunk))
     return [worker(t) for t in tasks]
 

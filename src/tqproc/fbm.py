@@ -374,24 +374,27 @@ def _check_grid(grid: GridSpec, sampler_id: str) -> None:
                           f"sampler's limit of {MAX_CHOLESKY_POINTS}")
 
 
-def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
-    """Estimated peak bytes of an n-path ensemble on ``grid`` and its sort.
+def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str,
+                   sort: bool = True) -> int:
+    """Estimated peak bytes of an n-path ensemble on ``grid``, and of its
+    column sort unless ``sort`` is false.
 
-    Counts ``values`` and ``sorted_values`` (2·n·M·8 bytes) and what the
-    sampler holds besides: for the circulant sampler one row block's
-    complex spectrum, which the noise is drawn into, its FFT and the
-    cumsum of its n_inc increments (rows·(2·16·m + 8·n_inc) bytes; the
-    spectrum and cumsum buffers stay with the thread for its next
-    ensemble); for the Cholesky sampler all n rows of noise and the
-    M²·8-byte factor.
+    Counts ``values`` (n·M·8 bytes), with ``sort`` as many again for
+    ``sorted_values``, and what the sampler holds besides: for the
+    circulant sampler one row block's complex spectrum, which the noise is
+    drawn into, its FFT and the cumsum of its n_inc increments
+    (rows·(2·16·m + 8·n_inc) bytes; the spectrum and cumsum buffers stay
+    with the thread for its next ensemble); for the Cholesky sampler all n
+    rows of noise and the M²·8-byte factor.
     """
     _check_grid(grid, sampler_id)
     M = grid.M
+    held = 8 * (1 + sort) * n * M
     if sampler_id == "cholesky":
-        return 8 * (2 * n * M + n * M + M * M)
+        return held + 8 * (n * M + M * M)
     m = _embedding_size(grid)
     n_inc = int(grid.lattice_indices()[-1])
-    return 8 * 2 * n * M + _block_rows(n, m) * (2 * 16 * m + 8 * n_inc)
+    return held + _block_rows(n, m) * (2 * 16 * m + 8 * n_inc)
 
 
 _SAMPLERS = {"cholesky": _cholesky_matrix, "circulant": _circulant_matrix}

@@ -134,9 +134,9 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
     return nodes
 
 
-# The most one ensemble may take (values, their column sort and the
-# synthesis buffers; see fbm.ensemble_bytes), which bounds what each worker
-# holds at a time.  A fixed bound, not a config key.
+# The most one ensemble may take (values, their column sort where the study
+# sorts, and the synthesis buffers; see fbm.ensemble_bytes), which bounds
+# what each worker holds at a time.  A fixed bound, not a config key.
 WORKER_BYTES_BUDGET = 2 << 30
 # The most tasks one run may have (replications times ladder sizes, or R):
 # the parent process holds every task and every result at once.  Also a
@@ -158,7 +158,7 @@ def _check_tasks(cfg: RunConfig, spec: Study) -> None:
     if spec.grid is not None:
         grid, key = spec.grid(cfg)
         try:
-            need = ensemble_bytes(n, grid, cfg.sampler_id)
+            need = ensemble_bytes(n, grid, cfg.sampler_id, sort=spec.sorts)
         except DomainError as exc:
             raise ConfigError(f"{key} {exc}") from None
         what = f"{n} paths ({n_key}) on {grid.M} grid points ({key})"
@@ -497,14 +497,17 @@ class Study:
     files ``write`` creates, which a run will not overwrite unforced.
     ``grid`` maps a config of a study that samples ensembles to the grid
     its workers sample on, built by the function the study itself calls,
-    and to the config key that sets that grid.  Whatever a study's workers
-    import, the study loads before its pool starts (see
-    ``tqproc.analytic``), so the runner loads no study's modules.
+    and to the config key that sets that grid; ``sorts`` says whether its
+    workers sort the ensemble's columns, which the memory guard counts.
+    Whatever a study's workers import, the study loads before its pool
+    starts (see ``tqproc.analytic``), so the runner loads no study's
+    modules.
     """
     keys: tuple[str, ...]
     defaults: dict
     function: str | None = None
     grid: Callable[[RunConfig], tuple[GridSpec, str]] | None = None
+    sorts: bool = True
     write: Callable = _write_result
     outputs: tuple[str, ...] = ("result.json", "summary.csv")
     T_floor: float = 0.0   # T must exceed it (or reach it, if T_floor_closed)
@@ -559,7 +562,8 @@ STUDIES = {
         n_floor=experiments.CLASSICAL_MIN_N),
     "fbm_gen": Study(
         keys=("n", "H", "T", "M_t", "sampler_id", "master_seed"),
-        defaults={"n": 100}, grid=_ladder_grid, write=_write_ensemble,
+        defaults={"n": 100}, grid=_ladder_grid, sorts=False,
+        write=_write_ensemble,
         outputs=("ensemble.csv", "ensemble.manifest.json")),
     "kernel_eval": Study(
         keys=("kind", "kernel_nodes", "H"), defaults={"kind": "swanson"},
@@ -568,7 +572,7 @@ STUDIES = {
         function="tail_fit_study",
         keys=("levels_y", "H", "T", "n", "M_t", "sampler_id", "master_seed"),
         defaults={"T": 1.0, "n": 100_000, "levels_y": [1.5, 2.0, 2.5, 3.0]},
-        grid=_ladder_grid),
+        grid=_ladder_grid, sorts=False),
 }
 
 

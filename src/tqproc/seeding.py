@@ -22,27 +22,32 @@ increment 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 and
 
 Each stream is a PCG64 generator (O'Neill 2014) keyed by four SplitMix64
 words of its seed: state ``w0:w1`` and increment ``w2:w3 | 1`` (high:low
-64-bit halves).  Rather than build numpy's ``bg.state`` dict per path, the
-words of all seeds are mixed as one ``(n, 4)`` array and each row is copied
-into the bit generator through its public ``bg.ctypes.state_address``.
-That is what numpy's own ``pcg64_set_state`` does, so the streams are bit
-for bit those of the ``bg.state`` setter, at about half the cost per path.
-The word order of the 128-bit halves depends on how numpy was compiled; a
-probe writes a known vector once per process and reads it back through
-``bg.state``.  If neither known order round-trips, the probe raises a
-``RuntimeError`` naming the numpy version rather than draw wrong noise.
+64-bit halves).  ``generator_for`` keys its one stream through numpy's
+public ``bg.state`` setter.  ``normal_matrix`` mixes the words of all seeds
+as one ``(n, 4)`` array and fills each row with one call into
+``random_standard_normal_fill``, the C routine behind
+``Generator.standard_normal``, which numpy exports for C callers.  The call
+gets a copy of a PCG64's ``bitgen_t`` whose state points at that row's
+words, so no Generator is built and no numpy-owned memory is written per
+path.  The routine is loaded through ``ctypes.PyDLL``, so each call holds
+the GIL.  The word order of the 128-bit halves depends on how numpy was
+compiled.  Once per process a probe fills normals from a known vector in
+each known order and compares them bit for bit with a Generator keyed
+through ``bg.state``; if no order matches, it raises a ``RuntimeError``
+naming the numpy version rather than draw wrong noise.  So the streams are
+bit for bit those of the public setter.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import operator
 
 import numpy as np
-# numpy 2 loads these on first use; loaded here, before any pool forks
-import numpy.ctypeslib  # noqa: F401
-import numpy.random  # noqa: F401
+# numpy 2 loads numpy.random on first use; loaded here, before any pool forks
+from numpy.random import _generator
 
 from .errors import DomainError
 
@@ -86,46 +91,111 @@ def derive_seed(master_seed: int, *indices: int | np.ndarray) -> int | np.ndarra
     return s
 
 
-# Where numpy keeps a PCG64 stream: ``bg.ctypes.state_address`` points at its
-# ``pcg64_state``, whose first member points at ``pcg64_random_t {state,
-# inc}``, two 128-bit words.  Each layout numpy can build gives the 64-bit
-# slot of the words (w0, w1, w2, w3) of state = w0:w1 and inc = w2:w3
-# (high:low).
+# How numpy lays out a PCG64 stream: its ``pcg64_state`` points at
+# ``pcg64_random_t {state, inc}``, two 128-bit words.  Each layout numpy can
+# build gives the 64-bit slot of the words (w0, w1, w2, w3) of state = w0:w1
+# and inc = w2:w3 (high:low).
 _LAYOUTS = ((1, 0, 3, 2),  # __uint128_t on a little-endian machine
             (0, 1, 2, 3))  # {high, low} structs, where there is no __uint128_t
 _PROBE = (0x0123456789ABCDEF, 0x1111111111111111, 0x2222222222222223,
           0x3333333333333335)
 
 
-def _state_words(bg) -> np.ndarray:
-    """Writable ``uint64`` view of the four words of ``bg``'s {state, inc}.
+class _PCG64State(ctypes.Structure):
+    """numpy's ``pcg64_state``: where the {state, inc} words are, and the
+    spare half of a 64-bit draw, which normals never use."""
+    _fields_ = [("pcg_state", ctypes.c_void_p), ("has_uint32", ctypes.c_int),
+                ("uinteger", ctypes.c_uint32)]
 
-    The view does not keep ``bg`` alive: use it only while ``bg`` lives.
+
+class _BitGen(ctypes.Structure):
+    """numpy's ``bitgen_t``: a state pointer and the bit generator's draws."""
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
+                ("next_uint32", ctypes.c_void_p),
+                ("next_double", ctypes.c_void_p), ("next_raw", ctypes.c_void_p)]
+
+
+def _bitgen(bg) -> _BitGen:
+    """Bit generator ``bg``'s draws, copied out of its ``bitgen_t`` on no
+    state: a caller points ``state`` at a state of its own."""
+    gen = _BitGen.from_buffer_copy(
+        _BitGen.from_address(bg.ctypes.bit_generator.value))
+    gen.state = None
+    return gen
+
+
+_PCG64_BITGEN = _bitgen(np.random.PCG64(0))
+
+# The C routine behind Generator.standard_normal, which numpy exports for C
+# callers (its _examples/cffi/extending.py calls it the same way).  Loaded
+# through PyDLL, so a call holds the GIL.
+_fill = ctypes.PyDLL(_generator.__file__).random_standard_normal_fill
+_fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+_fill.restype = None
+
+
+def _fill_rows(bitgen: _BitGen, words: np.ndarray, out: np.ndarray) -> None:
+    """Fill row i of ``out`` from the PCG64 stream whose state words are row
+    i of the ``(len(out), 4)`` array ``words``, which the draws advance.
+
+    Each row's draws go through ``_fill`` on a copy of ``bitgen`` whose
+    state is this call's own, so no numpy-owned memory is written and
+    calls in other threads share nothing.
     """
-    ptr = ctypes.c_void_p.from_address(bg.ctypes.state_address).value
-    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(ptr))
+    state = _PCG64State()
+    gen = _BitGen.from_buffer_copy(bitgen)
+    gen.state = ctypes.addressof(state)
+    at, draws = ctypes.addressof(gen), out.shape[1]
+    first = words.ctypes.data
+    for row_words, row in zip(range(first, first + words.nbytes, 32),
+                              itertools.count(out.ctypes.data, out.strides[0])):
+        state.pcg_state = row_words
+        _fill(at, draws, row)
 
 
-def _probe_layout(bg) -> tuple[int, ...]:
-    """The entry of ``_LAYOUTS`` that ``bg`` stores its state in.
+def _keyed(w) -> np.random.Generator:
+    """A Generator on the PCG64 stream with state ``w[0]:w[1]`` and
+    increment ``w[2]:w[3]``, keyed through numpy's public ``bg.state``."""
+    bg = np.random.PCG64()
+    bg.state = {"bit_generator": "PCG64",
+                "state": {"state": (w[0] << 64) | w[1],
+                          "inc": (w[2] << 64) | w[3]},
+                "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bg)
 
-    Writes ``_PROBE`` into the state words and reads it back through numpy's
-    ``bg.state`` getter; raises ``RuntimeError`` if neither layout matches.
+
+def _words(n: int) -> np.ndarray:
+    """An uninitialised ``(n, 4)`` ``uint64`` array on a 16-byte boundary,
+    where a ``__uint128_t`` may sit."""
+    buf = np.empty(4 * n + 2, dtype=np.uint64)
+    skip = buf.ctypes.data % 16 // 8
+    return buf[skip:skip + 4 * n].reshape(n, 4)
+
+
+def _probe_layout(bitgen: _BitGen) -> tuple[int, ...]:
+    """The entry of ``_LAYOUTS`` in which ``_fill_rows`` on ``bitgen`` draws
+    numpy's public PCG64 streams.
+
+    For each layout, fills normals from ``_PROBE`` laid out in memory and
+    compares them bit for bit with ``_keyed`` on the words that layout
+    reads there; raises ``RuntimeError`` if no layout matches.
     """
-    _state_words(bg)[:] = _PROBE
-    got = bg.state["state"]
     for slots in _LAYOUTS:
-        w = [_PROBE[i] for i in slots]
-        if got == {"state": (w[0] << 64) | w[1], "inc": (w[2] << 64) | w[3]}:
+        words, got = _words(1), np.empty((1, 64))
+        words[0] = _PROBE
+        _fill_rows(bitgen, words, got)
+        want = _keyed([_PROBE[i] for i in slots]).standard_normal(64)
+        if got.tobytes() == want.tobytes():
             return slots
-    raise RuntimeError(f"numpy {np.__version__} stores the PCG64 state in "
-                       f"neither known word order; got {got} after writing "
+    raise RuntimeError(f"numpy {np.__version__}: random_standard_normal_fill "
+                       f"draws the PCG64 stream set through bg.state in "
+                       f"neither known word order of "
                        f"{[hex(v) for v in _PROBE]}")
 
 
 @functools.cache
 def _layout() -> tuple[int, ...]:
-    return _probe_layout(np.random.PCG64())
+    return _probe_layout(_PCG64_BITGEN)
 
 
 def _pcg_words(seeds: np.ndarray) -> np.ndarray:
@@ -134,10 +204,10 @@ def _pcg_words(seeds: np.ndarray) -> np.ndarray:
     The 128-bit state and 128-bit (odd) increment are four successive
     SplitMix64 outputs of the seed; distinct increments select distinct PCG
     streams.  Row ``i`` holds them in the bit generator's word order, ready
-    to be copied into ``_state_words``.
+    for ``_fill_rows``.
     """
     slots = _layout()
-    words = np.empty((len(seeds), 4), dtype=np.uint64)
+    words = _words(len(seeds))
     w = seeds
     for slot in slots:
         w = splitmix64(w)
@@ -148,9 +218,13 @@ def _pcg_words(seeds: np.ndarray) -> np.ndarray:
 
 def generator_for(seed: int) -> np.random.Generator:
     """A numpy Generator whose PCG64 stream is determined by ``seed`` alone."""
-    bg = np.random.PCG64()
-    _state_words(bg)[:] = _pcg_words(np.array([seed & _MASK64], dtype=np.uint64))[0]
-    return np.random.Generator(bg)
+    words = []
+    w = seed & _MASK64
+    for _ in range(4):
+        w = splitmix64(w)
+        words.append(w)
+    words[3] |= 1
+    return _keyed(words)
 
 
 def normal_matrix(seeds: np.ndarray, draws: int,
@@ -182,10 +256,5 @@ def normal_matrix(seeds: np.ndarray, draws: int,
             f"({len(seeds)}, {draws}) with contiguous rows; got "
             f"{getattr(out, 'dtype', type(out).__name__)} of shape "
             f"{getattr(out, 'shape', None)}")
-    bg = np.random.PCG64()
-    gen = np.random.Generator(bg)
-    state = _state_words(bg)
-    for row, words in zip(out, _pcg_words(seeds)):
-        state[:] = words
-        gen.standard_normal(out=row)
+    _fill_rows(_PCG64_BITGEN, _pcg_words(seeds), out)
     return out

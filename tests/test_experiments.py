@@ -1,6 +1,7 @@
 """Study harness: regression engine, determinism, and small-scale smoke runs."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ class TestRunTasks:
         sizes = []
 
         class Recorder:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                # the pool forks wherever the platform can, whatever the
+                # default start method; elsewhere it takes the default
+                if "fork" in multiprocessing.get_all_start_methods():
+                    assert mp_context.get_start_method() == "fork"
+                else:
+                    assert mp_context is None
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -54,6 +61,16 @@ class TestRunTasks:
                             lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
         assert experiments.usable_cpus() == 2
+        assert self._pool_sizes(monkeypatch) == [2]
+
+    @pytest.mark.parametrize("methods", [
+        ["fork", "spawn", "forkserver"], ["forkserver", "fork", "spawn"],
+        ["spawn"]], ids=["fork-default", "forkserver-default", "no-fork"])
+    def test_pool_forks_where_it_can(self, monkeypatch, methods):
+        # the recorder checks the start method of every pool made
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: methods)
         assert self._pool_sizes(monkeypatch) == [2]
 
 

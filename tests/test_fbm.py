@@ -10,7 +10,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import types
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -50,24 +49,6 @@ def _seed_array(n: int) -> np.ndarray:
     """The edge seeds, then random ones, cut to length ``n``."""
     rand = np.random.default_rng(11).integers(0, 2**64, size=40, dtype=np.uint64)
     return np.concatenate([np.array(_EDGE_SEEDS, dtype=np.uint64), rand])[:n]
-
-
-class _ScrambledBitGenerator:
-    """Looks like a PCG64 to the layout probe, but reads its state words back
-    in an order numpy never uses."""
-
-    def __init__(self):
-        self.words = (ctypes.c_uint64 * 4)()
-        self.pcg_state = ctypes.c_void_p(ctypes.addressof(self.words))
-        self.ctypes = types.SimpleNamespace(
-            state_address=ctypes.addressof(self.pcg_state))
-
-    @property
-    def state(self) -> dict:
-        w = list(self.words)
-        return {"bit_generator": "PCG64",
-                "state": {"state": (w[2] << 64) | w[0], "inc": (w[3] << 64) | w[1]},
-                "has_uint32": 0, "uinteger": 0}
 
 
 class TestSeeding:
@@ -202,22 +183,62 @@ class TestSeeding:
             "state": {"state": (w0 << 64) | w1, "inc": (w2 << 64) | w3 | 1},
             "has_uint32": 0, "uinteger": 0}
 
-    def test_probe_rejects_unknown_layout(self):
-        fake = _ScrambledBitGenerator()
-        with pytest.raises(RuntimeError, match=f"numpy {np.__version__} .*"
+    def test_probe_rejects_unknown_layout(self, monkeypatch):
+        assert seeding._probe_layout(seeding._PCG64_BITGEN) in seeding._LAYOUTS
+        monkeypatch.setattr(seeding, "_LAYOUTS", ((3, 2, 1, 0), (2, 3, 0, 1)))
+        with pytest.raises(RuntimeError, match=f"^numpy {np.__version__}: .*"
                                                f"neither known word order"):
-            seeding._probe_layout(fake)
-        # the probe wrote its vector into the fake's words, nowhere else
-        assert list(fake.words) == list(seeding._PROBE)
+            seeding._probe_layout(seeding._PCG64_BITGEN)
+
+    def test_probe_rejects_other_draw_functions(self):
+        # PCG64DXSM keeps its stream in the same structs but draws another
+        # one from them: its copied function pointers disagree with PCG64's
+        dxsm = seeding._bitgen(np.random.PCG64DXSM())
+        with pytest.raises(RuntimeError, match=f"^numpy {np.__version__}: .*"
+                                               f"neither known word order"):
+            seeding._probe_layout(dxsm)
+
+    def test_disagreeing_fill_draws_no_noise(self, monkeypatch):
+        calls = []
+
+        def zeros(bitgen, draws, row):
+            calls.append(draws)
+            ctypes.memset(row, 0, 8 * draws)
+        seeding._layout.cache_clear()
+        monkeypatch.setattr(seeding, "_fill", zeros)
+        out = np.full((3, 4), -7.0)
+        try:
+            with pytest.raises(RuntimeError, match=f"^numpy {np.__version__}: "
+                                                   f"random_standard_normal"):
+                normal_matrix(_seed_array(3), 4, out=out)
+        finally:
+            seeding._layout.cache_clear()
+        # the probe filled its own rows, one per layout, and no row of out
+        assert calls == [64] * len(seeding._LAYOUTS)
+        assert np.all(out == -7.0)
 
     def test_unknown_layout_draws_no_noise(self, monkeypatch):
         seeding._layout.cache_clear()
         monkeypatch.setattr(seeding, "_LAYOUTS", ((3, 2, 1, 0),))
+        out = np.full((3, 4), -7.0)
         try:
             with pytest.raises(RuntimeError, match="neither known word order"):
-                normal_matrix(_seed_array(3), 4)
+                normal_matrix(_seed_array(3), 4, out=out)
         finally:
             seeding._layout.cache_clear()
+        assert np.all(out == -7.0)
+
+    def test_fill_leaves_numpy_state_alone(self):
+        # every call points a copy of the template at state of its own
+        template = bytes(seeding._PCG64_BITGEN)
+        normal_matrix(_seed_array(5), 7)
+        assert bytes(seeding._PCG64_BITGEN) == template
+        assert seeding._PCG64_BITGEN.state is None
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_words_sit_on_16_byte_boundaries(self, n):
+        assert seeding._words(n).ctypes.data % 16 == 0
+        assert seeding._words(n).shape == (n, 4)
 
     @pytest.mark.parametrize("seeds, draws, name", [
         (np.zeros((2, 3), dtype=np.uint64), 4, "seeds"),

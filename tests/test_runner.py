@@ -322,12 +322,28 @@ class TestParseConfig:
     @pytest.mark.parametrize("conf, names", [
         ({"study": "bk_rate", "ladder": {"ns": [256, 2**30]}}, "ladder or M_t"),
         ({"study": "swanson", "n": 10**9}, "n or times"),
-        ({"study": "fbm_gen", "M_t": 4096, "n": 30_000,
+        ({"study": "fbm_gen", "M_t": 4096, "n": 40_000,
           "sampler_id": "cholesky"}, "n or M_t"),
     ], ids=["ladder", "swanson-times", "cholesky"])
     def test_oversized_ensemble_names_its_keys(self, conf, names):
         with pytest.raises(ConfigError, match=f"GiB budget; lower {names}$"):
             parse_config(json.dumps(conf))
+
+    def test_tail_fit_budget_counts_no_sort(self):
+        # tail_fit never sorts its ensemble, so the budget admits about twice
+        # the paths of a study that sorts the same ensemble, such as bk_rate
+        grid = experiments.ladder_grid(1.0, 64)
+        block = (ensemble_bytes(2**20, grid, "circulant", sort=False)
+                 - 8 * 2**20 * grid.M)
+        n = (runner.WORKER_BYTES_BUDGET - block) // (8 * grid.M)
+        assert parse_config(json.dumps({"study": "tail_fit", "n": n})).n == n
+        with pytest.raises(ConfigError, match="GiB budget; lower n or M_t$"):
+            parse_config(json.dumps({"study": "tail_fit", "n": n + 1}))
+        assert parse_config(json.dumps(
+            {"study": "bk_rate", "ladder": {"ns": [256, n // 2]}})).ladder.ns[-1] == n // 2
+        with pytest.raises(ConfigError, match="GiB budget; lower ladder or M_t$"):
+            parse_config(json.dumps(
+                {"study": "bk_rate", "ladder": {"ns": [256, n // 2 + 1]}}))
 
     def test_oversized_classical_ladder_rejected_before_allocating(
             self, tmp_path, capsys):
@@ -381,7 +397,7 @@ class TestParseConfig:
         (json.dumps({"study": "kernel_validation", "alpha_nodes": [[BIG, 0.5]]}),
          r"^alpha_nodes holds an integer"),
         (json.dumps({"study": "tail_fit", "n": BIG}),
-         r"\(n\) on 64 grid points \(M_t\) need about 9\.54e\+393 GiB for one "
+         r"\(n\) on 64 grid points \(M_t\) need about 4\.77e\+393 GiB for one "
          r"ensemble, over the 2 GiB budget; lower n or M_t$"),
         (json.dumps({"study": "classical_bk", "ladder": {"ns": [1000, BIG]}}),
          r"uniforms \(ladder\) need about 9\.69e\+392 GiB for one "
@@ -412,7 +428,7 @@ class TestParseConfig:
 
     def test_cholesky_noise_and_factor_count(self):
         # the same ensemble fits when its noise is drawn one row block at a time
-        conf = {"study": "fbm_gen", "M_t": 4096, "n": 30_000}
+        conf = {"study": "fbm_gen", "M_t": 4096, "n": 40_000}
         assert parse_config(json.dumps(conf)).sampler_id == "circulant"
 
     @pytest.mark.parametrize("conf, match", [
@@ -701,7 +717,7 @@ class TestRunStudy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * ensemble_bytes(cfg.n, grid, cfg.sampler_id)
+        assert peak < 2 * ensemble_bytes(cfg.n, grid, cfg.sampler_id, sort=False)
         with (tmp_path / "big" / "ensemble.csv").open() as f:
             assert sum(1 for _ in f) == 1 + 8000 * grid.M
 
