@@ -36,7 +36,7 @@ import numpy.fft  # noqa: F401
 
 from . import analytic
 from .errors import DataError, DomainError, NumericError
-from .seeding import derive_seed, normal_matrix
+from .seeding import ROW_BYTES, derive_seed, normal_matrix
 
 __all__ = [
     "GridSpec",
@@ -380,21 +380,26 @@ def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str,
     column sort unless ``sort`` is false.
 
     Counts ``values`` (n·M·8 bytes), with ``sort`` as many again for
-    ``sorted_values``, and what the sampler holds besides: for the
-    circulant sampler one row block's complex spectrum, which the noise is
-    drawn into, its FFT and the cumsum of its n_inc increments
-    (rows·(2·16·m + 8·n_inc) bytes; the spectrum and cumsum buffers stay
-    with the thread for its next ensemble); for the Cholesky sampler all n
-    rows of noise and the M²·8-byte factor.
+    ``sorted_values``, n·24 bytes for the path seeds (8 bytes each, held
+    while the paths are drawn, and two temporaries as large while they are
+    derived), and what the sampler holds besides.  The circulant sampler
+    holds one row block's complex spectrum, which the noise is drawn into,
+    its FFT and the cumsum of its n_inc increments (rows·(2·16·m + 8·n_inc)
+    bytes; the spectrum and cumsum buffers stay with the thread for its
+    next ensemble).  The Cholesky sampler holds all n rows of noise, their
+    product with the factor and the M²·8-byte factor.  Both hold
+    ``seeding.ROW_BYTES`` of stream state for each row whose noise is drawn
+    at once: a block's rows, or all n.  Every term is counted as if all
+    were held at once.
     """
     _check_grid(grid, sampler_id)
     M = grid.M
-    held = 8 * (1 + sort) * n * M
+    held = 8 * (1 + sort) * n * M + 24 * n
     if sampler_id == "cholesky":
-        return held + 8 * (n * M + M * M)
+        return held + 8 * (2 * n * M + M * M) + ROW_BYTES * n
     m = _embedding_size(grid)
     n_inc = int(grid.lattice_indices()[-1])
-    return held + _block_rows(n, m) * (2 * 16 * m + 8 * n_inc)
+    return held + _block_rows(n, m) * (2 * 16 * m + 8 * n_inc + ROW_BYTES)
 
 
 _SAMPLERS = {"cholesky": _cholesky_matrix, "circulant": _circulant_matrix}

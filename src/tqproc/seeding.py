@@ -6,15 +6,17 @@ index, ...).  Derivation uses the SplitMix64 finalizer, which avalanches
 every input bit into every output bit, so adjacent indices yield
 uncorrelated streams and the result does not depend on scheduling order.
 
-The mixer is written once and works both on Python ints and, elementwise,
-on ``numpy.uint64`` arrays: numpy's unsigned 64-bit multiply and add wrap
-modulo 2**64, which is what the ``& _MASK64`` steps do for Python ints, so
+The mixer works both on Python ints and, elementwise, on ``numpy.uint64``
+arrays: numpy's unsigned 64-bit multiply and add wrap modulo 2**64, which
+is what the ``& _MASK64`` steps do for Python ints, so
 ``derive_seed(s, np.arange(n, dtype=np.uint64))`` equals
 ``[derive_seed(s, i) for i in range(n)]`` bit for bit.  Array indices must
 have dtype ``uint64``: numpy cannot mix a signed array with the 64-bit
 masks, so any other dtype is rejected with a ``DomainError``.  A numpy
 integer scalar or 0-d integer array counts as the Python int it holds,
 since numpy scalar arithmetic warns on the wraparound the masks rely on.
+``_pcg_words`` runs the same steps in place on one ``uint64`` buffer,
+without the masks.
 
 SplitMix64 constants (Steele, Lea & Flood's reference implementation):
 increment 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 and
@@ -26,12 +28,15 @@ words of its seed: state ``w0:w1`` and increment ``w2:w3 | 1`` (high:low
 public ``bg.state`` setter.  ``normal_matrix`` mixes the words of all seeds
 as one ``(n, 4)`` array and fills each row with one call into
 ``random_standard_normal_fill``, the C routine behind
-``Generator.standard_normal``, which numpy exports for C callers.  The call
-gets a copy of a PCG64's ``bitgen_t`` whose state points at that row's
-words, so no Generator is built and no numpy-owned memory is written per
-path.  The routine is loaded through ``ctypes.PyDLL``, so each call holds
-the GIL.  The word order of the 128-bit halves depends on how numpy was
-compiled.  Once per process a probe fills normals from a known vector in
+``Generator.standard_normal``, which numpy exports for C callers.  Each row
+has a ``bitgen_t`` of its own: a copy of a PCG64's whose state points at a
+``pcg64_state`` that points at the row's words.  Both are built as whole
+numpy arrays of the structs, and ``map`` drives the row calls from C, so
+no Generator is built, no struct field is set per row from Python and no
+numpy-owned memory is written.  The routine is loaded through
+``ctypes.PyDLL``, so each call holds the GIL.  The word order of the
+128-bit halves depends on how numpy was compiled.  Once per process a
+probe fills normals through the same row arrays from a known vector in
 each known order and compares them bit for bit with a Generator keyed
 through ``bg.state``; if no order matches, it raises a ``RuntimeError``
 naming the numpy version rather than draw wrong noise.  So the streams are
@@ -40,6 +45,7 @@ bit for bit those of the public setter.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import itertools
@@ -134,23 +140,42 @@ _fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
 _fill.restype = None
 
 
+# The structs as numpy dtypes, so that one call builds the state of every row
+_STATE = np.dtype(_PCG64State)
+_GEN = np.dtype(_BitGen)
+
+
+# Bytes that normal_matrix holds per row at once besides the row itself: its
+# four state words, its pcg64_state and bitgen_t, and one address of 8 bytes
+ROW_BYTES = 32 + _STATE.itemsize + _GEN.itemsize + 8
+
+
+def _addresses(a: np.ndarray) -> np.ndarray:
+    """The address of each row of the C-contiguous array ``a``."""
+    first = a.ctypes.data
+    return np.arange(first, first + a.nbytes, a.strides[0], dtype=np.uint64)
+
+
 def _fill_rows(bitgen: _BitGen, words: np.ndarray, out: np.ndarray) -> None:
     """Fill row i of ``out`` from the PCG64 stream whose state words are row
     i of the ``(len(out), 4)`` array ``words``, which the draws advance.
 
-    Each row's draws go through ``_fill`` on a copy of ``bitgen`` whose
-    state is this call's own, so no numpy-owned memory is written and
-    calls in other threads share nothing.
+    Row i gets a ``pcg64_state`` pointing at its words and a copy of
+    ``bitgen`` pointing at that state, built as two numpy arrays of the
+    structs; ``map`` then drives one ``_fill`` per row from C.  The arrays
+    are this call's own, so no numpy-owned memory is written and calls in
+    other threads share nothing.
     """
-    state = _PCG64State()
-    gen = _BitGen.from_buffer_copy(bitgen)
-    gen.state = ctypes.addressof(state)
-    at, draws = ctypes.addressof(gen), out.shape[1]
-    first = words.ctypes.data
-    for row_words, row in zip(range(first, first + words.nbytes, 32),
-                              itertools.count(out.ctypes.data, out.strides[0])):
-        state.pcg_state = row_words
-        _fill(at, draws, row)
+    n, draws = out.shape
+    states = np.zeros(n, _STATE)
+    states["pcg_state"] = _addresses(words)
+    gens = np.repeat(np.frombuffer(bytes(bitgen), _GEN), n)
+    gens["state"] = _addresses(states)
+    first = gens.ctypes.data
+    collections.deque(map(_fill, range(first, first + gens.nbytes, _GEN.itemsize),
+                          itertools.repeat(ctypes.c_ssize_t(draws)),
+                          itertools.count(out.ctypes.data, out.strides[0])),
+                      maxlen=0)
 
 
 def _keyed(w) -> np.random.Generator:
@@ -208,11 +233,21 @@ def _pcg_words(seeds: np.ndarray) -> np.ndarray:
     """
     slots = _layout()
     words = _words(len(seeds))
-    w = seeds
+    # splitmix64 in place: uint64 ops wrap modulo 2**64 without masks
+    x = seeds.copy()
+    t = np.empty_like(x)
     for slot in slots:
-        w = splitmix64(w)
-        words[:, slot] = w
-    words[:, slots[3]] |= np.uint64(1)
+        x += _GAMMA
+        np.right_shift(x, 30, out=t)
+        x ^= t
+        x *= _MULT1
+        np.right_shift(x, 27, out=t)
+        x ^= t
+        x *= _MULT2
+        np.right_shift(x, 31, out=t)
+        x ^= t
+        words[:, slot] = x
+    words[:, slots[3]] |= 1
     return words
 
 
@@ -237,7 +272,8 @@ def normal_matrix(seeds: np.ndarray, draws: int,
 
     With ``out`` the variates are drawn straight into it and it is returned:
     a writable, aligned ``float64`` array of shape ``(len(seeds), draws)``
-    whose rows are contiguous, such as the first columns of a wider buffer.
+    whose rows are contiguous and do not overlap, such as the first columns
+    of a wider buffer.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.ndim != 1:
@@ -245,16 +281,23 @@ def normal_matrix(seeds: np.ndarray, draws: int,
     draws = operator.index(draws)
     if draws < 0:
         raise DomainError(f"draws must be >= 0; got {draws}")
+    n = len(seeds)
     if out is None:
-        out = np.empty((len(seeds), draws))
+        out = np.empty((n, draws))
     elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
-              and out.shape == (len(seeds), draws)
+              and out.shape == (n, draws)
               and out.flags.writeable and out.flags.aligned
-              and (draws <= 1 or out.strides[1] == out.itemsize)):
+              # an empty out has no rows, whatever its strides
+              and (out.size == 0
+                   or ((draws == 1 or out.strides[1] == out.itemsize)
+                       and (n == 1
+                            or abs(out.strides[0]) >= draws * out.itemsize)))):
         raise DomainError(
             f"out must be a writable float64 array of shape "
-            f"({len(seeds)}, {draws}) with contiguous rows; got "
-            f"{getattr(out, 'dtype', type(out).__name__)} of shape "
-            f"{getattr(out, 'shape', None)}")
-    _fill_rows(_PCG64_BITGEN, _pcg_words(seeds), out)
+            f"({n}, {draws}) with contiguous rows that do not "
+            f"overlap; got {getattr(out, 'dtype', type(out).__name__)} of "
+            f"shape {getattr(out, 'shape', None)} and strides "
+            f"{getattr(out, 'strides', None)}")
+    if out.size:
+        _fill_rows(_PCG64_BITGEN, _pcg_words(seeds), out)
     return out

@@ -166,8 +166,11 @@ class TestSeeding:
         np.empty((4, 8))[:, ::2],
         np.broadcast_to(np.empty(4), (4, 4)),
         [[0.0] * 4] * 4,
+        # writable views whose rows share memory
+        np.lib.stride_tricks.as_strided(np.empty(16), (4, 4), (0, 8)),
+        np.lib.stride_tricks.as_strided(np.empty(16), (4, 4), (8, 8)),
     ], ids=["shape", "column-major", "float32", "complex", "strided-rows",
-            "read-only", "list"])
+            "read-only", "list", "zero-row-stride", "overlapping-rows"])
     def test_normal_matrix_rejects_bad_out(self, out):
         with pytest.raises(DomainError, match="^out must be"):
             normal_matrix(_seed_array(4), 4, out=out)
@@ -198,12 +201,44 @@ class TestSeeding:
                                                f"neither known word order"):
             seeding._probe_layout(dxsm)
 
+    def test_overlap_check_admits_single_and_reversed_rows(self):
+        seeds = _seed_array(4)
+        one = np.lib.stride_tricks.as_strided(np.empty(4), (1, 4), (0, 8))
+        assert normal_matrix(seeds[:1], 4, out=one) is one
+        assert one.tobytes() == _reference_rows(seeds[:1], 4).tobytes()
+        rev = np.empty((4, 4))[::-1]  # a negative row stride
+        assert normal_matrix(seeds, 4, out=rev) is rev
+        assert rev.tobytes() == _reference_rows(seeds, 4).tobytes()
+
+    def test_struct_dtypes_match_structs(self):
+        # the row arrays are laid out as the C structs the fill reads
+        for struct in (seeding._BitGen, seeding._PCG64State):
+            assert np.dtype(struct).itemsize == ctypes.sizeof(struct)
+            assert np.dtype(struct).names == tuple(
+                name for name, _ in struct._fields_)
+
+    @pytest.mark.parametrize("n, draws", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_matrix_makes_no_fill_call(self, n, draws, monkeypatch):
+        calls = []
+        seeding._layout.cache_clear()  # so that a probe would call _fill
+        monkeypatch.setattr(seeding, "_fill", lambda *args: calls.append(args))
+        try:
+            assert normal_matrix(_seed_array(n), draws).shape == (n, draws)
+            out = np.empty((n, draws))
+            assert normal_matrix(_seed_array(n), draws, out=out) is out
+        finally:
+            seeding._layout.cache_clear()
+        assert calls == []
+
     def test_disagreeing_fill_draws_no_noise(self, monkeypatch):
         calls = []
 
         def zeros(bitgen, draws, row):
-            calls.append(draws)
-            ctypes.memset(row, 0, 8 * draws)
+            # one bitgen_t and one row address per call; the draw count
+            # is passed as the one c_ssize_t shared by every call
+            assert isinstance(draws, ctypes.c_ssize_t)
+            calls.append(draws.value)
+            ctypes.memset(row, 0, 8 * draws.value)
         seeding._layout.cache_clear()
         monkeypatch.setattr(seeding, "_fill", zeros)
         out = np.full((3, 4), -7.0)
@@ -681,16 +716,40 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("sampler", ["circulant", "cholesky"])
     def test_ensemble_bytes_bounds_traced_peak(self, sampler):
-        g = GridSpec.uniform_grid(2.0, 64, include_zero=True)
-        make_ensemble(16, g, 0.5, sampler_id=sampler)  # cache spectrum, factor
+        # on few grid points the seeds and the stream state of each row
+        # whose noise is drawn at once outweigh the values
+        for M in (1, 2, 8, 64):
+            g = GridSpec.uniform_grid(2.0, M)
+            for sort in (True, False):
+                # caches the spectrum or factor; its small block leaves the
+                # traced call to allocate a block of its own
+                make_ensemble(16, g, 0.5, sampler_id=sampler)
+                tracemalloc.start()
+                try:
+                    e = make_ensemble(8192, g, 0.5, sampler_id=sampler)
+                    if sort:
+                        e.sorted_values
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                del e
+                need = fbm.ensemble_bytes(8192, g, sampler, sort=sort)
+                assert peak <= need, (M, sort)
+
+    def test_ensemble_bytes_bounds_seed_derivation(self, monkeypatch):
+        # past a few row blocks on one grid point, deriving the path seeds
+        # (24 bytes a path at its peak) holds more than the sampling
+        monkeypatch.setattr(fbm, "_BLOCK_BYTES", 16 * 256)  # 256 rows a block
+        g = GridSpec.uniform_grid(2.0, 1)
+        n = 2**15
         tracemalloc.start()
         try:
-            e = make_ensemble(8192, g, 0.5, sampler_id=sampler)
-            e.sorted_values
+            make_ensemble(n, g, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= fbm.ensemble_bytes(8192, g, sampler)
+        assert peak > 24 * n
+        assert peak <= fbm.ensemble_bytes(n, g, "circulant", sort=False)
 
     def test_writable_values_rejected(self):
         # the cached column sort is only valid while values never change

@@ -331,19 +331,23 @@ class TestParseConfig:
 
     def test_tail_fit_budget_counts_no_sort(self):
         # tail_fit never sorts its ensemble, so the budget admits about twice
-        # the paths of a study that sorts the same ensemble, such as bk_rate
+        # the paths of a study that sorts the same ensemble, such as bk_rate.
+        # Past one row block a path adds its values, its sorted copy unless
+        # the study skips the sort, and 24 bytes of seed
         grid = experiments.ladder_grid(1.0, 64)
         block = (ensemble_bytes(2**20, grid, "circulant", sort=False)
-                 - 8 * 2**20 * grid.M)
-        n = (runner.WORKER_BYTES_BUDGET - block) // (8 * grid.M)
+                 - 2**20 * (8 * grid.M + 24))
+        n = (runner.WORKER_BYTES_BUDGET - block) // (8 * grid.M + 24)
+        n_sorted = (runner.WORKER_BYTES_BUDGET - block) // (16 * grid.M + 24)
+        assert n > 1.9 * n_sorted
         assert parse_config(json.dumps({"study": "tail_fit", "n": n})).n == n
         with pytest.raises(ConfigError, match="GiB budget; lower n or M_t$"):
             parse_config(json.dumps({"study": "tail_fit", "n": n + 1}))
         assert parse_config(json.dumps(
-            {"study": "bk_rate", "ladder": {"ns": [256, n // 2]}})).ladder.ns[-1] == n // 2
+            {"study": "bk_rate", "ladder": {"ns": [256, n_sorted]}})).ladder.ns[-1] == n_sorted
         with pytest.raises(ConfigError, match="GiB budget; lower ladder or M_t$"):
             parse_config(json.dumps(
-                {"study": "bk_rate", "ladder": {"ns": [256, n // 2 + 1]}}))
+                {"study": "bk_rate", "ladder": {"ns": [256, n_sorted + 1]}}))
 
     def test_oversized_classical_ladder_rejected_before_allocating(
             self, tmp_path, capsys):
@@ -397,7 +401,7 @@ class TestParseConfig:
         (json.dumps({"study": "kernel_validation", "alpha_nodes": [[BIG, 0.5]]}),
          r"^alpha_nodes holds an integer"),
         (json.dumps({"study": "tail_fit", "n": BIG}),
-         r"\(n\) on 64 grid points \(M_t\) need about 4\.77e\+393 GiB for one "
+         r"\(n\) on 64 grid points \(M_t\) need about 4\.99e\+393 GiB for one "
          r"ensemble, over the 2 GiB budget; lower n or M_t$"),
         (json.dumps({"study": "classical_bk", "ladder": {"ns": [1000, BIG]}}),
          r"uniforms \(ladder\) need about 9\.69e\+392 GiB for one "
