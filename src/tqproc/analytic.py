@@ -23,6 +23,7 @@ it there.  Domain checks are negated comparisons such as
 from __future__ import annotations
 
 import math
+import sys
 import numpy as np
 
 from .errors import DomainError
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 def _check_hurst(H: float) -> float:
@@ -326,8 +328,12 @@ def swanson_kernel(t1: float, t2: float) -> float:
         raise DomainError(f"times must be nonnegative; got {t1}, {t2}")
     if t1 == 0.0 or t2 == 0.0:
         return 0.0
-    g = math.sqrt(t1 * t2)
-    return g * math.asin(min(t1, t2) / g)
+    prod = t1 * t2
+    # where t1 t2 underflows or overflows, take the roots apart; the
+    # arcsine's argument may then round above 1
+    g = (math.sqrt(prod) if _FLOAT_MIN <= prod < math.inf
+         else math.sqrt(t1) * math.sqrt(t2))
+    return g * math.asin(min(1.0, min(t1, t2) / g))
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,13 @@ def _check_tasks(cfg: RunConfig, spec: Study) -> None:
     n, n_key = ((max(cfg.ladder.ns), "ladder") if cfg.ladder is not None
                 else (cfg.n, "n"))
     if spec.grid is not None:
-        grid, key = spec.grid(cfg)
+        try:
+            grid, key = spec.grid(cfg)
+        except DomainError as exc:
+            # the other grids are built from times parse_config checked, so
+            # only M_t times spread over a T too small to part them collapse
+            raise ConfigError(f"T / M_t {exc}; T={cfg.T!r} is too small "
+                              f"for {cfg.M_t} grid times") from None
         try:
             need = ensemble_bytes(n, grid, cfg.sampler_id, sort=spec.sorts)
         except DomainError as exc:
@@ -238,8 +244,10 @@ def parse_config(text: str) -> RunConfig:
               else v > spec.T_floor,
               f"must {'be >=' if spec.T_floor_closed else 'exceed'} "
               f"{spec.T_floor:g} for study {study!r}")
-    rho = _want(cfg, "rho", float, 0.1, lambda v: 0.0 < v < 0.5,
-                "must lie in (0, 1/2)")
+    # below about 1.1e-16, 1 - rho rounds to 1, which is no quantile level
+    rho = _want(cfg, "rho", float, 0.1,
+                lambda v: 0.0 < v < 0.5 and 1.0 - v < 1.0,
+                "must lie in (0, 1/2) and keep 1 - rho below 1")
     eta = _want(cfg, "eta", float, 0.0,
                 lambda v: 0.0 <= v < 1.0 / (2.0 * H),
                 f"must satisfy 0 <= eta < 1/(2H) = {1.0 / (2.0 * H):.6g}")

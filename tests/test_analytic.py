@@ -341,6 +341,12 @@ class TestLimitKernels:
             math.pi / 3.0, abs=1e-14)
         assert analytic.swanson_kernel(0.0, 3.0) == 0.0
 
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_swanson_homogeneous_where_t1_t2_leaves_float_range(self, c):
+        for t1, t2 in [(1.0, 1.0), (1.0, 4.0), (0.3, 2.9)]:
+            assert analytic.swanson_kernel(c * t1, c * t2) == pytest.approx(
+                c * analytic.swanson_kernel(t1, t2), rel=1e-14)
+
     def test_swanson_median_lil_constant(self):
         # sup over [0, T] of the kernel standard deviation is sqrt(T pi / 2)
         T = 2.0

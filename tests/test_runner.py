@@ -164,8 +164,12 @@ class TestParseConfig:
         ({"study": "tail_fit", "levels_y": [1, 2, math.nan]}, "levels_y"),
         ({"study": "kernel_eval", "kind": "K",
           "kernel_nodes": [[1, 1.5, 2, 0.5]]}, "kernel_nodes"),
+        # 1 - rho rounds to 1, and a grid of 3 times in [0, 5e-324] collapses
+        ({"study": "bk_rate", "rho": 1e-17}, "rho"),
+        ({"study": "fbm_gen", "T": 5e-324, "M_t": 3}, "T"),
     ], ids=["T-inf", "kappa-inf", "x_nodes-nan", "alpha_nodes-range",
-            "times-inf", "levels_y-nan", "kernel_nodes-range"])
+            "times-inf", "levels_y-nan", "kernel_nodes-range", "rho-tiny",
+            "T-collapsed-grid"])
     def test_nonfinite_or_out_of_range_value_rejected(self, conf, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(json.dumps(conf))
@@ -800,6 +804,12 @@ class TestCli:
         out = capsys.readouterr().out.strip().split(",")
         assert out[0] == "weightedK"
         assert float(out[-1]) == pytest.approx(1.0 / 6.0, abs=1e-9)
+
+    def test_kernel_swanson_tiny_times(self, capsys):
+        # t1 * t2 underflows to 0; the kernel is still t * pi / 2
+        assert main(["kernel", "swanson", "1e-200", "1e-200"]) == 0
+        value = float(capsys.readouterr().out.strip().split(",")[-1])
+        assert value == pytest.approx(1e-200 * math.pi / 2.0, rel=1e-15)
 
     def test_kernel_bad_arity(self, capsys):
         assert main(["kernel", "swanson", "1"]) == 1
