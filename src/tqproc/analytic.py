@@ -48,6 +48,10 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
+# logs of the smallest and largest powers the direct fBm correlation forms,
+# a factor e inside the normal range so that a sum of two stays inside
+_LOG_POW_MIN = math.log(_FLOAT_MIN) + 1.0
+_LOG_POW_MAX = math.log(sys.float_info.max) - 1.0
 
 
 def _check_hurst(H: float) -> float:
@@ -220,7 +224,12 @@ def fbm_covariance(s, t, H: float):
 
 
 def fbm_correlation(s: float, t: float, H: float) -> float:
-    """Correlation of (B(s), B(t)), i.e. the covariance over s^H t^H."""
+    """Correlation of (B(s), B(t)), i.e. the covariance over s^H t^H.
+
+    Where min(s, t)^{2H} or max(s, t)^{2H} leaves the normal float range,
+    the same ratio is taken over max^{2H}: with q = min/max it is
+    (1 + q^{2H} - (1-q)^{2H}) / (2 q^H), which holds at any positive times.
+    """
     _check_hurst(H)
     if not (s > 0.0 and t > 0.0):
         raise DomainError(f"correlation needs s, t > 0; got s={s}, t={t}")
@@ -228,7 +237,18 @@ def fbm_correlation(s: float, t: float, H: float) -> float:
         # exactly 1 only on the diagonal; avoids a rounding loss of ~1 ulp
         # that would otherwise dodge the comonotone branch downstream
         return 1.0
-    r = fbm_covariance(s, t, H) / (s**H * t**H)
+    lo, hi = min(s, t), max(s, t)
+    h2 = 2.0 * H
+    if _LOG_POW_MIN <= h2 * math.log(lo) and h2 * math.log(hi) <= _LOG_POW_MAX:
+        r = fbm_covariance(s, t, H) / (s**H * t**H)
+    else:
+        # q^H / 2 + (1 - (1-q)^{2H}) / q * q^{1-H} / 2, with the difference
+        # taken without cancellation and the powers of q through its log,
+        # so that q may underflow; (1 - (1-q)^{2H}) / q tends to 2H
+        q = lo / hi
+        log_q = math.log(q) if q > 0.0 else math.log(lo) - math.log(hi)
+        slope = -math.expm1(h2 * math.log1p(-q)) / q if q > 0.0 else h2
+        r = 0.5 * (math.exp(H * log_q) + slope * math.exp((1.0 - H) * log_q))
     # the exact value is within (-1, 1); guard rounding for downstream arcsin
     return min(1.0, max(-1.0, r))
 
@@ -315,7 +335,10 @@ def quantile_kernel_K(t1: float, alpha1: float, t2: float, alpha2: float,
     z2 = std_normal_quantile(alpha2)
     val = bivariate_normal_cdf(z1, z2, rho) - alpha1 * alpha2
     if weighted:
-        val *= t1**H * t2**H
+        weight = t1**H * t2**H
+        if weight == math.inf:
+            raise DomainError(f"H={H} makes the weight t1^H t2^H overflow")
+        val *= weight
     return val
 
 
@@ -379,11 +402,17 @@ def kernel_eval(kind: str, t1: float, a1: float | None, t2: float,
             raise DomainError("kind G requires x-levels for both nodes")
         val = limit_kernel_G(t1, a1, t2, a2, H)
         if kappa is not None:
+            prod = t1 * t2
             try:
-                val *= math.pow(t1 * t2, kappa)
+                # where t1 t2 underflows or overflows, take the powers apart
+                weight = (math.pow(prod, kappa) if _FLOAT_MIN <= prod < math.inf
+                          else math.pow(t1, kappa) * math.pow(t2, kappa))
             except OverflowError:
+                weight = math.inf
+            if weight == math.inf:
                 raise DomainError(f"kappa={kappa} makes the weight "
-                                  f"(t1 t2)^kappa overflow") from None
+                                  f"(t1 t2)^kappa overflow")
+            val *= weight
     elif kind in ("K", "weightedK"):
         if a1 is None or a2 is None:
             raise DomainError(f"kind {kind} requires quantile levels for both nodes")

@@ -6,19 +6,22 @@ circulant embedding of the stationary increment sequence (uniform lattice
 grids, O(M log M) per path).  Both draw their noise from per-path PCG64
 streams derived from (master_seed, path_index), so an ensemble is a
 deterministic function of its configuration regardless of how generation is
-scheduled.  The circulant sampler synthesizes the paths in row blocks of
-about 1 MB of spectrum each, so beyond the (n, M) result an ensemble needs
-only a few MB of temporaries, whatever n is.  Each block's noise is drawn
-straight into its spectrum buffer, where it is scaled and mirrored in place;
-the cumsum of its FFT is the only other block buffer.  The two buffers are a
-per-thread workspace of one block: each thread keeps those of its last
-block shape and reuses them for every block and ensemble of that shape, so
-a run of like ensembles does not free and fault in fresh pages per task,
-and concurrent threads never share one.  Both samplers return column-major
-values, which the column sort of ``Ensemble.sorted_values`` reads without
-another copy.
+scheduled.  ``make_ensemble`` allocates the column-major (n, M) result,
+zero in the columns of t = 0, and hands it to the sampler, which fills the
+other columns and returns only its warnings; the column sort of
+``Ensemble.sorted_values`` reads it without another copy.  The circulant
+sampler synthesizes the paths in row blocks of about 1 MB of spectrum each,
+so beyond the result an ensemble needs only a few MB of temporaries,
+whatever n is.  Each block's noise is drawn straight into its spectrum
+buffer, where it is scaled and mirrored in place; the cumsum of its FFT is
+the only other block buffer, and one scatter moves its columns into the
+result.  The two buffers are a per-thread workspace of one block: each
+thread keeps those of its last block shape and reuses them for every block
+and ensemble of that shape, so a run of like ensembles does not free and
+fault in fresh pages per task, and concurrent threads never share one.
 
-``_check_grid`` alone decides which grids each sampler takes.
+``_check_grid`` alone decides which grids each sampler takes, and
+``_check_scale`` which grid times a Hurst index leaves in float range.
 
 Path diagnostic: an exponential tail fit of the ensemble supremum.
 """
@@ -95,11 +98,10 @@ class GridSpec:
                    uniform=True, step=float(step))
 
     @classmethod
-    def from_times(cls, times, T: float | None = None) -> "GridSpec":
-        """Build a grid from explicit times, detecting lattice uniformity."""
+    def from_times(cls, times) -> "GridSpec":
+        """Build a grid on [0, max(times)] from explicit times, detecting
+        lattice uniformity."""
         ts = np.asarray(sorted(float(t) for t in times), dtype=float)
-        if T is None:
-            T = float(ts[-1])
         uniform, step = False, 0.0
         if ts.size >= 2:
             # candidate lattice step: the smallest positive gap (including the
@@ -115,7 +117,7 @@ class GridSpec:
                     uniform, step = True, cand
         elif ts.size == 1 and ts[0] > 0.0:
             uniform, step = True, float(ts[0])
-        return cls(times=tuple(ts.tolist()), T=float(T), uniform=uniform,
+        return cls(times=tuple(ts.tolist()), T=float(ts[-1]), uniform=uniform,
                    step=step if uniform else 0.0)
 
     def __getstate__(self) -> dict:
@@ -216,14 +218,13 @@ def _cholesky_factor(grid: GridSpec, H: float) -> tuple[np.ndarray, tuple[str, .
     return L, warns
 
 
-def _cholesky_matrix(grid: GridSpec, H: float,
-                     seeds: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+def _cholesky_matrix(grid: GridSpec, H: float, seeds: np.ndarray,
+                     out: np.ndarray) -> tuple[str, ...]:
     L, warns = _cholesky_factor(grid, H)
     pos_mask = grid.array > 0.0
     noise = normal_matrix(seeds, int(pos_mask.sum()))
-    out = np.zeros((len(seeds), grid.M), order="F")
     out[:, pos_mask] = noise @ L.T
-    return out, warns
+    return warns
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +294,8 @@ def _block_buffers(rows: int, m: int, n_inc: int) -> tuple[np.ndarray, np.ndarra
     return W, csum
 
 
-def _circulant_matrix(grid: GridSpec, H: float,
-                      seeds: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+def _circulant_matrix(grid: GridSpec, H: float, seeds: np.ndarray,
+                      out: np.ndarray) -> tuple[str, ...]:
     idx = grid.lattice_indices()
     n_inc = int(idx[-1])
     n = len(seeds)
@@ -336,25 +337,18 @@ def _circulant_matrix(grid: GridSpec, H: float,
             # (all empty when g = 1)
             np.conjugate(w[:, 1:g], out=w[:, :g:-1])
             return np.fft.fft(w, axis=1).real[:, :n_inc]
-    # column-major, so that each column is sorted and searched contiguously
-    out = np.zeros((n, grid.M), order="F")
+    # Each block's cumsum is summed row-major, then scattered (column j takes
+    # cumsum column idx[j] - 1): accumulating along the rows of the
+    # column-major result directly measured slower.
     pos = idx > 0
     cols = idx[pos] - 1
-    # When the positive times are the whole lattice 1..n_inc, as on every
-    # grid from 0, they are the last n_inc columns and take the cumsum as it
-    # is.  It is summed into a row-major buffer first: accumulating along
-    # the rows of the column-major result directly measured slower.
-    full = len(cols) == n_inc
     for lo in range(0, n, rows):
         block = seeds[lo:lo + rows]
         k = len(block)
         normal_matrix(block, m, out=noise[:k])
         c = np.cumsum(increments(k), axis=1, out=csum[:k])
-        if full:
-            out[lo:lo + k, grid.M - n_inc:] = c
-        else:
-            out[lo:lo + k, pos] = c[:, cols]
-    return out, warns
+        out[lo:lo + k, pos] = c[:, cols]
+    return warns
 
 
 # ---------------------------------------------------------------------------
@@ -374,32 +368,69 @@ def _check_grid(grid: GridSpec, sampler_id: str) -> None:
                           f"sampler's limit of {MAX_CHOLESKY_POINTS}")
 
 
+_SCALE_LOG2 = 1000.0
+
+
+def _check_scale(grid: GridSpec, H: float) -> None:
+    """Reject a grid on which the variance scale t**(2H) leaves the range
+    2**-1000 .. 2**1000 at some positive time t, or at the lattice step the
+    circulant sampler scales by: normal floats, with room to spare for the
+    covariance and spectrum sums.  The message reads on as in
+    ``_check_grid``."""
+    pos = grid.array[grid.array > 0.0]
+    if pos.size == 0:
+        return
+    # on a lattice the step is the smallest of the scales
+    lo, hi = (grid.step if grid.uniform else float(pos[0])), float(pos[-1])
+    if not (-_SCALE_LOG2 <= 2.0 * H * math.log2(lo)
+            and 2.0 * H * math.log2(hi) <= _SCALE_LOG2):
+        raise DomainError(
+            f"must keep t**(2H) within [2**-{_SCALE_LOG2:g}, "
+            f"2**{_SCALE_LOG2:g}] at H={H} for every grid time and lattice "
+            f"step t; got t from {lo!r} to {hi!r}")
+
+
+# The Python objects and small arrays of one sampler call: about 1.3 KB
+# traced while the noise and its stream state are held
+_CALL_BYTES = 1 << 12
+
+
 def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str,
                    sort: bool = True) -> int:
     """Estimated peak bytes of an n-path ensemble on ``grid``, and of its
     column sort unless ``sort`` is false.
 
-    Counts ``values`` (n·M·8 bytes), with ``sort`` as many again for
-    ``sorted_values``, n·24 bytes for the path seeds (8 bytes each, held
-    while the paths are drawn, and two temporaries as large while they are
-    derived), and what the sampler holds besides.  The circulant sampler
-    holds one row block's complex spectrum, which the noise is drawn into,
-    its FFT and the cumsum of its n_inc increments (rows·(2·16·m + 8·n_inc)
-    bytes; the spectrum and cumsum buffers stay with the thread for its
-    next ensemble).  The Cholesky sampler holds all n rows of noise, their
-    product with the factor and the M²·8-byte factor.  Both hold
-    ``seeding.ROW_BYTES`` of stream state for each row whose noise is drawn
-    at once: a block's rows, or all n.  Every term is counted as if all
-    were held at once.
+    ``values`` takes n·M·8 bytes, and ``sorted_values`` as many again.  The
+    path seeds take 8 bytes each, held while the paths are drawn, and two
+    temporaries as large while they are derived.  Each row whose noise is
+    drawn at once holds ``seeding.ROW_BYTES`` of stream state.
+
+    The circulant sampler holds one row block's complex spectrum, which the
+    noise is drawn into, its FFT and the cumsum of its n_inc increments
+    (rows·(2·16·m + 8·n_inc) bytes; the spectrum and cumsum buffers stay
+    with the thread for its next ensemble).  Its terms are counted as if
+    all were held at once.
+
+    The Cholesky sampler holds the M²·8-byte factor throughout, and its
+    phases are counted apart, since each frees what the next does not
+    need: the seeds derived; ``values``, the seeds and all n rows of noise
+    with their stream state; the same with the noise's product with the
+    factor instead of the stream state; ``values`` and its sort.  Those
+    phases leave no room to spare, so it also counts ``_CALL_BYTES`` for
+    the small objects of the call.
     """
     _check_grid(grid, sampler_id)
     M = grid.M
-    held = 8 * (1 + sort) * n * M + 24 * n
+    values = 8 * n * M
     if sampler_id == "cholesky":
-        return held + 8 * (2 * n * M + M * M) + ROW_BYTES * n
+        drawn = values + 8 * n + values  # values, seeds and the noise
+        return 8 * M * M + _CALL_BYTES + max(
+            24 * n, drawn + max(ROW_BYTES * n, values),
+            2 * values if sort else 0)
     m = _embedding_size(grid)
     n_inc = int(grid.lattice_indices()[-1])
-    return held + _block_rows(n, m) * (2 * 16 * m + 8 * n_inc + ROW_BYTES)
+    return ((1 + sort) * values + 24 * n
+            + _block_rows(n, m) * (2 * 16 * m + 8 * n_inc + ROW_BYTES))
 
 
 _SAMPLERS = {"cholesky": _cholesky_matrix, "circulant": _circulant_matrix}
@@ -422,9 +453,13 @@ def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant
     _check_grid(grid, sampler_id)
     if not 0.0 < H < 1.0:
         raise DomainError(f"Hurst index must satisfy 0 < H < 1; got {H}")
+    _check_scale(grid, H)
     seeds = derive_seed(master_seed, np.arange(n, dtype=np.uint64))
+    # column-major, so that each column is sorted and searched contiguously;
+    # the columns of t = 0 stay zero
+    values = np.zeros((n, grid.M), order="F")
     try:
-        values, warns = _SAMPLERS[sampler_id](grid, H, seeds)
+        warns = _SAMPLERS[sampler_id](grid, H, seeds, values)
     except NumericError as exc:
         raise NumericError(f"{sampler_id} sampler failed for ensemble "
                            f"(n={n}, H={H}): {exc}") from exc

@@ -31,7 +31,7 @@ import scipy
 from . import __version__, analytic, experiments
 from .errors import ConfigError, DataError, DomainError, NumericError
 from .experiments import NLadder
-from .fbm import Ensemble, GridSpec, ensemble_bytes, make_ensemble
+from .fbm import Ensemble, GridSpec, _check_scale, ensemble_bytes, make_ensemble
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run_study",
            "export_ensemble", "main"]
@@ -146,7 +146,7 @@ MAX_TASKS = 100_000
 
 def _check_tasks(cfg: RunConfig, spec: Study) -> None:
     """Reject a study with over ``MAX_TASKS`` tasks, whose worker grid
-    ``fbm`` will not sample, or whose largest task would hold over
+    ``fbm`` will not sample at H, or whose largest task would hold over
     ``WORKER_BYTES_BUDGET``, naming the keys that set them."""
     tasks, r_key = ((cfg.ladder.replications * len(cfg.ladder.ns), "ladder")
                     if cfg.ladder is not None else (cfg.R, "R"))
@@ -163,6 +163,12 @@ def _check_tasks(cfg: RunConfig, spec: Study) -> None:
             # only M_t times spread over a T too small to part them collapse
             raise ConfigError(f"T / M_t {exc}; T={cfg.T!r} is too small "
                               f"for {cfg.M_t} grid times") from None
+        try:
+            # H of a study that does not read it is the 1/2 it samples at
+            _check_scale(grid, cfg.H)
+        except DomainError as exc:
+            # M_t sets how many times a ladder grid has, T where they lie
+            raise ConfigError(f"{'T' if key == 'M_t' else key} {exc}") from None
         try:
             need = ensemble_bytes(n, grid, cfg.sampler_id, sort=spec.sorts)
         except DomainError as exc:
@@ -356,16 +362,11 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+    # a numpy float64 is a float, which json writes as one
     if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+        return repr(float(obj))
     return obj
 
 

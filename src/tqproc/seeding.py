@@ -35,12 +35,12 @@ numpy arrays of the structs, and ``map`` drives the row calls from C, so
 no Generator is built, no struct field is set per row from Python and no
 numpy-owned memory is written.  The routine is loaded through
 ``ctypes.PyDLL``, so each call holds the GIL.  The word order of the
-128-bit halves depends on how numpy was compiled.  Once per process a
-probe fills normals through the same row arrays from a known vector in
-each known order and compares them bit for bit with a Generator keyed
-through ``bg.state``; if no order matches, it raises a ``RuntimeError``
-naming the numpy version rather than draw wrong noise.  So the streams are
-bit for bit those of the public setter.
+128-bit halves depends on how numpy was compiled.  Once per process the
+probe ``_layout`` fills normals through the same row arrays from a known
+vector in each known order and compares them bit for bit with a Generator
+keyed through ``bg.state``; if no order matches, it raises a
+``RuntimeError`` naming the numpy version rather than draw wrong noise.
+So the streams are bit for bit those of the public setter.
 """
 
 from __future__ import annotations
@@ -156,20 +156,20 @@ def _addresses(a: np.ndarray) -> np.ndarray:
     return np.arange(first, first + a.nbytes, a.strides[0], dtype=np.uint64)
 
 
-def _fill_rows(bitgen: _BitGen, words: np.ndarray, out: np.ndarray) -> None:
+def _fill_rows(words: np.ndarray, out: np.ndarray) -> None:
     """Fill row i of ``out`` from the PCG64 stream whose state words are row
     i of the ``(len(out), 4)`` array ``words``, which the draws advance.
 
     Row i gets a ``pcg64_state`` pointing at its words and a copy of
-    ``bitgen`` pointing at that state, built as two numpy arrays of the
-    structs; ``map`` then drives one ``_fill`` per row from C.  The arrays
-    are this call's own, so no numpy-owned memory is written and calls in
-    other threads share nothing.
+    ``_PCG64_BITGEN`` pointing at that state, built as two numpy arrays of
+    the structs; ``map`` then drives one ``_fill`` per row from C.  The
+    arrays are this call's own, so no numpy-owned memory is written and
+    calls in other threads share nothing.
     """
     n, draws = out.shape
     states = np.zeros(n, _STATE)
     states["pcg_state"] = _addresses(words)
-    gens = np.repeat(np.frombuffer(bytes(bitgen), _GEN), n)
+    gens = np.repeat(np.frombuffer(bytes(_PCG64_BITGEN), _GEN), n)
     gens["state"] = _addresses(states)
     first = gens.ctypes.data
     collections.deque(map(_fill, range(first, first + gens.nbytes, _GEN.itemsize),
@@ -197,9 +197,10 @@ def _words(n: int) -> np.ndarray:
     return buf[skip:skip + 4 * n].reshape(n, 4)
 
 
-def _probe_layout(bitgen: _BitGen) -> tuple[int, ...]:
-    """The entry of ``_LAYOUTS`` in which ``_fill_rows`` on ``bitgen`` draws
-    numpy's public PCG64 streams.
+@functools.cache
+def _layout() -> tuple[int, ...]:
+    """The entry of ``_LAYOUTS`` in which ``_fill_rows`` draws numpy's
+    public PCG64 streams, probed once per process.
 
     For each layout, fills normals from ``_PROBE`` laid out in memory and
     compares them bit for bit with ``_keyed`` on the words that layout
@@ -208,7 +209,7 @@ def _probe_layout(bitgen: _BitGen) -> tuple[int, ...]:
     for slots in _LAYOUTS:
         words, got = _words(1), np.empty((1, 64))
         words[0] = _PROBE
-        _fill_rows(bitgen, words, got)
+        _fill_rows(words, got)
         want = _keyed([_PROBE[i] for i in slots]).standard_normal(64)
         if got.tobytes() == want.tobytes():
             return slots
@@ -216,11 +217,6 @@ def _probe_layout(bitgen: _BitGen) -> tuple[int, ...]:
                        f"draws the PCG64 stream set through bg.state in "
                        f"neither known word order of "
                        f"{[hex(v) for v in _PROBE]}")
-
-
-@functools.cache
-def _layout() -> tuple[int, ...]:
-    return _probe_layout(_PCG64_BITGEN)
 
 
 def _pcg_words(seeds: np.ndarray) -> np.ndarray:
@@ -272,8 +268,8 @@ def normal_matrix(seeds: np.ndarray, draws: int,
 
     With ``out`` the variates are drawn straight into it and it is returned:
     a writable, aligned ``float64`` array of shape ``(len(seeds), draws)``
-    whose rows are contiguous and do not overlap, such as the first columns
-    of a wider buffer.
+    whose rows are contiguous and follow one another in memory without
+    overlap, such as the first columns of a wider buffer.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.ndim != 1:
@@ -289,15 +285,15 @@ def normal_matrix(seeds: np.ndarray, draws: int,
               and out.flags.writeable and out.flags.aligned
               # an empty out has no rows, whatever its strides
               and (out.size == 0
-                   or ((draws == 1 or out.strides[1] == out.itemsize)
-                       and (n == 1
-                            or abs(out.strides[0]) >= draws * out.itemsize)))):
+                   or (out.strides[1] == out.itemsize
+                       and out.strides[0] >= draws * out.itemsize))):
         raise DomainError(
             f"out must be a writable float64 array of shape "
-            f"({n}, {draws}) with contiguous rows that do not "
-            f"overlap; got {getattr(out, 'dtype', type(out).__name__)} of "
+            f"({n}, {draws}) with contiguous rows that follow one another "
+            f"without overlap; got "
+            f"{getattr(out, 'dtype', type(out).__name__)} of "
             f"shape {getattr(out, 'shape', None)} and strides "
             f"{getattr(out, 'strides', None)}")
     if out.size:
-        _fill_rows(_PCG64_BITGEN, _pcg_words(seeds), out)
+        _fill_rows(_pcg_words(seeds), out)
     return out

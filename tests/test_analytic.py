@@ -231,6 +231,19 @@ class TestFbmCovariance:
         assert analytic.fbm_correlation(1.0, 2.0, H) == pytest.approx(
             2.0 ** (H - 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    @pytest.mark.parametrize("H", [0.1, 0.5, 0.9])
+    def test_correlation_scale_invariant(self, c, H):
+        # fBm is self-similar; at H 0.9 (c t)^{2H} leaves the float range
+        for s, t in [(1.0, 2.0), (0.3, 5.0), (1.0, 1.001)]:
+            assert analytic.fbm_correlation(c * s, c * t, H) == pytest.approx(
+                analytic.fbm_correlation(s, t, H), rel=1e-12)
+
+    def test_correlation_of_times_whose_ratio_underflows(self):
+        # q = 1e-400: H q^{1-H} + q^H / 2, about 0.9e-40
+        assert analytic.fbm_correlation(1e-200, 1e200, 0.9) == pytest.approx(
+            0.9e-40, rel=1e-9)
+
     def test_correlation_domain(self):
         with pytest.raises(DomainError):
             analytic.fbm_correlation(0.0, 1.0, 0.5)

@@ -141,7 +141,7 @@ class TestSeeding:
             return out
         monkeypatch.setattr(fbm, "_BLOCK_BYTES", 16 * 14 * 7)  # 7 rows a block
         monkeypatch.setattr(fbm, "normal_matrix", recording)
-        fbm._circulant_matrix(g, 0.35, seeds)
+        fbm._circulant_matrix(g, 0.35, seeds, np.zeros((25, g.M), order="F"))
         assert [len(b[0]) for b in blocks] == [7, 7, 7, 4]
         for block_seeds, draws, noise in blocks:
             assert noise.tobytes() == _reference_rows(block_seeds, draws).tobytes()
@@ -158,22 +158,26 @@ class TestSeeding:
         assert out.tobytes() == _reference_rows(seeds, draws).tobytes()
         assert np.all(buf[:, draws:] == -7.0)  # nothing written past a row
 
-    @pytest.mark.parametrize("out", [
-        np.empty((5, 4)),
-        np.empty((4, 4), order="F"),
-        np.empty((4, 4), dtype=np.float32),
-        np.empty((4, 4), dtype=complex),
-        np.empty((4, 8))[:, ::2],
-        np.broadcast_to(np.empty(4), (4, 4)),
-        [[0.0] * 4] * 4,
+    @pytest.mark.parametrize("n, out", [
+        (4, np.empty((5, 4))),
+        (4, np.empty((4, 4), order="F")),
+        (4, np.empty((4, 4), dtype=np.float32)),
+        (4, np.empty((4, 4), dtype=complex)),
+        (4, np.empty((4, 8))[:, ::2]),
+        (4, np.broadcast_to(np.empty(4), (4, 4))),
+        (4, [[0.0] * 4] * 4),
         # writable views whose rows share memory
-        np.lib.stride_tricks.as_strided(np.empty(16), (4, 4), (0, 8)),
-        np.lib.stride_tricks.as_strided(np.empty(16), (4, 4), (8, 8)),
+        (4, np.lib.stride_tricks.as_strided(np.empty(16), (4, 4), (0, 8))),
+        (4, np.lib.stride_tricks.as_strided(np.empty(16), (4, 4), (8, 8))),
+        # layouts no sampler passes: rows in reverse, one row of stride 0
+        (4, np.empty((4, 4))[::-1]),
+        (1, np.lib.stride_tricks.as_strided(np.empty(4), (1, 4), (0, 8))),
     ], ids=["shape", "column-major", "float32", "complex", "strided-rows",
-            "read-only", "list", "zero-row-stride", "overlapping-rows"])
-    def test_normal_matrix_rejects_bad_out(self, out):
+            "read-only", "list", "zero-row-stride", "overlapping-rows",
+            "reversed-rows", "one-row-zero-stride"])
+    def test_normal_matrix_rejects_bad_out(self, n, out):
         with pytest.raises(DomainError, match="^out must be"):
-            normal_matrix(_seed_array(4), 4, out=out)
+            normal_matrix(_seed_array(n), 4, out=out)
 
     @pytest.mark.parametrize("seed", _EDGE_SEEDS)
     def test_written_state_reads_back_as_state_dict(self, seed):
@@ -187,28 +191,28 @@ class TestSeeding:
             "has_uint32": 0, "uinteger": 0}
 
     def test_probe_rejects_unknown_layout(self, monkeypatch):
-        assert seeding._probe_layout(seeding._PCG64_BITGEN) in seeding._LAYOUTS
+        assert seeding._layout() in seeding._LAYOUTS
+        seeding._layout.cache_clear()  # so that the probe runs again
         monkeypatch.setattr(seeding, "_LAYOUTS", ((3, 2, 1, 0), (2, 3, 0, 1)))
-        with pytest.raises(RuntimeError, match=f"^numpy {np.__version__}: .*"
-                                               f"neither known word order"):
-            seeding._probe_layout(seeding._PCG64_BITGEN)
+        try:
+            with pytest.raises(RuntimeError, match=f"^numpy {np.__version__}: "
+                                                   f".*neither known word order"):
+                seeding._layout()
+        finally:
+            seeding._layout.cache_clear()
 
-    def test_probe_rejects_other_draw_functions(self):
+    def test_probe_rejects_other_draw_functions(self, monkeypatch):
         # PCG64DXSM keeps its stream in the same structs but draws another
         # one from them: its copied function pointers disagree with PCG64's
-        dxsm = seeding._bitgen(np.random.PCG64DXSM())
-        with pytest.raises(RuntimeError, match=f"^numpy {np.__version__}: .*"
-                                               f"neither known word order"):
-            seeding._probe_layout(dxsm)
-
-    def test_overlap_check_admits_single_and_reversed_rows(self):
-        seeds = _seed_array(4)
-        one = np.lib.stride_tricks.as_strided(np.empty(4), (1, 4), (0, 8))
-        assert normal_matrix(seeds[:1], 4, out=one) is one
-        assert one.tobytes() == _reference_rows(seeds[:1], 4).tobytes()
-        rev = np.empty((4, 4))[::-1]  # a negative row stride
-        assert normal_matrix(seeds, 4, out=rev) is rev
-        assert rev.tobytes() == _reference_rows(seeds, 4).tobytes()
+        seeding._layout.cache_clear()
+        monkeypatch.setattr(seeding, "_PCG64_BITGEN",
+                            seeding._bitgen(np.random.PCG64DXSM()))
+        try:
+            with pytest.raises(RuntimeError, match=f"^numpy {np.__version__}: "
+                                                   f".*neither known word order"):
+                seeding._layout()
+        finally:
+            seeding._layout.cache_clear()
 
     def test_struct_dtypes_match_structs(self):
         # the row arrays are laid out as the C structs the fill reads
@@ -624,7 +628,8 @@ class TestEnsemble:
         e = make_ensemble(3, g, 0.5, sampler_id="circulant", master_seed=9)
         for i in range(3):
             seed = np.asarray([derive_seed(9, i)], dtype=np.uint64)
-            path, _ = fbm._circulant_matrix(g, 0.5, seed)
+            path = np.zeros((1, g.M), order="F")
+            fbm._circulant_matrix(g, 0.5, seed, path)
             assert np.array_equal(e.values[i], path[0])
 
     def test_bytewise_determinism(self):
@@ -690,8 +695,8 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             sv[0, 0] = 1.0
 
-    # a grid from 0 and one from step (the cumsum fills the last columns as
-    # one slice), and a sparse lattice (the cumsum is gathered)
+    # a grid from 0, one from step and a sparse lattice, which take the
+    # cumsum's columns with and without a gap
     @pytest.mark.parametrize("times", [tuple(np.linspace(0.0, 2.0, 9)),
                                        (0.5, 1.0, 1.5), (1.5, 2.0, 3.5)],
                              ids=["from-zero", "from-step", "sparse"])
@@ -736,6 +741,20 @@ class TestEnsemble:
                 need = fbm.ensemble_bytes(8192, g, sampler, sort=sort)
                 assert peak <= need, (M, sort)
 
+    def test_ensemble_bytes_counts_cholesky_phases(self):
+        # the noise, its product and the sort are not all held at once, so
+        # the estimate stays near the traced peak rather than above its sum
+        g = GridSpec.uniform_grid(2.0, 64)
+        make_ensemble(16, g, 0.5, sampler_id="cholesky")  # caches the factor
+        tracemalloc.start()
+        try:
+            make_ensemble(8192, g, 0.5, sampler_id="cholesky").sorted_values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        need = fbm.ensemble_bytes(8192, g, "cholesky")
+        assert peak <= need <= 1.1 * peak
+
     def test_ensemble_bytes_bounds_seed_derivation(self, monkeypatch):
         # past a few row blocks on one grid point, deriving the path seeds
         # (24 bytes a path at its peak) holds more than the sampling
@@ -757,6 +776,15 @@ class TestEnsemble:
             Ensemble(H=0.5, grid=GridSpec.from_times([1.0]),
                      values=np.zeros((3, 1)), master_seed=0,
                      sampler_id="circulant")
+
+
+    @pytest.mark.parametrize("sampler", ["circulant", "cholesky"])
+    @pytest.mark.parametrize("T", [1e300, 1e-300])
+    def test_variance_scale_out_of_range_rejected(self, sampler, T):
+        # T**1.8 overflows or underflows: inf or all-zero paths at best
+        g = GridSpec.uniform_grid(T, 3, include_zero=True)
+        with pytest.raises(DomainError, match=r"^must keep t\*\*\(2H\)"):
+            make_ensemble(4, g, 0.9, sampler_id=sampler)
 
 
 class TestTailFit:

@@ -167,9 +167,29 @@ class TestParseConfig:
         # 1 - rho rounds to 1, and a grid of 3 times in [0, 5e-324] collapses
         ({"study": "bk_rate", "rho": 1e-17}, "rho"),
         ({"study": "fbm_gen", "T": 5e-324, "M_t": 3}, "T"),
+        # t**(2H) of a grid time leaves the float range
+        ({"study": "fbm_gen", "n": 2, "M_t": 3, "T": 1e300, "H": 0.9},
+         "^T must keep"),
+        ({"study": "fbm_gen", "n": 2, "M_t": 3, "T": 1e300, "H": 0.9,
+          "sampler_id": "cholesky"}, "^T must keep"),
+        ({"study": "fbm_gen", "n": 2, "M_t": 3, "T": 1e-300, "H": 0.9},
+         "^T must keep"),
+        ({"study": "fbm_gen", "n": 2, "M_t": 3, "T": 1e-300, "H": 0.9,
+          "sampler_id": "cholesky"}, "^T must keep"),
+        ({"study": "bk_rate", "T": 1e300, "H": 0.9}, "^T must keep"),
+        ({"study": "weighted_bk_rate", "T": 1e300, "H": 0.9}, "^T must keep"),
+        ({"study": "lil_trace", "T": 1e300, "H": 0.9}, "^T must keep"),
+        ({"study": "tail_fit", "T": 1e300, "H": 0.9}, "^T must keep"),
+        ({"study": "swanson", "times": [1e-320, 1.0]}, "^times must keep"),
+        ({"study": "kernel_validation", "sampler_id": "cholesky", "H": 0.9,
+          "x_nodes": [[1e-200, 0], [1e200, 0]], "alpha_nodes": [[1, 0.5]]},
+         "^x_nodes / alpha_nodes times must keep"),
     ], ids=["T-inf", "kappa-inf", "x_nodes-nan", "alpha_nodes-range",
             "times-inf", "levels_y-nan", "kernel_nodes-range", "rho-tiny",
-            "T-collapsed-grid"])
+            "T-collapsed-grid", "fbm_gen-T-huge", "fbm_gen-T-huge-cholesky",
+            "fbm_gen-T-tiny", "fbm_gen-T-tiny-cholesky", "bk_rate-T-huge",
+            "weighted_bk_rate-T-huge", "lil_trace-T-huge", "tail_fit-T-huge",
+            "swanson-times-tiny", "kernel_validation-node-times"])
     def test_nonfinite_or_out_of_range_value_rejected(self, conf, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(json.dumps(conf))
@@ -609,6 +629,29 @@ class TestStudyGrid:
                             else {cfg.master_seed})
 
 
+    @pytest.mark.parametrize("study, conf", [
+        ("bk_rate", {"T": 1e150, "H": 0.9}),
+        ("bk_rate", {"T": 1e150, "H": 0.9, "sampler_id": "cholesky"}),
+        ("fbm_gen", {"T": 1e-150, "H": 0.9}),
+        ("swanson", {"times": [1e300]}),
+        ("kernel_validation", {"sampler_id": "cholesky", "H": 0.9,
+                               "x_nodes": [[1e-100, 0], [1e100, 0]],
+                               "alpha_nodes": [[1e-100, 0.5], [1e100, 0.5]]}),
+    ], ids=["bk_rate", "bk_rate-cholesky", "fbm_gen", "swanson",
+            "kernel_validation"])
+    def test_extreme_scales_in_range_run(self, tmp_path, study, conf):
+        # far from 1 but with t**(2H) in range: finite numbers, no warning
+        out = tmp_path / study
+        cfg = parse_config(json.dumps({
+            "study": study, "threads": 1, "out_dir": str(out),
+            **TINY_ENSEMBLE_STUDIES[study], **conf}))
+        code, files = run_study(cfg)
+        assert code == 0
+        for name in STUDIES[study].outputs:
+            text = (out / name).read_text()
+            assert "nan" not in text and "inf" not in text, name
+
+
 def _tiny_config_file(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({**TINY_SWANSON, "out_dir": str(tmp_path / name)}))
@@ -811,6 +854,24 @@ class TestCli:
         value = float(capsys.readouterr().out.strip().split(",")[-1])
         assert value == pytest.approx(1e-200 * math.pi / 2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("argv, want", [
+        # far apart the correlation is about 1e-40, so G and K read 0
+        (["K", "1e-200", "0.5", "1e200", "0.5"], 0.0),
+        (["G", "1e-200", "0", "1e200", "0"], 0.0),
+        # the kernel is scale-free: it reads as at (1, 2)
+        (["K", "1e300", "0.5", "2e300", "0.6"],
+         analytic.kernel_eval("K", 1.0, 0.5, 2.0, 0.6, H=0.9)),
+        # at q = t1/t2 near 1e-20 the correlation is q^H / 2 + H q^{1-H}
+        # to double precision, and K at the medians is its arcsine / 2 pi
+        (["K", "1e-320", "0.5", "1e-300", "0.5"],
+         math.asin(0.5 * (1e-320 / 1e-300) ** 0.9
+                   + 0.9 * (1e-320 / 1e-300) ** 0.1) / (2.0 * math.pi)),
+    ], ids=["K-far-apart", "G-far-apart", "K-huge", "K-subnormal"])
+    def test_kernel_extreme_times(self, capsys, argv, want):
+        assert main(["kernel", *argv, "--hurst", "0.9"]) == 0
+        value = float(capsys.readouterr().out.strip().split(",")[-1])
+        assert value == pytest.approx(want, rel=1e-9, abs=1e-15)
+
     def test_kernel_bad_arity(self, capsys):
         assert main(["kernel", "swanson", "1"]) == 1
         assert "error" in capsys.readouterr().err
@@ -827,7 +888,9 @@ class TestCli:
         (["K", "1", "0", "4", "0.5"], "kernel_nodes levels must lie in (0, 1)"),
         (["G", "0", "0", "4", "0"], "kernel_nodes times must be positive"),
         (["G", "1", "0", "4", "0", "--hurst", "1.5"], "H must satisfy 0 < H < 1"),
-    ], ids=["K-level", "G-time", "H-range"])
+        (["weightedK", "1e300", "0.5", "2e300", "0.6", "--hurst", "0.9"],
+         "H=0.9 makes the weight t1^H t2^H overflow"),
+    ], ids=["K-level", "G-time", "H-range", "weightedK-overflow"])
     def test_kernel_checked_as_config(self, capsys, argv, match):
         assert main(["kernel", *argv]) == 1
         captured = capsys.readouterr()
@@ -854,13 +917,19 @@ class TestCli:
     @pytest.mark.parametrize("argv, match", [
         (["G", "1", "0", "4", "0", "--kappa", "1e300"],
          r"kappa=1e\+300 makes the weight \(t1 t2\)\^kappa overflow"),
+        # t1 t2 overflows, or underflows under a negative kappa
+        (["G", "1e300", "0", "2e300", "0", "--hurst", "0.9", "--kappa", "1"],
+         r"kappa=1.0 makes the weight \(t1 t2\)\^kappa overflow"),
+        (["G", "1e-200", "0", "1e-200", "0", "--kappa", "-1"],
+         r"kappa=-1.0 makes the weight \(t1 t2\)\^kappa overflow"),
         (["K", "1", "0.5", "4", "0.5", "--kappa", "0.3"],
          r"kappa weights kind G only; got kind 'K'"),
         (["weightedK", "1", "0.5", "4", "0.5", "--kappa", "0.3"],
          r"kappa weights kind G only; got kind 'weightedK'"),
         (["swanson", "1", "4", "--kappa", "0.3"],
          r"kappa weights kind G only; got kind 'swanson'"),
-    ], ids=["G-overflow", "K", "weightedK", "swanson"])
+    ], ids=["G-overflow", "G-times-overflow", "G-times-underflow", "K",
+            "weightedK", "swanson"])
     def test_kernel_kappa_rejected(self, capsys, argv, match):
         assert main(["kernel", *argv]) == 1
         captured = capsys.readouterr()
