@@ -52,6 +52,9 @@ _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 # a factor e inside the normal range so that a sum of two stays inside
 _LOG_POW_MIN = math.log(_FLOAT_MIN) + 1.0
 _LOG_POW_MAX = math.log(sys.float_info.max) - 1.0
+# below this ratio min/max of two times the direct fBm correlation loses
+# digits to the cancellation 1 - (1-q)^{2H}; the ratio form keeps them
+_DIRECT_Q_MIN = 2.0**-10
 
 
 def _check_hurst(H: float) -> float:
@@ -226,9 +229,11 @@ def fbm_covariance(s, t, H: float):
 def fbm_correlation(s: float, t: float, H: float) -> float:
     """Correlation of (B(s), B(t)), i.e. the covariance over s^H t^H.
 
-    Where min(s, t)^{2H} or max(s, t)^{2H} leaves the normal float range,
-    the same ratio is taken over max^{2H}: with q = min/max it is
-    (1 + q^{2H} - (1-q)^{2H}) / (2 q^H), which holds at any positive times.
+    Where the times are far apart (q = min/max < 2^-10), or min(s, t)^{2H}
+    or max(s, t)^{2H} leaves the normal float range, the same ratio is
+    taken over max^{2H}: (1 + q^{2H} - (1-q)^{2H}) / (2 q^H), which holds at
+    any positive times and keeps the digits the direct form's difference
+    cancels.
     """
     _check_hurst(H)
     if not (s > 0.0 and t > 0.0):
@@ -239,13 +244,14 @@ def fbm_correlation(s: float, t: float, H: float) -> float:
         return 1.0
     lo, hi = min(s, t), max(s, t)
     h2 = 2.0 * H
-    if _LOG_POW_MIN <= h2 * math.log(lo) and h2 * math.log(hi) <= _LOG_POW_MAX:
+    q = lo / hi
+    if (q >= _DIRECT_Q_MIN and _LOG_POW_MIN <= h2 * math.log(lo)
+            and h2 * math.log(hi) <= _LOG_POW_MAX):
         r = fbm_covariance(s, t, H) / (s**H * t**H)
     else:
         # q^H / 2 + (1 - (1-q)^{2H}) / q * q^{1-H} / 2, with the difference
         # taken without cancellation and the powers of q through its log,
         # so that q may underflow; (1 - (1-q)^{2H}) / q tends to 2H
-        q = lo / hi
         log_q = math.log(q) if q > 0.0 else math.log(lo) - math.log(hi)
         slope = -math.expm1(h2 * math.log1p(-q)) / q if q > 0.0 else h2
         r = 0.5 * (math.exp(H * log_q) + slope * math.exp((1.0 - H) * log_q))

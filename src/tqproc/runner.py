@@ -7,12 +7,15 @@ byte-identical ``result.json`` and ``summary.csv`` at any worker count.
 The run manifest additionally records wall-clock timestamps and is the one
 output excluded from the byte-identity contract.
 
+Importing this module loads neither scipy nor argparse: the manifest
+records the version of the scipy a run loaded, or null, and argparse
+loads with the CLI's parser.
+
 Exit codes: 0 success, 1 error, 2 check-mode failure (some pass flag false).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -26,7 +29,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, analytic, experiments
 from .errors import ConfigError, DataError, DomainError, NumericError
@@ -632,11 +634,15 @@ def run_study(cfg: RunConfig, force: bool = False,
         print(f"check failed: {failed}", file=sys.stderr)
         exit_code = 2
 
+    # scipy as the run loaded it; a study that evaluates no normal CDF
+    # never does, and its bits cannot depend on scipy
+    scipy = sys.modules.get("scipy")
     manifest = {
         "config_hash": _config_hash(cfg),
         "version": __version__,
         "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__,
+                     "scipy": scipy.__version__ if scipy else None},
         "peak_rss_mb": _peak_rss_mb(),
         "started_utc": started,
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -693,7 +699,15 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``tqproc`` command line, an ``argparse.ArgumentParser``.
+
+    argparse loads here, so that library callers of ``parse_config`` and
+    ``run_study`` never load it.
+    """
+    import argparse
+    import re
+
     p = argparse.ArgumentParser(
         prog="tqproc",
         description="Monte Carlo laboratory for time-dependent empirical and "
@@ -715,6 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory override (default: $TQPROC_OUT)")
 
     k = sub.add_parser("kernel", help="evaluate a limit kernel at one node pair")
+    # Python 3.11's argparse takes a negative number written with an
+    # exponent, such as -1e-3, for an option; the kernel's numbers may be
+    # negative, so its parser knows them as numbers
+    k._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     k.add_argument("kind", choices=analytic.KERNEL_KINDS)
     k.add_argument("args", nargs="+", help="swanson: t1 t2 | others: t1 a1 t2 a2")
     k.add_argument("--hurst", type=float, default=0.5, help="Hurst index H")

@@ -1,5 +1,6 @@
 """Closed-form analytics: oracles, frozen examples, and invariants."""
 
+import decimal
 import math
 
 import numpy as np
@@ -200,6 +201,14 @@ class TestMarginal:
         assert analytic.true_quantile(0.0, 0.2, 0.7) == 0.0
 
 
+def _correlation_oracle(q: float, H: float) -> float:
+    """fbm_correlation(q, 1, H) in 400-digit decimal arithmetic:
+    (1 + q^{2H} - (1-q)^{2H}) / (2 q^H)."""
+    with decimal.localcontext(decimal.Context(prec=400)):
+        q, h = decimal.Decimal(q), decimal.Decimal(H)
+        return float((1 + q ** (2 * h) - (1 - q) ** (2 * h)) / (2 * q ** h))
+
+
 class TestFbmCovariance:
     def test_brownian_case_is_min(self):
         assert analytic.fbm_covariance(1.0, 2.0, 0.5) == pytest.approx(1.0, abs=1e-15)
@@ -243,6 +252,14 @@ class TestFbmCovariance:
         # q = 1e-400: H q^{1-H} + q^H / 2, about 0.9e-40
         assert analytic.fbm_correlation(1e-200, 1e200, 0.9) == pytest.approx(
             0.9e-40, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [0.5, 0.1, 0.01, 2.0**-10, 2.0**-11, 1e-5,
+                                   1e-12, 1e-20, 1e-100, 1e-300])
+    @pytest.mark.parametrize("H", [0.1, 0.5, 0.9])
+    def test_correlation_matches_decimal_oracle(self, H, q):
+        # far apart, 1 - (1-q)^{2H} cancels in the direct form
+        assert analytic.fbm_correlation(q, 1.0, H) == pytest.approx(
+            _correlation_oracle(q, H), rel=1e-13, abs=0.0)
 
     def test_correlation_domain(self):
         with pytest.raises(DomainError):

@@ -141,6 +141,41 @@ class TestLoglogFit:
 SMALL_LADDER = NLadder(ns=(64, 128, 256), replications=3)
 
 
+class TestMedian:
+    """``experiments._median`` is np.median, bit for bit."""
+
+    # each trial's values: ten decades of both signs, then some replaced by
+    # the specials of its kind
+    KINDS = ((), (0.0, -0.0), (0.0, -0.0, math.inf, -math.inf), (math.nan,),
+             (-0.0, math.inf, math.nan))
+
+    @staticmethod
+    def _assert_same(values):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = float(np.median(values))
+        assert experiments._median(values).hex() == want.hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 100,
+                                   101, 512, 1000, 1001])
+    def test_random_samples(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(40):
+            values = (rng.choice([-1.0, 1.0], n)
+                      * 10.0 ** rng.uniform(-5.0, 5.0, n))
+            kind = self.KINDS[trial % len(self.KINDS)]
+            if kind:
+                where = rng.integers(0, n, rng.integers(1, n // 3 + 2))
+                values[where] = rng.choice(kind, len(where))
+            self._assert_same(values)
+
+    @pytest.mark.parametrize("values", [
+        [-0.0], [-0.0, -0.0], [0.0, -0.0, 1.0], [-5e-324, -5e-324],
+        [1e308, 1e308], [-math.inf, math.inf], [math.inf], [math.nan],
+        [math.nan, 1.0], [2.0, math.nan, 1.0]])
+    def test_edge_cases(self, values):
+        self._assert_same(np.array(values))
+
+
 class TestBkRateStudy:
     def test_smoke_and_determinism(self):
         run = lambda: bk_rate_study(SMALL_LADDER, M_t=16, M_alpha=5, seed=2024)

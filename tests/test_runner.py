@@ -12,6 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+import scipy
 
 import tqproc
 from tqproc import analytic, experiments, runner
@@ -688,9 +689,12 @@ class TestRunStudy:
         manifest = json.loads((out / "manifest.json").read_text())
         assert isinstance(manifest["peak_rss_mb"], float)
         assert manifest["peak_rss_mb"] > 0.0
-        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+        versions = manifest["versions"]
+        assert set(versions) == {"python", "numpy", "scipy"}
+        # scipy is null when the run never loaded it (see TestImportFootprint)
         assert all(isinstance(v, str) and v
-                   for v in manifest["versions"].values())
+                   for v in (versions["python"], versions["numpy"]))
+        assert versions["scipy"] is None or isinstance(versions["scipy"], str)
 
     def test_failed_study_removes_the_out_dir_it_created(self, tmp_path, capsys):
         out = tmp_path / "new" / "out"
@@ -856,21 +860,40 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, want", [
         # far apart the correlation is about 1e-40, so G and K read 0
-        (["K", "1e-200", "0.5", "1e200", "0.5"], 0.0),
-        (["G", "1e-200", "0", "1e200", "0"], 0.0),
+        (["K", "1e-200", "0.5", "1e200", "0.5", "--hurst", "0.9"], 0.0),
+        (["G", "1e-200", "0", "1e200", "0", "--hurst", "0.9"], 0.0),
         # the kernel is scale-free: it reads as at (1, 2)
-        (["K", "1e300", "0.5", "2e300", "0.6"],
+        (["K", "1e300", "0.5", "2e300", "0.6", "--hurst", "0.9"],
          analytic.kernel_eval("K", 1.0, 0.5, 2.0, 0.6, H=0.9)),
         # at q = t1/t2 near 1e-20 the correlation is q^H / 2 + H q^{1-H}
         # to double precision, and K at the medians is its arcsine / 2 pi
-        (["K", "1e-320", "0.5", "1e-300", "0.5"],
+        (["K", "1e-320", "0.5", "1e-300", "0.5", "--hurst", "0.9"],
          math.asin(0.5 * (1e-320 / 1e-300) ** 0.9
                    + 0.9 * (1e-320 / 1e-300) ** 0.1) / (2.0 * math.pi)),
-    ], ids=["K-far-apart", "G-far-apart", "K-huge", "K-subnormal"])
+        # at q = 1e-20 in the normal float range the same holds; the
+        # correlation is 0.009 at H 0.9 and sqrt(q) at H 1/2
+        (["K", "1", "0.5", "1e20", "0.5", "--hurst", "0.9"],
+         math.asin(0.009) / (2.0 * math.pi)),
+        (["K", "1", "0.5", "1e20", "0.5"], math.asin(1e-10) / (2.0 * math.pi)),
+    ], ids=["K-far-apart", "G-far-apart", "K-huge", "K-subnormal",
+            "K-far-normal", "K-far-normal-brownian"])
     def test_kernel_extreme_times(self, capsys, argv, want):
-        assert main(["kernel", *argv, "--hurst", "0.9"]) == 0
+        assert main(["kernel", *argv]) == 0
         value = float(capsys.readouterr().out.strip().split(",")[-1])
         assert value == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("argv, spelled", [
+        (["G", "1", "0.5", "2", "-1e-3"], ["G", "1", "0.5", "2", "-0.001"]),
+        (["G", "1", "0.5", "2", "0", "--kappa", "-1e-3"],
+         ["G", "1", "0.5", "2", "0", "--kappa", "-0.001"]),
+    ], ids=["node", "kappa"])
+    def test_kernel_negative_exponent(self, capsys, argv, spelled):
+        # a negative number written with an exponent is a number, not an
+        # option, and reads as its decimal spelling does
+        assert main(["kernel", *spelled]) == 0
+        row = capsys.readouterr().out
+        assert main(["kernel", *argv]) == 0
+        assert capsys.readouterr().out == row
 
     def test_kernel_bad_arity(self, capsys):
         assert main(["kernel", "swanson", "1"]) == 1
@@ -886,11 +909,14 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, match", [
         (["K", "1", "0", "4", "0.5"], "kernel_nodes levels must lie in (0, 1)"),
+        (["K", "1", "-1e-3", "4", "0.5"],
+         "kernel_nodes levels must lie in (0, 1)"),
         (["G", "0", "0", "4", "0"], "kernel_nodes times must be positive"),
         (["G", "1", "0", "4", "0", "--hurst", "1.5"], "H must satisfy 0 < H < 1"),
         (["weightedK", "1e300", "0.5", "2e300", "0.6", "--hurst", "0.9"],
          "H=0.9 makes the weight t1^H t2^H overflow"),
-    ], ids=["K-level", "G-time", "H-range", "weightedK-overflow"])
+    ], ids=["K-level", "K-level-exponent", "G-time", "H-range",
+            "weightedK-overflow"])
     def test_kernel_checked_as_config(self, capsys, argv, match):
         assert main(["kernel", *argv]) == 1
         captured = capsys.readouterr()
@@ -922,14 +948,16 @@ class TestCli:
          r"kappa=1.0 makes the weight \(t1 t2\)\^kappa overflow"),
         (["G", "1e-200", "0", "1e-200", "0", "--kappa", "-1"],
          r"kappa=-1.0 makes the weight \(t1 t2\)\^kappa overflow"),
+        (["G", "1e-200", "0", "1e-200", "0", "--kappa", "-1e0"],
+         r"kappa=-1.0 makes the weight \(t1 t2\)\^kappa overflow"),
         (["K", "1", "0.5", "4", "0.5", "--kappa", "0.3"],
          r"kappa weights kind G only; got kind 'K'"),
         (["weightedK", "1", "0.5", "4", "0.5", "--kappa", "0.3"],
          r"kappa weights kind G only; got kind 'weightedK'"),
         (["swanson", "1", "4", "--kappa", "0.3"],
          r"kappa weights kind G only; got kind 'swanson'"),
-    ], ids=["G-overflow", "G-times-overflow", "G-times-underflow", "K",
-            "weightedK", "swanson"])
+    ], ids=["G-overflow", "G-times-overflow", "G-times-underflow",
+            "G-times-underflow-exponent", "K", "weightedK", "swanson"])
     def test_kernel_kappa_rejected(self, capsys, argv, match):
         assert main(["kernel", *argv]) == 1
         captured = capsys.readouterr()
@@ -1030,13 +1058,15 @@ print(json.dumps({"studies_loaded": studies_loaded,
 
 
 # Run in a fresh interpreter: import the runner, parse the config in the
-# argument and run it; reports whether scipy.special was loaded after the
-# import, after parse_config, on entry to the study's worker pool
-# (experiments._run_tasks, for a study that has one) and after the run.
+# argument and run it; reports which of the modules a run may do without
+# were loaded after the import, after parse_config, on entry to the study's
+# worker pool (experiments._run_tasks, for a study that has one) and after
+# the run.
 _SPECIAL_SCRIPT = """
 import json, sys
 def loaded():
-    return "scipy.special" in sys.modules
+    return sorted(m for m in ("argparse", "numpy.ma", "scipy", "scipy.special")
+                  if m in sys.modules)
 from tqproc import experiments, runner
 steps = {"import": loaded()}
 run_tasks = experiments._run_tasks
@@ -1087,17 +1117,28 @@ class TestImportFootprint:
 
     @pytest.mark.parametrize("study", sorted(STUDIES))
     def test_scipy_special_loaded_before_the_pool(self, tmp_path, study):
-        # neither the runner's import nor parse_config loads scipy.special;
-        # a study in NORMAL_CDF_STUDIES has loaded it when its pool starts,
-        # so forked workers inherit it, and no run of another study loads it
-        conf = {"study": study, "threads": 1, "out_dir": str(tmp_path / "out"),
+        # neither the runner's import nor parse_config loads scipy.special,
+        # scipy, numpy.ma or argparse; a study in NORMAL_CDF_STUDIES has
+        # loaded scipy.special when its pool starts, so forked workers
+        # inherit it, and no run of another study loads any of them
+        out = tmp_path / "out"
+        conf = {"study": study, "threads": 1, "out_dir": str(out),
                 **FOOTPRINT_CONFIGS[study]}
         steps = _fresh_python(_SPECIAL_SCRIPT, json.dumps(conf))
-        marked = study in NORMAL_CDF_STUDIES
-        want = {"import": False, "parse": False, "run": marked}
+        cdf_steps = {"pool", "run"} if study in NORMAL_CDF_STUDIES else set()
+        want = {"import", "parse", "run"}
         if study not in POOLLESS_STUDIES:
-            want["pool"] = marked
-        assert steps == want
+            want.add("pool")
+        assert set(steps) == want
+        for step, modules in steps.items():
+            if step in cdf_steps:
+                assert "scipy.special" in modules
+            else:
+                assert modules == []
+        # the manifest names the scipy the run loaded, or none
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == (
+            scipy.__version__ if cdf_steps else None)
 
     @pytest.mark.parametrize("study", sorted(NORMAL_CDF_STUDIES))
     def test_marked_studies_evaluate_the_normal_cdf(self, tmp_path,
