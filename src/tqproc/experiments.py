@@ -7,9 +7,13 @@ first (so the pool's last chunks hold the cheapest tasks), and results are
 aggregated in ladder order, so the outcome depends neither on the number of
 workers nor on the dispatch order.
 
-Every study that samples fBm runs each replication as one task,
-``_sampled``: sample the paths, scan the tie bound, reduce to the statistic.
-Only the classical constant, which draws uniforms, has a task of its own.
+Every study that samples fBm and replicates runs each replication as one
+task, ``_sampled``: sample the paths and sort each time's column in place,
+scan the tie bound, reduce to the statistic.  Its reducers read only each
+time's order statistics, so a task holds one (n, M) array.  The classical
+constant, which draws uniforms, has a task of its own, and the tail fit,
+which reads whole paths and has one replication, samples in the calling
+process.
 
 Slope acceptance bands absorb the slowly varying factors multiplying the
 theoretical power laws; at desk-scale sample sizes those factors bias
@@ -30,7 +34,7 @@ import numpy as np
 from . import analytic, empirical
 from .empirical import LevelGrid
 from .errors import DataError, DomainError
-from .fbm import GridSpec, make_ensemble, tail_fit
+from .fbm import GridSpec, make_ensemble, sorted_ensemble, tail_fit
 from .seeding import derive_seed, generator_for
 
 __all__ = [
@@ -235,9 +239,11 @@ def _sampled(task) -> tuple:
     """One replication ``(seed, n, grid, H, sampler_id, ties, reduce, *args)``
     of a study that samples fBm: n paths on ``grid``, the tie bound scanned
     over the positive grid times and the levels ``ties`` (-inf for None)
-    and the statistic ``reduce(ensemble, *args)``, all on one column sort."""
+    and the statistic ``reduce(ensemble, *args)``, all on one column sort
+    made in place: ``reduce`` reads the ensemble's ``sorted_values``, ``n``,
+    ``grid`` and ``H``, never its paths."""
     seed, n, grid, H, sampler_id, ties, reduce, *args = task
-    ens = make_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
+    ens = sorted_ensemble(n, grid, H, sampler_id=sampler_id, master_seed=seed)
     violation = (-math.inf if ties is None
                  else empirical.tie_stats(ens, ties).max_violation)
     return reduce(ens, *args), violation, ens.warnings
@@ -644,11 +650,15 @@ def tail_fit_study(levels_y=(1.5, 2.0, 2.5, 3.0), H: float = 0.5,
                    T: float = 1.0, n: int = 100_000, M_t: int = 64,
                    sampler_id: str = "circulant", seed: int = 0,
                    workers: int = 1) -> StudyResult:
-    """Exponential tail fit of sup_t |B(t)|: P{sup > y} ~ d exp(-c y^2)."""
-    # one replication: its one task runs in this process
-    [[tf]], _, ens_warnings = _replicate(
-        _sampled, seed, (n,), 1,
-        (ladder_grid(T, M_t), H, sampler_id, None, tail_fit, levels_y), workers)
+    """Exponential tail fit of sup_t |B(t)|: P{sup > y} ~ d exp(-c y^2).
+
+    Its one replication runs in this process, whatever ``workers`` is, with
+    the seed and warnings that ``_replicate`` would give it.
+    """
+    ens = make_ensemble(n, ladder_grid(T, M_t), H, sampler_id=sampler_id,
+                        master_seed=derive_seed(seed, n, 0))
+    tf = tail_fit(ens, levels_y)
+    ens_warnings = tuple(sorted(set(ens.warnings)))
     flags = {"c_hat_positive": tf.c_hat > 0.0,
              "r_squared_ok": tf.r_squared >= 0.95}
     warnings = tuple(f"tail level {y} dropped: zero empirical tail probability"

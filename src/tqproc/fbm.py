@@ -6,10 +6,13 @@ circulant embedding of the stationary increment sequence (uniform lattice
 grids, O(M log M) per path).  Both draw their noise from per-path PCG64
 streams derived from (master_seed, path_index), so an ensemble is a
 deterministic function of its configuration regardless of how generation is
-scheduled.  ``make_ensemble`` allocates the column-major (n, M) result,
-zero in the columns of t = 0, and hands it to the sampler, which fills the
-other columns and returns only its warnings; the column sort of
-``Ensemble.sorted_values`` reads it without another copy.  The circulant
+scheduled.  Both constructors share one sampling step, which allocates the
+column-major (n, M) result, zero in the columns of t = 0, and hands it to
+the sampler, which fills the other columns and returns only its warnings.
+``make_ensemble`` keeps that array as the paths, and its
+``Ensemble.sorted_values`` sorts a copy of them.  ``sorted_ensemble`` sorts
+each column in place instead and keeps only that sort, so an ensemble that
+is only reduced through its order statistics holds one array.  The circulant
 sampler synthesizes the paths in row blocks of about 1 MB of spectrum each,
 so beyond the result an ensemble needs only a few MB of temporaries,
 whatever n is.  Each block's noise is drawn straight into its spectrum
@@ -47,6 +50,7 @@ __all__ = [
     "TailFit",
     "ensemble_bytes",
     "make_ensemble",
+    "sorted_ensemble",
     "tail_fit",
 ]
 
@@ -152,38 +156,65 @@ class GridSpec:
         return self._lattice
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Ensemble:
-    """n independent paths sharing one grid and Hurst index.
+    """n independent paths sharing one grid and Hurst index, held in one
+    read-only (n, M) array, which the samplers store column-major.
 
-    ``values`` has shape (n, M); row i is the path generated from the stream
-    seed derive_seed(master_seed, i).  The samplers store it column-major.
-    It must be read-only, since ``sorted_values`` is computed from it once
-    and then kept.
+    ``make_ensemble`` holds the paths: row i of ``values`` is the path
+    generated from the stream seed derive_seed(master_seed, i), and
+    ``sorted_values`` sorts a copy of their columns once and keeps it,
+    which is why ``values`` must be read-only.  ``sorted_ensemble`` holds
+    only that column sort; sorted columns are no paths, so reading its
+    ``values`` raises ``DomainError``.
     """
     H: float
     grid: GridSpec
-    values: np.ndarray
     master_seed: int
     sampler_id: str
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.values.flags.writeable:
+    def __init__(self, H: float, grid: GridSpec, values: np.ndarray,
+                 master_seed: int, sampler_id: str,
+                 warnings: tuple[str, ...] = ()):
+        if values.flags.writeable:
             raise DomainError("ensemble values must be read-only")
+        for name, value in (("H", H), ("grid", grid), ("_array", values),
+                            ("master_seed", master_seed),
+                            ("sampler_id", sampler_id), ("warnings", warnings)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self._array.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The paths, one per row; read-only."""
+        return self._array
 
     @cached_property
     def sorted_values(self) -> np.ndarray:
         """Each column of ``values`` sorted ascending; read-only, sorted once."""
         # column-major: each column is sorted and searched contiguously.  The
         # samplers return column-major values, so this sorts one copy
-        sv = np.sort(np.asfortranarray(self.values), axis=0)
+        sv = np.sort(np.asfortranarray(self._array), axis=0)
         sv.setflags(write=False)
         return sv
+
+
+class _SortedEnsemble(Ensemble):
+    """An ensemble whose one array is its column sort (``sorted_ensemble``)."""
+
+    @property
+    def values(self) -> np.ndarray:
+        raise DomainError("this ensemble holds only its columns sorted in "
+                          "place, not its paths; sample it with "
+                          "make_ensemble to read the paths")
+
+    @property
+    def sorted_values(self) -> np.ndarray:
+        return self._array
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +424,24 @@ def _check_scale(grid: GridSpec, H: float) -> None:
 # The Python objects and small arrays of one sampler call: about 1.3 KB
 # traced while the noise and its stream state are held
 _CALL_BYTES = 1 << 12
+# Arrays of M²·8 bytes held while the Cholesky factor is built.  Traced,
+# the covariance with its temporaries or with the factor peaks at 3, with
+# or without the jitter retry.  LAPACK's work copy is not traced, and the
+# retry factors a jittered copy while it keeps the covariance, so it holds
+# 4: on a 4096-point grid resident memory grew by 3.1 such arrays, and by
+# 4.1 with the retry.
+_FACTORIZATION_ARRAYS = 4
 
 
-def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str,
-                   sort: bool = True) -> int:
-    """Estimated peak bytes of an n-path ensemble on ``grid``, and of its
-    column sort unless ``sort`` is false.
+def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
+    """Estimated peak bytes of an n-path ensemble on ``grid``, from
+    ``make_ensemble`` or ``sorted_ensemble``: either holds one (n, M)
+    array, since the latter sorts the paths in place.
 
-    ``values`` takes n·M·8 bytes, and ``sorted_values`` as many again.  The
-    path seeds take 8 bytes each, held while the paths are drawn, and two
-    temporaries as large while they are derived.  Each row whose noise is
-    drawn at once holds ``seeding.ROW_BYTES`` of stream state.
+    ``values`` takes n·M·8 bytes.  The path seeds take 8 bytes each, held
+    while the paths are drawn, and two temporaries as large while they are
+    derived.  Each row whose noise is drawn at once holds
+    ``seeding.ROW_BYTES`` of stream state.
 
     The circulant sampler holds one row block's complex spectrum, which the
     noise is drawn into, its FFT and the cumsum of its n_inc increments
@@ -411,40 +449,38 @@ def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str,
     with the thread for its next ensemble).  Its terms are counted as if
     all were held at once.
 
-    The Cholesky sampler holds the M²·8-byte factor throughout, and its
-    phases are counted apart, since each frees what the next does not
-    need: the seeds derived; ``values``, the seeds and all n rows of noise
-    with their stream state; the same with the noise's product with the
-    factor instead of the stream state; ``values`` and its sort.  Those
-    phases leave no room to spare, so it also counts ``_CALL_BYTES`` for
-    the small objects of the call.
+    The Cholesky sampler's phases are counted apart, since each frees what
+    the next does not need: the seeds derived, with the M²·8-byte factor
+    that a process keeps once built; ``values`` and the seeds while the
+    factor is built, which holds ``_FACTORIZATION_ARRAYS`` arrays of its
+    size; ``values``, the seeds, the factor and all n rows of noise with
+    their stream state; the same with the noise's product with the factor
+    instead of the stream state.  Those phases leave no room to spare, so
+    it also counts ``_CALL_BYTES`` for the small objects of the call.
     """
     _check_grid(grid, sampler_id)
     M = grid.M
     values = 8 * n * M
     if sampler_id == "cholesky":
+        factor = 8 * M * M
         drawn = values + 8 * n + values  # values, seeds and the noise
-        return 8 * M * M + _CALL_BYTES + max(
-            24 * n, drawn + max(ROW_BYTES * n, values),
-            2 * values if sort else 0)
+        return _CALL_BYTES + max(
+            factor + 24 * n,
+            values + 8 * n + _FACTORIZATION_ARRAYS * factor,
+            factor + drawn + max(ROW_BYTES * n, values))
     m = _embedding_size(grid)
     n_inc = int(grid.lattice_indices()[-1])
-    return ((1 + sort) * values + 24 * n
+    return (values + 24 * n
             + _block_rows(n, m) * (2 * 16 * m + 8 * n_inc + ROW_BYTES))
 
 
 _SAMPLERS = {"cholesky": _cholesky_matrix, "circulant": _circulant_matrix}
 
 
-def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant",
-                  master_seed: int = 0) -> Ensemble:
-    """n mutually independent paths; path i uses seed derive_seed(master_seed, i).
-
-    The per-path streams make the result independent of generation order.
-    With the circulant sampler a prefix of a larger ensemble equals the
-    smaller ensemble bit for bit; the Cholesky sampler multiplies all rows
-    in one BLAS product, so there a prefix agrees only up to rounding.
-    """
+def _sample(n: int, grid: GridSpec, H: float, sampler_id: str,
+            master_seed: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The sampling step of both constructors: n paths as a writable
+    column-major (n, M) array, and the sampler's warnings."""
     if n < 1:
         raise DomainError(f"ensemble size must be >= 1; got {n}")
     if sampler_id not in _SAMPLERS:
@@ -463,10 +499,39 @@ def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant
     except NumericError as exc:
         raise NumericError(f"{sampler_id} sampler failed for ensemble "
                            f"(n={n}, H={H}): {exc}") from exc
+    return values, warns
+
+
+def make_ensemble(n: int, grid: GridSpec, H: float, sampler_id: str = "circulant",
+                  master_seed: int = 0) -> Ensemble:
+    """n mutually independent paths; path i uses seed derive_seed(master_seed, i).
+
+    The per-path streams make the result independent of generation order.
+    With the circulant sampler a prefix of a larger ensemble equals the
+    smaller ensemble bit for bit; the Cholesky sampler multiplies all rows
+    in one BLAS product, so there a prefix agrees only up to rounding.
+    """
+    values, warns = _sample(n, grid, H, sampler_id, master_seed)
     values.setflags(write=False)
     return Ensemble(H=float(H), grid=grid, values=values,
                     master_seed=int(master_seed), sampler_id=sampler_id,
                     warnings=warns)
+
+
+def sorted_ensemble(n: int, grid: GridSpec, H: float,
+                    sampler_id: str = "circulant",
+                    master_seed: int = 0) -> Ensemble:
+    """The ensemble ``make_ensemble`` samples, with each column sorted in
+    place: ``sorted_values`` equals that ensemble's bit for bit, and no
+    copy of the paths is kept, so its ``values`` cannot be read."""
+    values, warns = _sample(n, grid, H, sampler_id, master_seed)
+    # each column of the column-major array is contiguous, so the sort
+    # needs no buffer of the array's size
+    values.sort(axis=0)
+    values.setflags(write=False)
+    return _SortedEnsemble(H=float(H), grid=grid, values=values,
+                           master_seed=int(master_seed),
+                           sampler_id=sampler_id, warnings=warns)
 
 
 # ---------------------------------------------------------------------------

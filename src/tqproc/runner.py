@@ -136,9 +136,9 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
     return nodes
 
 
-# The most one ensemble may take (values, their column sort where the study
-# sorts, and the synthesis buffers; see fbm.ensemble_bytes), which bounds
-# what each worker holds at a time.  A fixed bound, not a config key.
+# The most one ensemble may take (its one (n, M) array and the synthesis
+# buffers; see fbm.ensemble_bytes), which bounds what each worker holds at
+# a time.  A fixed bound, not a config key.
 WORKER_BYTES_BUDGET = 2 << 30
 # The most tasks one run may have (replications times ladder sizes, or R):
 # the parent process holds every task and every result at once.  Also a
@@ -172,7 +172,7 @@ def _check_tasks(cfg: RunConfig, spec: Study) -> None:
             # M_t sets how many times a ladder grid has, T where they lie
             raise ConfigError(f"{'T' if key == 'M_t' else key} {exc}") from None
         try:
-            need = ensemble_bytes(n, grid, cfg.sampler_id, sort=spec.sorts)
+            need = ensemble_bytes(n, grid, cfg.sampler_id)
         except DomainError as exc:
             raise ConfigError(f"{key} {exc}") from None
         what = f"{n} paths ({n_key}) on {grid.M} grid points ({key})"
@@ -409,10 +409,10 @@ def _config_hash(cfg: RunConfig) -> str:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _ensemble_rows(ens: Ensemble) -> Iterator[list]:
+def _ensemble_rows(times: np.ndarray, values: np.ndarray) -> Iterator[list]:
     # the path id and time cells repeat, so each is formatted once
-    ts = [_fmt_cell(t) for t in ens.grid.array.tolist()]
-    for i, row in enumerate(ens.values):
+    ts = [_fmt_cell(t) for t in times.tolist()]
+    for i, row in enumerate(values):
         path_id = _fmt_cell(i)
         for t, v in zip(ts, row.tolist()):
             yield [path_id, t, v]
@@ -425,7 +425,10 @@ def _sidecar(path: Path) -> Path:
 def export_ensemble(ens: Ensemble, path) -> list[str]:
     """Write an ensemble as CSV ``path_id,t,value`` with a JSON manifest."""
     path = Path(path)
-    _write_csv(path, ["path_id", "t", "value"], _ensemble_rows(ens))
+    # the paths are read before the file is opened: an ensemble that holds
+    # only its column sort raises here
+    _write_csv(path, ["path_id", "t", "value"],
+               _ensemble_rows(ens.grid.array, ens.values))
     manifest = {"version": __version__, "H": ens.H,
                 "grid_times": list(ens.grid.times), "T": ens.grid.T,
                 "uniform": ens.grid.uniform, "sampler_id": ens.sampler_id,
@@ -508,8 +511,7 @@ class Study:
     files ``write`` creates, which a run will not overwrite unforced.
     ``grid`` maps a config of a study that samples ensembles to the grid
     its workers sample on, built by the function the study itself calls,
-    and to the config key that sets that grid; ``sorts`` says whether its
-    workers sort the ensemble's columns, which the memory guard counts.
+    and to the config key that sets that grid.
     Whatever a study's workers import, the study loads before its pool
     starts (see ``tqproc.analytic``), so the runner loads no study's
     modules.
@@ -518,7 +520,6 @@ class Study:
     defaults: dict
     function: str | None = None
     grid: Callable[[RunConfig], tuple[GridSpec, str]] | None = None
-    sorts: bool = True
     write: Callable = _write_result
     outputs: tuple[str, ...] = ("result.json", "summary.csv")
     T_floor: float = 0.0   # T must exceed it (or reach it, if T_floor_closed)
@@ -573,7 +574,7 @@ STUDIES = {
         n_floor=experiments.CLASSICAL_MIN_N),
     "fbm_gen": Study(
         keys=("n", "H", "T", "M_t", "sampler_id", "master_seed"),
-        defaults={"n": 100}, grid=_ladder_grid, sorts=False,
+        defaults={"n": 100}, grid=_ladder_grid,
         write=_write_ensemble,
         outputs=("ensemble.csv", "ensemble.manifest.json")),
     "kernel_eval": Study(
@@ -583,17 +584,14 @@ STUDIES = {
         function="tail_fit_study",
         keys=("levels_y", "H", "T", "n", "M_t", "sampler_id", "master_seed"),
         defaults={"T": 1.0, "n": 100_000, "levels_y": [1.5, 2.0, 2.5, 3.0]},
-        grid=_ladder_grid, sorts=False),
+        grid=_ladder_grid),
 }
 
 
-def _peak_rss_mb() -> float:
-    """Peak resident set size so far of this process or of any pool worker
-    it has waited for, in MB (2**20 bytes)."""
-    peak = max(resource.getrusage(who).ru_maxrss
-               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+def _rss_mb(usage) -> float:
+    """A ``resource.getrusage`` peak resident set size in MB (2**20 bytes)."""
     # ru_maxrss is in bytes on macOS and in KiB elsewhere
-    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+    return usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def run_study(cfg: RunConfig, force: bool = False,
@@ -618,6 +616,8 @@ def run_study(cfg: RunConfig, force: bool = False,
             raise ConfigError(
                 f"output file(s) already exist: {existing}; pass --force to overwrite")
 
+    # a pool worker the study waits for adds to the children's usage
+    children_before = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
         written, warnings, pass_flags = spec.write(cfg, out_dir)
     except BaseException:
@@ -637,13 +637,19 @@ def run_study(cfg: RunConfig, force: bool = False,
     # scipy as the run loaded it; a study that evaluates no normal CDF
     # never does, and its bits cannot depend on scipy
     scipy = sys.modules.get("scipy")
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
     manifest = {
         "config_hash": _config_hash(cfg),
         "version": __version__,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__,
                      "scipy": scipy.__version__ if scipy else None},
-        "peak_rss_mb": _peak_rss_mb(),
+        # peaks so far of this process or of any pool worker it has
+        # waited for, and of those workers alone (null if this run had none)
+        "peak_rss_mb": max(_rss_mb(resource.getrusage(resource.RUSAGE_SELF)),
+                           _rss_mb(children)),
+        "worker_peak_rss_mb": (_rss_mb(children)
+                               if children != children_before else None),
         "started_utc": started,
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "master_seed": cfg.master_seed,

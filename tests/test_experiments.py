@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tqproc.experiments import (NLadder, bk_rate_study, classical_bk_study,
                                 kernel_validation_study, lil_trace_study,
                                 loglog_fit, swanson_median_study,
                                 tail_fit_study, weighted_bk_rate_study)
-from tqproc.fbm import GridSpec, make_ensemble
+from tqproc.fbm import GridSpec, ensemble_bytes, make_ensemble, tail_fit
 from tqproc.runner import STUDIES
 from tqproc.seeding import derive_seed
 
@@ -307,6 +308,23 @@ class TestSharedSort:
         assert experiments._sampled(
             (seed, n, grid, 0.5, "circulant", None, size))[1] == -math.inf
 
+    def test_task_holds_one_array(self):
+        # at bk_rate's largest size the task sorts the paths in place and
+        # its reductions stay below the paths' size, so the memory guard's
+        # one-array estimate bounds the whole task
+        n, grid = 8192, experiments.ladder_grid(2.0, 64)
+        levels = LevelGrid.uniform(0.1, 21)
+        task = (derive_seed(1, n, 0), n, grid, 0.5, "circulant", levels,
+                experiments._bk_sup, levels, False, 0.25, 0.0)
+        experiments._sampled((derive_seed(1, 16, 0), 16) + task[2:])  # caches
+        tracemalloc.start()
+        try:
+            experiments._sampled(task)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 8 * n * grid.M < peak <= ensemble_bytes(n, grid, "circulant")
+
 
 def _node_values_reference(ens, x_nodes, alpha_nodes):
     """The retired per-node formulas: F_n counts the paths ``<= x`` in the
@@ -401,9 +419,13 @@ class TestTieScan:
         ties = experiments._node_ties(alpha_nodes)
         assert (ties is None) == (not alpha_nodes)
         for seed in range(4):
-            ens, violation, _ = experiments._sampled(
-                (derive_seed(seed, n, 0), n, grid, H, sampler, ties,
-                 lambda e: e))
+            task_seed = derive_seed(seed, n, 0)
+            _, violation, _ = experiments._sampled(
+                (task_seed, n, grid, H, sampler, ties, lambda e: None))
+            # the task keeps only its column sort: the reference sorts the
+            # same paths, sampled again
+            ens = make_ensemble(n, grid, H, sampler_id=sampler,
+                                master_seed=task_seed)
             want = _tie_scan_reference(ens, alpha_nodes)
             assert violation == want
             assert math.isfinite(want) == bool(alpha_nodes)
@@ -539,6 +561,19 @@ class TestTailFitStudy:
         assert r.pass_flags["c_hat_positive"]
         assert r.pass_flags["r_squared_ok"]
         assert r.per_n[0]["statistic"] == "c_hat"
+
+    def test_one_replication_in_this_process(self, monkeypatch):
+        # the study samples replication 0's seed itself, never through the
+        # pool, and sorts the sampler's warnings as a replicated study does
+        monkeypatch.setattr(experiments, "_run_tasks", None)
+        levels, n, seed = (1.0, 1.5, 2.0, 2.5), 20_000, 29
+        r = tail_fit_study(levels_y=levels, n=n, M_t=32, seed=seed, workers=2)
+        ens = make_ensemble(n, experiments.ladder_grid(1.0, 32), 0.5,
+                            master_seed=derive_seed(seed, n, 0))
+        tf = tail_fit(ens, levels)
+        assert r.tables["c_hat"] == tf.c_hat
+        assert r.tables["tail_probs"] == list(tf.tail_probs)
+        assert r.warnings == tuple(sorted(set(ens.warnings)))
 
 
 class TestDeviationStability:

@@ -19,7 +19,8 @@ import pytest
 
 from tqproc import analytic, fbm, seeding
 from tqproc.errors import DataError, DomainError
-from tqproc.fbm import Ensemble, GridSpec, make_ensemble
+from tqproc.fbm import Ensemble, GridSpec, make_ensemble, sorted_ensemble
+from tqproc.runner import export_ensemble
 from tqproc.seeding import derive_seed, generator_for, normal_matrix, splitmix64
 
 
@@ -722,38 +723,95 @@ class TestEnsemble:
     @pytest.mark.parametrize("sampler", ["circulant", "cholesky"])
     def test_ensemble_bytes_bounds_traced_peak(self, sampler):
         # on few grid points the seeds and the stream state of each row
-        # whose noise is drawn at once outweigh the values
+        # whose noise is drawn at once outweigh the values.  The in-place
+        # sort comes after the sampling, so this bounds make_ensemble too
         for M in (1, 2, 8, 64):
             g = GridSpec.uniform_grid(2.0, M)
-            for sort in (True, False):
-                # caches the spectrum or factor; its small block leaves the
-                # traced call to allocate a block of its own
-                make_ensemble(16, g, 0.5, sampler_id=sampler)
-                tracemalloc.start()
-                try:
-                    e = make_ensemble(8192, g, 0.5, sampler_id=sampler)
-                    if sort:
-                        e.sorted_values
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                del e
-                need = fbm.ensemble_bytes(8192, g, sampler, sort=sort)
-                assert peak <= need, (M, sort)
+            # caches the spectrum or factor; its small block leaves the
+            # traced call to allocate a block of its own
+            make_ensemble(16, g, 0.5, sampler_id=sampler)
+            tracemalloc.start()
+            try:
+                e = sorted_ensemble(8192, g, 0.5, sampler_id=sampler)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del e
+            assert peak <= fbm.ensemble_bytes(8192, g, sampler), M
 
     def test_ensemble_bytes_counts_cholesky_phases(self):
-        # the noise, its product and the sort are not all held at once, so
-        # the estimate stays near the traced peak rather than above its sum
+        # the noise and its product are not both held with the stream state,
+        # so the estimate stays near the traced peak rather than above its sum
         g = GridSpec.uniform_grid(2.0, 64)
         make_ensemble(16, g, 0.5, sampler_id="cholesky")  # caches the factor
         tracemalloc.start()
         try:
-            make_ensemble(8192, g, 0.5, sampler_id="cholesky").sorted_values
+            sorted_ensemble(8192, g, 0.5, sampler_id="cholesky")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         need = fbm.ensemble_bytes(8192, g, "cholesky")
         assert peak <= need <= 1.1 * peak
+
+    # a first call builds the factor: the covariance, its temporaries and
+    # the factor outweigh a few paths, with or without the jitter retry
+    @pytest.mark.parametrize("jitter", [False, True], ids=["plain", "jitter"])
+    @pytest.mark.parametrize("H", [0.5, 0.3])
+    def test_ensemble_bytes_counts_cholesky_factorization(self, monkeypatch,
+                                                          H, jitter):
+        times = np.sort(generator_for(5).uniform(0.01, 1.0, 1024))
+        g = GridSpec.from_times(times)
+        assert not g.uniform
+        if jitter:
+            cholesky = np.linalg.cholesky
+            calls = []
+
+            def fails_once(a):
+                calls.append(a.shape)
+                if len(calls) == 1:
+                    raise np.linalg.LinAlgError("not positive definite")
+                return cholesky(a)
+
+            monkeypatch.setattr(np.linalg, "cholesky", fails_once)
+        fbm._cholesky_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            e = make_ensemble(10, g, H, sampler_id="cholesky")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            fbm._cholesky_factor.cache_clear()
+        assert len(e.warnings) == jitter
+        assert peak > 3 * 8 * g.M**2
+        assert peak <= fbm.ensemble_bytes(10, g, "cholesky")
+
+    @pytest.mark.parametrize("sampler", ["circulant", "cholesky"])
+    def test_sorted_ensemble_equals_sorted_paths(self, sampler):
+        # sorting the column-major paths in place gives the bits of the
+        # sorted copy, the zero column of t = 0 included
+        g = GridSpec.uniform_grid(2.0, 16, include_zero=True)
+        for H in (0.3, 0.5, 0.8):
+            paths = make_ensemble(2000, g, H, sampler_id=sampler, master_seed=9)
+            e = sorted_ensemble(2000, g, H, sampler_id=sampler, master_seed=9)
+            assert isinstance(e, Ensemble)
+            assert (e.H, e.grid, e.n, e.master_seed, e.sampler_id, e.warnings) == (
+                paths.H, paths.grid, paths.n, paths.master_seed,
+                paths.sampler_id, paths.warnings)
+            assert e.sorted_values.tobytes() == paths.sorted_values.tobytes()
+            assert e.sorted_values.flags.f_contiguous
+            with pytest.raises(ValueError):
+                e.sorted_values[0, 0] = 1.0
+
+    def test_sorted_ensemble_hands_out_no_paths(self, tmp_path):
+        g = GridSpec.uniform_grid(1.0, 8, include_zero=True)
+        e = sorted_ensemble(50, g, 0.5, master_seed=2)
+        with pytest.raises(DomainError, match="sorted in place"):
+            e.values
+        with pytest.raises(DomainError, match="sorted in place"):
+            fbm.tail_fit(e, [0.5, 1.0, 1.5])
+        with pytest.raises(DomainError, match="sorted in place"):
+            export_ensemble(e, tmp_path / "e.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_ensemble_bytes_bounds_seed_derivation(self, monkeypatch):
         # past a few row blocks on one grid point, deriving the path seeds
@@ -768,7 +826,7 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert peak > 24 * n
-        assert peak <= fbm.ensemble_bytes(n, g, "circulant", sort=False)
+        assert peak <= fbm.ensemble_bytes(n, g, "circulant")
 
     def test_writable_values_rejected(self):
         # the cached column sort is only valid while values never change

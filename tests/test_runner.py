@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 import tqproc
-from tqproc import analytic, experiments, runner
+from tqproc import analytic, experiments, fbm, runner
 from tqproc.errors import ConfigError, DataError, DomainError
 from tqproc.fbm import MAX_CHOLESKY_POINTS, GridSpec, ensemble_bytes, make_ensemble
 from tqproc.runner import (STUDIES, RunConfig, main, parse_config, run_study,
@@ -354,25 +354,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"GiB budget; lower {names}$"):
             parse_config(json.dumps(conf))
 
-    def test_tail_fit_budget_counts_no_sort(self):
-        # tail_fit never sorts its ensemble, so the budget admits about twice
-        # the paths of a study that sorts the same ensemble, such as bk_rate.
-        # Past one row block a path adds its values, its sorted copy unless
-        # the study skips the sort, and 24 bytes of seed
+    def test_budget_counts_one_array(self):
+        # a study that sorts its paths sorts them in place, so bk_rate admits
+        # the paths tail_fit does on the same 64 grid points, about twice
+        # what a sorted copy would allow.  Past one row block a path adds
+        # its values and 24 bytes of seed
         grid = experiments.ladder_grid(1.0, 64)
-        block = (ensemble_bytes(2**20, grid, "circulant", sort=False)
+        block = (ensemble_bytes(2**20, grid, "circulant")
                  - 2**20 * (8 * grid.M + 24))
         n = (runner.WORKER_BYTES_BUDGET - block) // (8 * grid.M + 24)
-        n_sorted = (runner.WORKER_BYTES_BUDGET - block) // (16 * grid.M + 24)
-        assert n > 1.9 * n_sorted
+        assert n > 1.9 * (runner.WORKER_BYTES_BUDGET - block) // (16 * grid.M + 24)
         assert parse_config(json.dumps({"study": "tail_fit", "n": n})).n == n
         with pytest.raises(ConfigError, match="GiB budget; lower n or M_t$"):
             parse_config(json.dumps({"study": "tail_fit", "n": n + 1}))
         assert parse_config(json.dumps(
-            {"study": "bk_rate", "ladder": {"ns": [256, n_sorted]}})).ladder.ns[-1] == n_sorted
+            {"study": "bk_rate", "ladder": {"ns": [256, n]}})).ladder.ns[-1] == n
         with pytest.raises(ConfigError, match="GiB budget; lower ladder or M_t$"):
             parse_config(json.dumps(
-                {"study": "bk_rate", "ladder": {"ns": [256, n_sorted + 1]}}))
+                {"study": "bk_rate", "ladder": {"ns": [256, n + 1]}}))
 
     def test_oversized_classical_ladder_rejected_before_allocating(
             self, tmp_path, capsys):
@@ -605,16 +604,14 @@ class TestStudyGrid:
     def test_workers_sample_the_checked_grid(self, tmp_path, monkeypatch,
                                              study):
         grids, seeds = [], []
-        for module in (experiments, runner):
-            inner = module.make_ensemble
+        inner = fbm._sample  # the sampling step of every ensemble
 
-            def recording(n, grid, *args, _inner=inner, _module=module,
-                          **kwargs):
-                grids.append(grid)
-                seeds.append((_module, n, kwargs["master_seed"]))
-                return _inner(n, grid, *args, **kwargs)
+        def recording(n, grid, H, sampler_id, master_seed):
+            grids.append(grid)
+            seeds.append((n, master_seed))
+            return inner(n, grid, H, sampler_id, master_seed)
 
-            monkeypatch.setattr(module, "make_ensemble", recording)
+        monkeypatch.setattr(fbm, "_sample", recording)
         cfg = parse_config(json.dumps({
             "study": study, "threads": 1, "out_dir": str(tmp_path / study),
             **TINY_ENSEMBLE_STUDIES[study]}))
@@ -624,10 +621,10 @@ class TestStudyGrid:
         # a study's replication r at size n samples from derive_seed(seed,
         # n, r); fbm_gen samples its one ensemble from the seed itself
         R = cfg.ladder.replications if cfg.ladder else (cfg.R or 1)
-        for module, n, seed in seeds:
-            assert seed in ({derive_seed(cfg.master_seed, n, r)
-                             for r in range(R)} if module is experiments
-                            else {cfg.master_seed})
+        for n, seed in seeds:
+            assert seed in ({cfg.master_seed} if study == "fbm_gen"
+                            else {derive_seed(cfg.master_seed, n, r)
+                                  for r in range(R)})
 
 
     @pytest.mark.parametrize("study, conf", [
@@ -684,11 +681,20 @@ class TestRunStudy:
         header = (out / "summary.csv").read_text().splitlines()[0]
         assert header == "n,mean,median,se,statistic"
 
-    def test_manifest_records_memory_and_versions(self, tmp_path):
+    def test_manifest_records_memory_and_versions(self, tmp_path, monkeypatch):
         _, out = _run_tiny(tmp_path, "m")
         manifest = json.loads((out / "manifest.json").read_text())
         assert isinstance(manifest["peak_rss_mb"], float)
         assert manifest["peak_rss_mb"] > 0.0
+        # one thread runs no pool, so there is no worker peak to report
+        assert manifest["worker_peak_rss_mb"] is None
+        # a pool of two, even where fewer CPUs are usable
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        _, out = _run_tiny(tmp_path, "pool", {"threads": 2})
+        manifest = json.loads((out / "manifest.json").read_text())
+        worker = manifest["worker_peak_rss_mb"]
+        assert isinstance(worker, float)
+        assert 0.0 < worker <= manifest["peak_rss_mb"]
         versions = manifest["versions"]
         assert set(versions) == {"python", "numpy", "scipy"}
         # scipy is null when the run never loaded it (see TestImportFootprint)
@@ -772,7 +778,7 @@ class TestRunStudy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * ensemble_bytes(cfg.n, grid, cfg.sampler_id, sort=False)
+        assert peak < 2 * ensemble_bytes(cfg.n, grid, cfg.sampler_id)
         with (tmp_path / "big" / "ensemble.csv").open() as f:
             assert sum(1 for _ in f) == 1 + 8000 * grid.M
 
@@ -1093,8 +1099,9 @@ FOOTPRINT_CONFIGS = {
 # lil_trace's tasks do; the normal quantile is computed in-repo, so the rate
 # studies need no scipy.special
 NORMAL_CDF_STUDIES = {"kernel_validation", "lil_trace"}
-# the studies that run no worker pool
-POOLLESS_STUDIES = {"fbm_gen", "kernel_eval"}
+# the studies that run no worker pool; tail_fit samples its one
+# replication in the run process
+POOLLESS_STUDIES = {"fbm_gen", "kernel_eval", "tail_fit"}
 
 
 def _fresh_python(*args: str) -> dict:
