@@ -237,11 +237,16 @@ def _cholesky_factor(grid: GridSpec, H: float) -> tuple[np.ndarray, tuple[str, .
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         jitter = _JITTER_REL * pos[-1] ** (2.0 * H)
+        # jittered in place, so no second covariance is held: the bits are
+        # those of cov + jitter * I, whose off-diagonal x + 0.0 is x
+        diag = cov.diagonal().copy()
+        np.fill_diagonal(cov, diag + jitter)
         try:
-            L = np.linalg.cholesky(cov + jitter * np.eye(len(pos)))
+            L = np.linalg.cholesky(cov)
             warns = (f"cholesky: added diagonal jitter {jitter:.3e} to factor "
                      f"the {len(pos)}-point covariance",)
         except np.linalg.LinAlgError:
+            np.fill_diagonal(cov, diag)
             pivot = float(np.linalg.eigvalsh(cov)[0])
             raise NumericError(
                 f"covariance factorization failed beyond jitter tolerance; "
@@ -367,7 +372,8 @@ def _circulant_matrix(grid: GridSpec, H: float, seeds: np.ndarray,
             # frequencies k = 1..g-1 mirror to m-k, from m-1 down to g+1
             # (all empty when g = 1)
             np.conjugate(w[:, 1:g], out=w[:, :g:-1])
-            return np.fft.fft(w, axis=1).real[:, :n_inc]
+            # in place: the next block rewrites all of W before its FFT
+            return np.fft.fft(w, axis=1, out=w).real[:, :n_inc]
     # Each block's cumsum is summed row-major, then scattered (column j takes
     # cumsum column idx[j] - 1): accumulating along the rows of the
     # column-major result directly measured slower.
@@ -425,11 +431,10 @@ def _check_scale(grid: GridSpec, H: float) -> None:
 # traced while the noise and its stream state are held
 _CALL_BYTES = 1 << 12
 # Arrays of M²·8 bytes held while the Cholesky factor is built.  Traced,
-# the covariance with its temporaries or with the factor peaks at 3, with
-# or without the jitter retry.  LAPACK's work copy is not traced, and the
-# retry factors a jittered copy while it keeps the covariance, so it holds
-# 4: on a 4096-point grid resident memory grew by 3.1 such arrays, and by
-# 4.1 with the retry.
+# the covariance with its temporaries or with the factor peaks at 3 and a
+# few M-point vectors, with or without the jitter retry, which jitters the
+# covariance in place.  LAPACK's work copy is not traced: on a 2048-point
+# grid resident memory grew by 3.2 such arrays, with or without the retry.
 _FACTORIZATION_ARRAYS = 4
 
 
@@ -444,10 +449,11 @@ def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
     ``seeding.ROW_BYTES`` of stream state.
 
     The circulant sampler holds one row block's complex spectrum, which the
-    noise is drawn into, its FFT and the cumsum of its n_inc increments
-    (rows·(2·16·m + 8·n_inc) bytes; the spectrum and cumsum buffers stay
-    with the thread for its next ensemble).  Its terms are counted as if
-    all were held at once.
+    noise is drawn into and which is transformed in place, the cumsum of
+    its n_inc increments and the M cumsum columns gathered for the scatter
+    into ``values`` (rows·(16·m + 8·n_inc + 8·M) bytes; the spectrum and
+    cumsum buffers stay with the thread for its next ensemble).  Its terms
+    are counted as if all were held at once.
 
     The Cholesky sampler's phases are counted apart, since each frees what
     the next does not need: the seeds derived, with the M²·8-byte factor
@@ -471,7 +477,7 @@ def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
     m = _embedding_size(grid)
     n_inc = int(grid.lattice_indices()[-1])
     return (values + 24 * n
-            + _block_rows(n, m) * (2 * 16 * m + 8 * n_inc + ROW_BYTES))
+            + _block_rows(n, m) * (16 * m + 8 * n_inc + 8 * M + ROW_BYTES))
 
 
 _SAMPLERS = {"cholesky": _cholesky_matrix, "circulant": _circulant_matrix}

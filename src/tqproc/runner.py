@@ -23,8 +23,10 @@ import os
 import platform
 import resource
 import sys
+import tempfile
 import time
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -384,20 +386,11 @@ def _fmt_cell(v) -> str:
     return "" if v is None else str(v)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    """Write the rows to a temporary file as they come, then move it into
-    place, so a large table is never held whole."""
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as f:
+    """Write the rows as they come, so a large table is never held whole."""
+    with path.open("w") as f:
         f.write(",".join(header) + "\n")
         f.writelines(",".join(map(_fmt_cell, row)) + "\n" for row in rows)
-    os.replace(tmp, path)
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -408,6 +401,22 @@ def _config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def _staged(dest_dir: Path) -> Iterator[Path]:
+    """A new directory inside ``dest_dir`` or its nearest existing ancestor;
+    when the block completes its files move into ``dest_dir`` (made with
+    its parents), ``manifest.json`` last, so a manifest means a complete
+    set.  It is removed either way: a failed block leaves nothing."""
+    base = next(d for d in (dest_dir, *dest_dir.parents) if d.exists())
+    with tempfile.TemporaryDirectory(prefix=".tqproc-staging-",
+                                     dir=base) as staging:
+        yield Path(staging)
+        dest_dir.mkdir(parents=True, exist_ok=True)
+        for f in sorted(Path(staging).iterdir(),
+                        key=lambda f: f.name == "manifest.json"):
+            os.replace(f, dest_dir / f.name)
+
 
 def _ensemble_rows(times: np.ndarray, values: np.ndarray) -> Iterator[list]:
     # the path id and time cells repeat, so each is formatted once
@@ -422,9 +431,8 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.stem + ".manifest.json")
 
 
-def export_ensemble(ens: Ensemble, path) -> list[str]:
-    """Write an ensemble as CSV ``path_id,t,value`` with a JSON manifest."""
-    path = Path(path)
+def _write_ensemble_files(ens: Ensemble, path: Path) -> None:
+    """``export_ensemble``'s CSV and JSON manifest, written at ``path``."""
     # the paths are read before the file is opened: an ensemble that holds
     # only its column sort raises here
     _write_csv(path, ["path_id", "t", "value"],
@@ -434,7 +442,14 @@ def export_ensemble(ens: Ensemble, path) -> list[str]:
                 "uniform": ens.grid.uniform, "sampler_id": ens.sampler_id,
                 "master_seed": ens.master_seed, "n": ens.n,
                 "warnings": list(ens.warnings)}
-    _write_atomic(_sidecar(path), canonical_json(manifest))
+    _sidecar(path).write_text(canonical_json(manifest))
+
+
+def export_ensemble(ens: Ensemble, path) -> list[str]:
+    """Write an ensemble as CSV ``path_id,t,value`` with a JSON manifest."""
+    path = Path(path)
+    with _staged(path.parent) as staging:
+        _write_ensemble_files(ens, staging / path.name)
     return [str(path), str(_sidecar(path))]
 
 
@@ -451,13 +466,12 @@ def _write_result(cfg: RunConfig, out_dir: Path):
     result = getattr(experiments, spec.function)(**kwargs, workers=cfg.threads)
     payload = result.to_dict()
     payload["config_echo"] = _numeric_config(cfg)
-    _write_atomic(out_dir / "result.json", canonical_json(payload))
+    (out_dir / "result.json").write_text(canonical_json(payload))
     _write_csv(out_dir / "summary.csv",
                ["n", "mean", "median", "se", "statistic"],
                [[r["n"], r["mean"], r["median"], r["se"], r["statistic"]]
                 for r in result.per_n])
-    return ([out_dir / "result.json", out_dir / "summary.csv"],
-            list(result.warnings), result.pass_flags)
+    return list(result.warnings), result.pass_flags
 
 
 def _write_ensemble(cfg: RunConfig, out_dir: Path):
@@ -465,8 +479,8 @@ def _write_ensemble(cfg: RunConfig, out_dir: Path):
     grid, _ = STUDIES[cfg.study].grid(cfg)
     ens = make_ensemble(cfg.n, grid, cfg.H, sampler_id=cfg.sampler_id,
                         master_seed=cfg.master_seed)
-    files = export_ensemble(ens, out_dir / "ensemble.csv")
-    return [Path(f) for f in files], list(ens.warnings), {}
+    _write_ensemble_files(ens, out_dir / "ensemble.csv")
+    return list(ens.warnings), {}
 
 
 def _default_kernel_nodes(kind: str) -> list[tuple]:
@@ -493,7 +507,7 @@ def _write_kernels(cfg: RunConfig, out_dir: Path):
     """Evaluate a limit kernel over node pairs; write kernels.csv."""
     _write_csv(out_dir / "kernels.csv",
                ["kind", "t1", "a1", "t2", "a2", "value"], _kernel_rows(cfg))
-    return [out_dir / "kernels.csv"], [], {}
+    return [], {}
 
 
 @dataclass(frozen=True)
@@ -504,11 +518,12 @@ class Study:
     ``threads`` and ``out_dir``; parse_config rejects any other key.
     ``defaults`` override, for this study, the defaults parse_config gives
     every study (a study with a ladder key must give its default ladder).
-    ``write`` runs the study into an output directory and returns (files
-    written, warnings, pass flags); for a Monte Carlo study it calls the
+    ``write`` runs the study into an output directory and returns
+    (warnings, pass flags); for a Monte Carlo study it calls the
     ``tqproc.experiments`` function named by ``function`` with the keys as
     keyword arguments (``master_seed`` as ``seed``).  ``outputs`` are the
-    files ``write`` creates, which a run will not overwrite unforced.
+    files ``write`` creates, as the manifest lists them; unforced, no run
+    overwrites them.
     ``grid`` maps a config of a study that samples ensembles to the grid
     its workers sample on, built by the function the study itself calls,
     and to the config key that sets that grid.
@@ -598,69 +613,53 @@ def run_study(cfg: RunConfig, force: bool = False,
               check: bool = False) -> tuple[int, list[str]]:
     """Execute a configured study and persist its outputs.
 
-    Writes to ``cfg.out_dir``.  Returns (exit_code, written file paths).
-    In check mode the exit code is 2 when any pass flag is false.  Existing
-    output files abort the run unless ``force`` is given.
+    Writes to ``cfg.out_dir``, all files or none.  Returns (exit_code,
+    written file paths).  In check mode the exit code is 2 when any pass
+    flag is false.  Existing output files abort the run unless ``force``.
     """
     spec = STUDIES[cfg.study]
     out_dir = Path(cfg.out_dir)
+    files = [out_dir / name for name in spec.outputs + ("manifest.json",)]
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    # the directories this run creates, deepest first
-    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not force:
-        existing = [str(out_dir / name)
-                    for name in spec.outputs + ("manifest.json",)
-                    if (out_dir / name).exists()]
+        existing = [str(f) for f in files if f.exists()]
         if existing:
             raise ConfigError(
                 f"output file(s) already exist: {existing}; pass --force to overwrite")
 
-    # a pool worker the study waits for adds to the children's usage
-    children_before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    try:
-        written, warnings, pass_flags = spec.write(cfg, out_dir)
-    except BaseException:
-        # a failed study leaves behind no empty directory it created
-        for d in created:
-            try:
-                d.rmdir()
-            except OSError:
-                break
-        raise
-    exit_code = 0
-    if check and not all(pass_flags.values()):
-        failed = sorted(k for k, v in pass_flags.items() if not v)
+    with _staged(out_dir) as staging:
+        # a pool worker the study waits for adds to the children's usage
+        children_before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        warnings, pass_flags = spec.write(cfg, staging)
+        # scipy as the run loaded it; a study that evaluates no normal CDF
+        # never does, and its bits cannot depend on scipy
+        scipy = sys.modules.get("scipy")
+        children = resource.getrusage(resource.RUSAGE_CHILDREN)
+        manifest = {
+            "config_hash": _config_hash(cfg),
+            "version": __version__,
+            "versions": {"python": platform.python_version(),
+                         "numpy": np.__version__,
+                         "scipy": scipy.__version__ if scipy else None},
+            # peaks so far of this process or of any pool worker it has
+            # waited for, and of those workers alone (null if it had none)
+            "peak_rss_mb": max(_rss_mb(resource.getrusage(resource.RUSAGE_SELF)),
+                               _rss_mb(children)),
+            "worker_peak_rss_mb": (_rss_mb(children)
+                                   if children != children_before else None),
+            "started_utc": started,
+            "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "master_seed": cfg.master_seed,
+            "warnings": warnings,
+            "outputs": list(spec.outputs),
+            # the run's config as parse_config reads it, so it can run again
+            "config": json.loads(serialize_config(cfg)),
+        }
+        (staging / "manifest.json").write_text(canonical_json(manifest))
+    failed = sorted(k for k, v in pass_flags.items() if not v)
+    if check and failed:
         print(f"check failed: {failed}", file=sys.stderr)
-        exit_code = 2
-
-    # scipy as the run loaded it; a study that evaluates no normal CDF
-    # never does, and its bits cannot depend on scipy
-    scipy = sys.modules.get("scipy")
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
-    manifest = {
-        "config_hash": _config_hash(cfg),
-        "version": __version__,
-        "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__,
-                     "scipy": scipy.__version__ if scipy else None},
-        # peaks so far of this process or of any pool worker it has
-        # waited for, and of those workers alone (null if this run had none)
-        "peak_rss_mb": max(_rss_mb(resource.getrusage(resource.RUSAGE_SELF)),
-                           _rss_mb(children)),
-        "worker_peak_rss_mb": (_rss_mb(children)
-                               if children != children_before else None),
-        "started_utc": started,
-        "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "master_seed": cfg.master_seed,
-        "warnings": warnings,
-        "outputs": [p.name for p in written],
-        # the run's config as parse_config reads it, so it can run again
-        "config": json.loads(serialize_config(cfg)),
-    }
-    _write_atomic(out_dir / "manifest.json", canonical_json(manifest))
-    written.append(out_dir / "manifest.json")
-    return exit_code, [str(p) for p in written]
+    return (2 if check and failed else 0), [str(f) for f in files]
 
 
 # ---------------------------------------------------------------------------

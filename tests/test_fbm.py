@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from tqproc import analytic, fbm, seeding
-from tqproc.errors import DataError, DomainError
+from tqproc.errors import DataError, DomainError, NumericError
 from tqproc.fbm import Ensemble, GridSpec, make_ensemble, sorted_ensemble
 from tqproc.runner import export_ensemble
 from tqproc.seeding import derive_seed, generator_for, normal_matrix, splitmix64
@@ -418,6 +418,51 @@ class TestCholesky:
         assert fbm._cholesky_factor.cache_info().hits == hits + 1
         assert len(first.warnings) == 1 and "jitter" in first.warnings[0]
         assert again.warnings == first.warnings
+
+    @pytest.mark.parametrize("retry_fails", [False, True],
+                             ids=["retry", "failure"])
+    def test_jitter_in_place(self, monkeypatch, retry_fails):
+        # the retry factors the bits of cov + jitter * I, and a failed retry
+        # reports the smallest eigenvalue of the covariance without jitter
+        g = GridSpec.from_times([0.2, 0.5, 0.7, 1.0])
+        H = 0.3
+        cov = analytic.fbm_covariance(g.array[:, None], g.array[None, :], H)
+        jitter = fbm._JITTER_REL * 1.0 ** (2.0 * H)
+        cholesky = np.linalg.cholesky
+        factored = []
+
+        def fails(a):
+            factored.append(a.copy())
+            if len(factored) == 1 or retry_fails:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        eigvalsh = np.linalg.eigvalsh
+        spectra = []
+
+        def recording(a):
+            spectra.append(a.copy())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        fbm._cholesky_factor.cache_clear()
+        try:
+            if retry_fails:
+                pivot = float(eigvalsh(cov)[0])
+                with pytest.raises(NumericError,
+                                   match=f"smallest pivot {pivot:.3e}$"):
+                    fbm._cholesky_factor(g, H)
+                assert [a.tobytes() for a in spectra] == [cov.tobytes()]
+            else:
+                L, warns = fbm._cholesky_factor(g, H)
+                assert L.tobytes() == cholesky(
+                    cov + jitter * np.eye(g.M)).tobytes()
+                assert "jitter" in warns[0]
+        finally:
+            fbm._cholesky_factor.cache_clear()
+        assert factored[0].tobytes() == cov.tobytes()
+        assert factored[1].tobytes() == (cov + jitter * np.eye(g.M)).tobytes()
 
 
 class TestCirculant:

@@ -711,19 +711,73 @@ class TestRunStudy:
         assert not (tmp_path / "new").exists()
 
     def test_failed_study_keeps_an_existing_out_dir(self, tmp_path):
+        # the files already there stay byte-identical, and the run adds
+        # nothing, not even its staging directory: unforced into a
+        # directory that holds none of its outputs, then forced over one
         out = tmp_path / "kept"
         out.mkdir()
         cfg = parse_config(json.dumps({**UNREACHABLE_TAIL, "out_dir": str(out)}))
-        with pytest.raises(DataError):
-            run_study(cfg)
-        assert out.is_dir()
+        before = {}
+        for force, name, data in ((False, "notes.txt", b"kept"),
+                                  (True, "result.json", b"old result")):
+            before[name] = data
+            (out / name).write_bytes(data)
+            with pytest.raises(DataError):
+                run_study(cfg, force=force)
+            assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+            assert os.listdir(tmp_path) == ["kept"]
 
     def test_collision_without_force(self, tmp_path):
-        _run_tiny(tmp_path, "b")
+        (_, files), out = _run_tiny(tmp_path, "b")
+        first = {name: (out / name).read_bytes()
+                 for name in ("result.json", "summary.csv")}
+        for f in files:
+            Path(f).write_bytes(b"stale")
         with pytest.raises(ConfigError, match="force"):
             _run_tiny(tmp_path, "b")
-        (code, _), _ = _run_tiny(tmp_path, "b", force=True)
+        assert all(Path(f).read_bytes() == b"stale" for f in files)
+        # --force replaces every output of the complete set
+        (code, again), _ = _run_tiny(tmp_path, "b", force=True)
+        assert code == 0 and again == files
+        assert {name: (out / name).read_bytes() for name in first} == first
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            "result.json", "summary.csv"]
+        assert sorted(os.listdir(out)) == ["manifest.json", "result.json",
+                                           "summary.csv"]
+        assert os.listdir(tmp_path) == ["b"]
+
+    @pytest.mark.parametrize("conf", [
+        TINY_SWANSON, {"study": "fbm_gen", "n": 3, "M_t": 4, "threads": 1}],
+        ids=["summary", "ensemble"])
+    def test_failed_csv_write_publishes_nothing(self, tmp_path, monkeypatch,
+                                                conf):
+        # a CSV writer that raises mid-rows, into an out_dir the run would
+        # create: the run leaves no file, temporary or directory, and the
+        # next unforced run succeeds
+        cfg = parse_config(json.dumps(
+            {**conf, "out_dir": str(tmp_path / "new" / "out")}))
+        staged_in = []
+        write_csv = runner._write_csv
+
+        def fails_mid_rows(path, header, rows):
+            staged_in.append(path.parent.parent)
+
+            def one_row_then_fail():
+                yield next(iter(rows))
+                raise OSError("disk full")
+            write_csv(path, header, one_row_then_fail())
+
+        monkeypatch.setattr(runner, "_write_csv", fails_mid_rows)
+        with pytest.raises(OSError, match="disk full"):
+            run_study(cfg)
+        # staged in the nearest directory that exists
+        assert staged_in == [tmp_path]
+        assert os.listdir(tmp_path) == []
+        monkeypatch.undo()
+        code, files = run_study(cfg)
         assert code == 0
+        assert sorted(os.listdir(tmp_path / "new" / "out")) == sorted(
+            Path(f).name for f in files)
 
     def test_byte_identical_reruns_and_thread_counts(self, tmp_path):
         (_, _), out1 = _run_tiny(tmp_path, "c1")
@@ -823,9 +877,16 @@ class TestRunStudy:
         cfg = parse_config(json.dumps({
             "study": study, "threads": 1, "out_dir": str(tmp_path / study),
             **tiny}))
-        run_study(cfg)
+        _, files = run_study(cfg)
         manifest = json.loads((tmp_path / study / "manifest.json").read_text())
         assert parse_config(json.dumps(manifest["config"])) == cfg
+        # the study's writer makes exactly the outputs it declares
+        outputs = list(STUDIES[study].outputs)
+        assert manifest["outputs"] == outputs
+        assert files == [str(tmp_path / study / name)
+                         for name in outputs + ["manifest.json"]]
+        assert sorted(os.listdir(tmp_path / study)) == sorted(
+            outputs + ["manifest.json"])
 
     def test_kernel_eval_outputs(self, tmp_path):
         conf = {"study": "kernel_eval", "kind": "swanson",
@@ -1039,6 +1100,52 @@ class TestFieldExports:
         assert manifest["sampler_id"] == "cholesky"
         assert manifest["master_seed"] == 9
         assert manifest["grid_times"] == [0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("nested", [True, False], ids=["new-dir", "dir"])
+    def test_failed_export_publishes_nothing(self, tmp_path, monkeypatch,
+                                             nested):
+        # the CSV writer raises mid-rows: no CSV, sidecar, temporary or
+        # directory is left, and the next export succeeds
+        from tqproc.runner import export_ensemble
+
+        e = make_ensemble(3, GridSpec.uniform_grid(1.0, 4), 0.5)
+        path = tmp_path / "new" / "ens.csv" if nested else tmp_path / "ens.csv"
+        write_csv = runner._write_csv
+
+        def fails_mid_rows(path, header, rows):
+            def one_row_then_fail():
+                yield next(iter(rows))
+                raise OSError("disk full")
+            write_csv(path, header, one_row_then_fail())
+
+        monkeypatch.setattr(runner, "_write_csv", fails_mid_rows)
+        with pytest.raises(OSError, match="disk full"):
+            export_ensemble(e, path)
+        assert os.listdir(tmp_path) == []
+        monkeypatch.undo()
+        files = export_ensemble(e, path)
+        assert files == [str(path), str(path.parent / "ens.manifest.json")]
+        assert sorted(os.listdir(path.parent)) == ["ens.csv",
+                                                   "ens.manifest.json"]
+        assert len(path.read_text().splitlines()) == 1 + 3 * 4
+
+    def test_manifest_published_last(self, tmp_path, monkeypatch):
+        # a run's manifest.json means its set of files is complete
+        published = []
+        replace = os.replace
+
+        def recording(src, dst):
+            published.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        cfg = parse_config(json.dumps({
+            "study": "fbm_gen", "n": 3, "M_t": 4, "threads": 1,
+            "out_dir": str(tmp_path / "gen")}))
+        run_study(cfg)
+        assert published[-1] == "manifest.json"
+        assert sorted(published) == ["ensemble.csv", "ensemble.manifest.json",
+                                     "manifest.json"]
 
 
 # Run in a fresh interpreter: tiny swanson, bk_rate and weighted_bk_rate
