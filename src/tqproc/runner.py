@@ -603,6 +603,23 @@ STUDIES = {
 }
 
 
+def _replaced_files(out_dir: Path, outputs: tuple[str, ...]) -> list[Path]:
+    """The files in ``out_dir`` that its run manifest lists in ``outputs``
+    and a run writing ``outputs`` does not write: a forced run removes them
+    once its own set is in.  A missing or unreadable manifest lists none,
+    and a listed name that is not a file directly in ``out_dir`` stays."""
+    try:
+        listed = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return []
+    if not isinstance(listed, list):
+        return []
+    return [out_dir / name for name in listed
+            if isinstance(name, str) and Path(name).name == name
+            and name not in (*outputs, "manifest.json")
+            and (out_dir / name).is_file()]
+
+
 def _rss_mb(usage) -> float:
     """A ``resource.getrusage`` peak resident set size in MB (2**20 bytes)."""
     # ru_maxrss is in bytes on macOS and in KiB elsewhere
@@ -615,7 +632,10 @@ def run_study(cfg: RunConfig, force: bool = False,
 
     Writes to ``cfg.out_dir``, all files or none.  Returns (exit_code,
     written file paths).  In check mode the exit code is 2 when any pass
-    flag is false.  Existing output files abort the run unless ``force``.
+    flag is false.  Existing output files abort the run unless ``force``;
+    a forced run also removes the files of the set it replaces that it
+    does not write itself, so ``out_dir`` holds only what its manifest
+    lists.
     """
     spec = STUDIES[cfg.study]
     out_dir = Path(cfg.out_dir)
@@ -626,6 +646,7 @@ def run_study(cfg: RunConfig, force: bool = False,
         if existing:
             raise ConfigError(
                 f"output file(s) already exist: {existing}; pass --force to overwrite")
+    replaced = _replaced_files(out_dir, spec.outputs)
 
     with _staged(out_dir) as staging:
         # a pool worker the study waits for adds to the children's usage
@@ -640,7 +661,9 @@ def run_study(cfg: RunConfig, force: bool = False,
             "version": __version__,
             "versions": {"python": platform.python_version(),
                          "numpy": np.__version__,
-                         "scipy": scipy.__version__ if scipy else None},
+                         "scipy": scipy.__version__ if scipy else None,
+                         # the C library, whose libm the bits rest on
+                         "libc": " ".join(platform.libc_ver()).strip() or None},
             # peaks so far of this process or of any pool worker it has
             # waited for, and of those workers alone (null if it had none)
             "peak_rss_mb": max(_rss_mb(resource.getrusage(resource.RUSAGE_SELF)),
@@ -656,6 +679,8 @@ def run_study(cfg: RunConfig, force: bool = False,
             "config": json.loads(serialize_config(cfg)),
         }
         (staging / "manifest.json").write_text(canonical_json(manifest))
+    for f in replaced:
+        f.unlink(missing_ok=True)
     failed = sorted(k for k, v in pass_flags.items() if not v)
     if check and failed:
         print(f"check failed: {failed}", file=sys.stderr)

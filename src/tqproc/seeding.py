@@ -34,7 +34,11 @@ has a ``bitgen_t`` of its own: a copy of a PCG64's whose state points at a
 numpy arrays of the structs, and ``map`` drives the row calls from C, so
 no Generator is built, no struct field is set per row from Python and no
 numpy-owned memory is written.  The routine is loaded through
-``ctypes.PyDLL``, so each call holds the GIL.  The word order of the
+``ctypes.PyDLL``, so each call holds the GIL.  It loads, with
+``numpy.random``, on a process's first draw (``_normal_fill``), and
+``_keyed`` reaches ``np.random``, which numpy loads on first use: the
+parent of a worker pool draws nothing and never loads ``numpy.random``,
+and each forked worker loads it on its first task.  The word order of the
 128-bit halves depends on how numpy was compiled.  Once per process the
 probe ``_layout`` fills normals through the same row arrays from a known
 vector in each known order and compares them bit for bit with a Generator
@@ -52,8 +56,6 @@ import itertools
 import operator
 
 import numpy as np
-# numpy 2 loads numpy.random on first use; loaded here, before any pool forks
-from numpy.random import _generator
 
 from .errors import DomainError
 
@@ -130,14 +132,21 @@ def _bitgen(bg) -> _BitGen:
     return gen
 
 
-_PCG64_BITGEN = _bitgen(np.random.PCG64(0))
+@functools.cache
+def _normal_fill():
+    """PCG64's ``bitgen_t`` on no state, and the C routine behind
+    ``Generator.standard_normal``, which numpy exports for C callers (its
+    _examples/cffi/extending.py calls it the same way).
 
-# The C routine behind Generator.standard_normal, which numpy exports for C
-# callers (its _examples/cffi/extending.py calls it the same way).  Loaded
-# through PyDLL, so a call holds the GIL.
-_fill = ctypes.PyDLL(_generator.__file__).random_standard_normal_fill
-_fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
-_fill.restype = None
+    Loaded on a process's first draw, so a pool's parent, which draws
+    nothing, never loads ``numpy.random``.  The routine is loaded through
+    PyDLL, so a call holds the GIL.
+    """
+    from numpy.random import PCG64, _generator
+    fill = ctypes.PyDLL(_generator.__file__).random_standard_normal_fill
+    fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+    fill.restype = None
+    return _bitgen(PCG64(0)), fill
 
 
 # The structs as numpy dtypes, so that one call builds the state of every row
@@ -161,18 +170,19 @@ def _fill_rows(words: np.ndarray, out: np.ndarray) -> None:
     i of the ``(len(out), 4)`` array ``words``, which the draws advance.
 
     Row i gets a ``pcg64_state`` pointing at its words and a copy of
-    ``_PCG64_BITGEN`` pointing at that state, built as two numpy arrays of
-    the structs; ``map`` then drives one ``_fill`` per row from C.  The
-    arrays are this call's own, so no numpy-owned memory is written and
-    calls in other threads share nothing.
+    ``_normal_fill``'s ``bitgen_t`` pointing at that state, built as two
+    numpy arrays of the structs; ``map`` then drives one fill per row from
+    C.  The arrays are this call's own, so no numpy-owned memory is written
+    and calls in other threads share nothing.
     """
+    template, fill = _normal_fill()
     n, draws = out.shape
     states = np.zeros(n, _STATE)
     states["pcg_state"] = _addresses(words)
-    gens = np.repeat(np.frombuffer(bytes(_PCG64_BITGEN), _GEN), n)
+    gens = np.repeat(np.frombuffer(bytes(template), _GEN), n)
     gens["state"] = _addresses(states)
     first = gens.ctypes.data
-    collections.deque(map(_fill, range(first, first + gens.nbytes, _GEN.itemsize),
+    collections.deque(map(fill, range(first, first + gens.nbytes, _GEN.itemsize),
                           itertools.repeat(ctypes.c_ssize_t(draws)),
                           itertools.count(out.ctypes.data, out.strides[0])),
                       maxlen=0)

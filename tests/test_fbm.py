@@ -206,8 +206,9 @@ class TestSeeding:
         # PCG64DXSM keeps its stream in the same structs but draws another
         # one from them: its copied function pointers disagree with PCG64's
         seeding._layout.cache_clear()
-        monkeypatch.setattr(seeding, "_PCG64_BITGEN",
-                            seeding._bitgen(np.random.PCG64DXSM()))
+        _, fill = seeding._normal_fill()
+        monkeypatch.setattr(seeding, "_normal_fill", lambda: (
+            seeding._bitgen(np.random.PCG64DXSM()), fill))
         try:
             with pytest.raises(RuntimeError, match=f"^numpy {np.__version__}: "
                                                    f".*neither known word order"):
@@ -225,8 +226,10 @@ class TestSeeding:
     @pytest.mark.parametrize("n, draws", [(0, 5), (3, 0), (0, 0)])
     def test_empty_matrix_makes_no_fill_call(self, n, draws, monkeypatch):
         calls = []
-        seeding._layout.cache_clear()  # so that a probe would call _fill
-        monkeypatch.setattr(seeding, "_fill", lambda *args: calls.append(args))
+        seeding._layout.cache_clear()  # so that a probe would call the fill
+        template, _ = seeding._normal_fill()
+        monkeypatch.setattr(seeding, "_normal_fill", lambda: (
+            template, lambda *args: calls.append(args)))
         try:
             assert normal_matrix(_seed_array(n), draws).shape == (n, draws)
             out = np.empty((n, draws))
@@ -245,7 +248,8 @@ class TestSeeding:
             calls.append(draws.value)
             ctypes.memset(row, 0, 8 * draws.value)
         seeding._layout.cache_clear()
-        monkeypatch.setattr(seeding, "_fill", zeros)
+        template, _ = seeding._normal_fill()
+        monkeypatch.setattr(seeding, "_normal_fill", lambda: (template, zeros))
         out = np.full((3, 4), -7.0)
         try:
             with pytest.raises(RuntimeError, match=f"^numpy {np.__version__}: "
@@ -270,10 +274,11 @@ class TestSeeding:
 
     def test_fill_leaves_numpy_state_alone(self):
         # every call points a copy of the template at state of its own
-        template = bytes(seeding._PCG64_BITGEN)
+        template, _ = seeding._normal_fill()
+        before = bytes(template)
         normal_matrix(_seed_array(5), 7)
-        assert bytes(seeding._PCG64_BITGEN) == template
-        assert seeding._PCG64_BITGEN.state is None
+        assert bytes(template) == before
+        assert template.state is None
 
     @pytest.mark.parametrize("n", range(5))
     def test_words_sit_on_16_byte_boundaries(self, n):

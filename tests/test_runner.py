@@ -696,11 +696,29 @@ class TestRunStudy:
         assert isinstance(worker, float)
         assert 0.0 < worker <= manifest["peak_rss_mb"]
         versions = manifest["versions"]
-        assert set(versions) == {"python", "numpy", "scipy"}
+        assert set(versions) == {"python", "numpy", "scipy", "libc"}
         # scipy is null when the run never loaded it (see TestImportFootprint)
         assert all(isinstance(v, str) and v
                    for v in (versions["python"], versions["numpy"]))
         assert versions["scipy"] is None or isinstance(versions["scipy"], str)
+        assert versions["libc"] is None or isinstance(versions["libc"], str)
+
+    @pytest.mark.parametrize("libc, recorded", [
+        (("glibc", "2.99"), "glibc 2.99"), (("", ""), None)],
+        ids=["known", "unknown"])
+    def test_manifest_records_libc(self, tmp_path, monkeypatch, libc,
+                                   recorded):
+        # the manifest names the C library platform.libc_ver() finds, or
+        # null; result.json and the CSVs do not, so their bytes stay those
+        # of any other C library's run
+        (_, files), out = _run_tiny(tmp_path, "plain")
+        monkeypatch.setattr(runner.platform, "libc_ver", lambda: libc)
+        (_, again), other = _run_tiny(tmp_path, "libc")
+        manifest = json.loads((other / "manifest.json").read_text())
+        assert manifest["versions"]["libc"] == recorded
+        for f, g in zip(files, again):
+            if Path(f).name != "manifest.json":
+                assert Path(f).read_bytes() == Path(g).read_bytes()
 
     def test_failed_study_removes_the_out_dir_it_created(self, tmp_path, capsys):
         out = tmp_path / "new" / "out"
@@ -745,6 +763,39 @@ class TestRunStudy:
         assert sorted(os.listdir(out)) == ["manifest.json", "result.json",
                                            "summary.csv"]
         assert os.listdir(tmp_path) == ["b"]
+
+    def test_force_removes_the_replaced_set(self, tmp_path):
+        # a forced run over another study's set removes the files its
+        # manifest lists, so out_dir holds only the new set and manifest;
+        # files no manifest lists stay
+        out = tmp_path / "out"
+        for conf in ({"study": "fbm_gen", "n": 3, "M_t": 4, "threads": 1},
+                     {"study": "kernel_eval", "kind": "swanson",
+                      "kernel_nodes": [[1, 2]]}):
+            run_study(parse_config(json.dumps({**conf, "out_dir": str(out)})),
+                      force=True)
+        assert sorted(os.listdir(out)) == ["kernels.csv", "manifest.json"]
+        (out / "notes.txt").write_text("kept")
+        _run_tiny(tmp_path, "out", force=True)
+        assert sorted(os.listdir(out)) == ["manifest.json", "notes.txt",
+                                           "result.json", "summary.csv"]
+
+    @pytest.mark.parametrize("listed", [
+        ["../outside.txt"], ["sub"], ["manifest.json"], "result.json", 7],
+        ids=["parent", "directory", "manifest", "string", "number"])
+    def test_force_removes_only_listed_files_in_out_dir(self, tmp_path,
+                                                        listed):
+        # a manifest's outputs name files directly in out_dir, never the
+        # new manifest, a directory or a path outside; an outputs that is
+        # not a list names nothing
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        (tmp_path / "outside.txt").write_text("kept")
+        (out / "manifest.json").write_text(json.dumps({"outputs": listed}))
+        _run_tiny(tmp_path, "out", force=True)
+        assert (tmp_path / "outside.txt").read_text() == "kept"
+        assert sorted(os.listdir(out)) == ["manifest.json", "result.json",
+                                           "sub", "summary.csv"]
 
     @pytest.mark.parametrize("conf", [
         TINY_SWANSON, {"study": "fbm_gen", "n": 3, "M_t": 4, "threads": 1}],
@@ -1171,16 +1222,17 @@ print(json.dumps({"studies_loaded": studies_loaded,
 
 
 # Run in a fresh interpreter: import the runner, parse the config in the
-# argument and run it; reports which of the modules a run may do without
-# were loaded after the import, after parse_config, on entry to the study's
-# worker pool (experiments._run_tasks, for a study that has one) and after
-# the run.
-_SPECIAL_SCRIPT = """
+# first argument and run it; reports which of the modules named in the
+# second were loaded after the import, after parse_config, on entry to the
+# study's worker pool (experiments._run_tasks, for a study that has one)
+# and after the run.  The pool gets the workers the config asks for,
+# however few CPUs the machine has.
+_STEPS_SCRIPT = """
 import json, sys
 def loaded():
-    return sorted(m for m in ("argparse", "numpy.ma", "scipy", "scipy.special")
-                  if m in sys.modules)
+    return sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules)
 from tqproc import experiments, runner
+experiments.usable_cpus = lambda: 64
 steps = {"import": loaded()}
 run_tasks = experiments._run_tasks
 def entered(worker, tasks, workers):
@@ -1238,7 +1290,8 @@ class TestImportFootprint:
         out = tmp_path / "out"
         conf = {"study": study, "threads": 1, "out_dir": str(out),
                 **FOOTPRINT_CONFIGS[study]}
-        steps = _fresh_python(_SPECIAL_SCRIPT, json.dumps(conf))
+        steps = _fresh_python(_STEPS_SCRIPT, json.dumps(conf), json.dumps(
+            ["argparse", "numpy.ma", "scipy", "scipy.special"]))
         cdf_steps = {"pool", "run"} if study in NORMAL_CDF_STUDIES else set()
         want = {"import", "parse", "run"}
         if study not in POOLLESS_STUDIES:
@@ -1253,6 +1306,26 @@ class TestImportFootprint:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["versions"]["scipy"] == (
             scipy.__version__ if cdf_steps else None)
+
+    @pytest.mark.parametrize("study", sorted(set(STUDIES) - POOLLESS_STUDIES))
+    def test_pooled_parent_loads_no_numpy_random(self, tmp_path, study):
+        # the noise fill loads numpy.random on a process's first draw, and
+        # the parent of a pool draws none: only its forked workers load it.
+        # scipy.special imports numpy.random itself (through scipy's
+        # array-API layer), so a study that loads it before its pool has
+        # both there
+        out = tmp_path / "out"
+        conf = {"study": study, "threads": 2, "out_dir": str(out),
+                **FOOTPRINT_CONFIGS[study]}
+        steps = _fresh_python(_STEPS_SCRIPT, json.dumps(conf),
+                              json.dumps(["numpy.random", "scipy.special"]))
+        scipy_loaded = (["numpy.random", "scipy.special"]
+                        if study in NORMAL_CDF_STUDIES else [])
+        assert steps == {"import": [], "parse": [], "pool": scipy_loaded,
+                         "run": scipy_loaded}
+        # the workers ran the tasks
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["worker_peak_rss_mb"] is not None
 
     @pytest.mark.parametrize("study", sorted(NORMAL_CDF_STUDIES))
     def test_marked_studies_evaluate_the_normal_cdf(self, tmp_path,
