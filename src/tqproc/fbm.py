@@ -13,15 +13,14 @@ the sampler, which fills the other columns and returns only its warnings.
 ``Ensemble.sorted_values`` sorts a copy of them.  ``sorted_ensemble`` sorts
 each column in place instead and keeps only that sort, so an ensemble that
 is only reduced through its order statistics holds one array.  The circulant
-sampler synthesizes the paths in row blocks of about 1 MB of spectrum each,
-so beyond the result an ensemble needs only a few MB of temporaries,
-whatever n is.  Each block's noise is drawn straight into its spectrum
-buffer, where it is scaled and mirrored in place; the cumsum of its FFT is
-the only other block buffer, and one scatter moves its columns into the
-result.  The two buffers are a per-thread workspace of one block: each
-thread keeps those of its last block shape and reuses them for every block
-and ensemble of that shape, so a run of like ensembles does not free and
-fault in fresh pages per task, and concurrent threads never share one.
+sampler synthesizes the paths in row blocks of about 512 KB of spectrum
+each, so its temporaries do not grow with n.  Each block's noise is drawn
+straight into its spectrum buffer, where it is scaled, mirrored,
+transformed and summed in place, and one scatter moves the sums' columns
+into the result.  That one buffer is a per-thread workspace: each thread
+keeps the one of its last block shape and reuses it for every block and
+ensemble of that shape, so a run of like ensembles does not free and fault
+in fresh pages per task, and concurrent threads never share one.
 
 ``_check_grid`` alone decides which grids each sampler takes, and
 ``_check_scale`` which grid times a Hurst index leaves in float range.
@@ -270,7 +269,8 @@ def _cholesky_matrix(grid: GridSpec, H: float, seeds: np.ndarray,
 _SPECTRUM_TOL_REL = 1e-8
 # The circulant sampler works through blocks of rows whose complex spectrum
 # takes about this many bytes, small enough to stay in a core's L2 cache.
-_BLOCK_BYTES = 1 << 20
+# Halving it again to 256 KB measured up to 10% slower at n = 8192.
+_BLOCK_BYTES = 1 << 19
 
 
 def _fgn_autocov(lags: np.ndarray, step: float, H: float) -> np.ndarray:
@@ -317,17 +317,15 @@ def _block_rows(n: int, m: int) -> int:
 _workspace = threading.local()
 
 
-def _block_buffers(rows: int, m: int, n_inc: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's spectrum block, ``(rows, m)`` complex, and cumsum
-    buffer, ``(rows, n_inc)``: kept from the last call of the same shape,
-    else replaced, so a thread holds one block at most."""
-    W, csum = getattr(_workspace, "buffers", (None, None))
-    if W is None or W.shape != (rows, m) or csum.shape != (rows, n_inc):
-        _workspace.buffers = W = csum = None  # free the old block first
-        W = np.empty((rows, m), dtype=complex)
-        csum = np.empty((rows, n_inc))
-        _workspace.buffers = W, csum
-    return W, csum
+def _block_buffer(rows: int, m: int) -> np.ndarray:
+    """This thread's spectrum block, ``(rows, m)`` complex: kept from the
+    last call of the same shape, else replaced, so a thread holds one block
+    at most."""
+    W = getattr(_workspace, "spectrum", None)
+    if W is None or W.shape != (rows, m):
+        _workspace.spectrum = W = None  # free the old block first
+        W = _workspace.spectrum = np.empty((rows, m), dtype=complex)
+    return W
 
 
 def _circulant_matrix(grid: GridSpec, H: float, seeds: np.ndarray,
@@ -342,7 +340,7 @@ def _circulant_matrix(grid: GridSpec, H: float, seeds: np.ndarray,
     rows = _block_rows(n, m)
     # A block's noise is drawn into the first m floats of each row of its
     # spectrum buffer W.
-    W, csum = _block_buffers(rows, m, n_inc)
+    W = _block_buffer(rows, m)
     noise = W.view(float)[:, :m]
     if n_inc == 1:
         # single increment: one N(0, step^{2H}) variate per path
@@ -374,16 +372,18 @@ def _circulant_matrix(grid: GridSpec, H: float, seeds: np.ndarray,
             np.conjugate(w[:, 1:g], out=w[:, :g:-1])
             # in place: the next block rewrites all of W before its FFT
             return np.fft.fft(w, axis=1, out=w).real[:, :n_inc]
-    # Each block's cumsum is summed row-major, then scattered (column j takes
-    # cumsum column idx[j] - 1): accumulating along the rows of the
-    # column-major result directly measured slower.
+    # Each block's increments are summed in place along its rows, in the
+    # spectrum's real parts, then scattered (column j takes sum column
+    # idx[j] - 1): accumulating along the rows of the column-major result
+    # directly measured slower.
     pos = idx > 0
     cols = idx[pos] - 1
     for lo in range(0, n, rows):
         block = seeds[lo:lo + rows]
         k = len(block)
         normal_matrix(block, m, out=noise[:k])
-        c = np.cumsum(increments(k), axis=1, out=csum[:k])
+        c = increments(k)
+        np.cumsum(c, axis=1, out=c)
         out[lo:lo + k, pos] = c[:, cols]
     return warns
 
@@ -449,11 +449,10 @@ def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
     ``seeding.ROW_BYTES`` of stream state.
 
     The circulant sampler holds one row block's complex spectrum, which the
-    noise is drawn into and which is transformed in place, the cumsum of
-    its n_inc increments and the M cumsum columns gathered for the scatter
-    into ``values`` (rows·(16·m + 8·n_inc + 8·M) bytes; the spectrum and
-    cumsum buffers stay with the thread for its next ensemble).  Its terms
-    are counted as if all were held at once.
+    noise is drawn into and which is transformed and summed in place, and
+    the M columns of the sums gathered for the scatter into ``values``
+    (rows·(16·m + 8·M) bytes; the spectrum stays with the thread for its
+    next ensemble).  Its terms are counted as if all were held at once.
 
     The Cholesky sampler's phases are counted apart, since each frees what
     the next does not need: the seeds derived, with the M²·8-byte factor
@@ -475,9 +474,8 @@ def ensemble_bytes(n: int, grid: GridSpec, sampler_id: str) -> int:
             values + 8 * n + _FACTORIZATION_ARRAYS * factor,
             factor + drawn + max(ROW_BYTES * n, values))
     m = _embedding_size(grid)
-    n_inc = int(grid.lattice_indices()[-1])
     return (values + 24 * n
-            + _block_rows(n, m) * (16 * m + 8 * n_inc + 8 * M + ROW_BYTES))
+            + _block_rows(n, m) * (16 * m + 8 * M + ROW_BYTES))
 
 
 _SAMPLERS = {"cholesky": _cholesky_matrix, "circulant": _circulant_matrix}

@@ -547,16 +547,18 @@ class TestCirculant:
         assert one.tobytes() == blocked.tobytes()
 
     def test_transient_memory_is_bounded(self):
-        # the temporaries are per block, not per ensemble
+        # the temporaries are per block, not per ensemble: on bk_rate's
+        # largest ensemble the sampler holds one spectrum block, summed in
+        # place, and the columns gathered from it for the scatter
         g = GridSpec.uniform_grid(2.0, 64, include_zero=True)
-        make_ensemble(16, g, 0.5)  # cache the spectrum before tracing
-        tracemalloc.start()
+        make_ensemble(16, g, 0.5)  # caches the spectrum; its small block
+        tracemalloc.start()        # leaves the traced call to allocate one
         try:
-            e = make_ensemble(8192, g, 0.5)
+            e = sorted_ensemble(8192, g, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= e.values.nbytes + 4 * fbm._BLOCK_BYTES
+        assert peak - e.sorted_values.nbytes <= 1 << 20
 
     # ensembles on two grids, from 0 and sparse from t > 0, at two sizes;
     # with blocks of 7 rows each takes several blocks, a ragged one last
@@ -631,12 +633,12 @@ print(hashlib.sha256(e.values.tobytes()).hexdigest())
     def test_workspace_holds_one_block_per_thread(self, monkeypatch):
         monkeypatch.setattr(fbm, "_BLOCK_BYTES", 16 * 14 * 7)
 
-        def held() -> list[tuple[int, ...]]:
-            return [b.shape for b in fbm._workspace.buffers]
+        def held() -> dict[str, tuple[int, ...]]:
+            return {name: b.shape for name, b in vars(fbm._workspace).items()}
 
-        # grid from 0: 8 increments, 14 draws; sparse grid: 7 and 12
+        # grid from 0: 14 draws a path; sparse grid: 12
         self._workspace_digest(*self.WORKSPACE_CALLS[0])
-        assert held() == [(7, 14), (7, 8)]
+        assert held() == {"spectrum": (7, 14)}
         for times, n in self.WORKSPACE_CALLS:  # cache both spectra
             self._workspace_digest(times, n)
         tracemalloc.start()
@@ -648,12 +650,11 @@ print(hashlib.sha256(e.values.tobytes()).hexdigest())
                 [tracemalloc.Filter(True, fbm.__file__)])
         finally:
             tracemalloc.stop()
-        # the last block only: 8 rows of 12 draws (16 * 12 * 8 = 1536 bytes
-        # of spectrum) and their cumsum of 7 increments; the slack is under
-        # the 2016 bytes of the other grid's block
-        assert held() == [(8, 12), (8, 7)]
+        # the last block's spectrum only: 8 rows of 12 draws (16 * 12 * 8 =
+        # 1536 bytes); the slack is under the 1568 bytes of the other grid's
+        assert held() == {"spectrum": (8, 12)}
         held_bytes = sum(t.size for t in kept.traces)
-        assert held_bytes <= 8 * (16 * 12 + 8 * 7) + 1024
+        assert held_bytes <= 8 * 16 * 12 + 1024
         other = []
         t = threading.Thread(target=lambda: (
             self._workspace_digest(*self.WORKSPACE_CALLS[2]),
@@ -661,8 +662,8 @@ print(hashlib.sha256(e.values.tobytes()).hexdigest())
         t.start()
         t.join(timeout=60)
         assert not t.is_alive()
-        assert other == [[(7, 14), (7, 8)]]
-        assert held() == [(8, 12), (8, 7)]  # the other thread's is its own
+        assert other == [{"spectrum": (7, 14)}]
+        assert held() == {"spectrum": (8, 12)}  # the other thread's is its own
 
     def test_single_increment_grid(self):
         g = GridSpec.from_times([0.5])
