@@ -397,9 +397,10 @@ def kernel_eval(kind: str, t1: float, a1: float | None, t2: float,
     """Dispatch a kernel evaluation by kind.
 
     ``G`` takes space arguments (a1, a2 are x-levels), ``K``/``weightedK``
-    take quantile levels, ``swanson`` takes times only.  For kind ``G`` an
-    optional kappa multiplies by the weight (t1 t2)^kappa used by the
-    weighted iterated-logarithm normalization (G only, and finite).
+    take quantile levels, ``swanson`` takes times only, at H = 1/2 only.
+    For kind ``G`` an optional kappa multiplies by the weight
+    (t1 t2)^kappa used by the weighted iterated-logarithm normalization
+    (G only, and finite).
     """
     if kappa is not None and kind != "G":
         raise DomainError(f"kappa weights kind G only; got kind {kind!r}")
@@ -424,6 +425,9 @@ def kernel_eval(kind: str, t1: float, a1: float | None, t2: float,
             raise DomainError(f"kind {kind} requires quantile levels for both nodes")
         val = quantile_kernel_K(t1, a1, t2, a2, H, weighted=(kind == "weightedK"))
     elif kind == "swanson":
+        if H != 0.5:
+            raise DomainError(f"kind swanson is the Brownian kernel, H = 0.5; "
+                              f"got H={H}")
         val = swanson_kernel(t1, t2)
     else:
         raise DomainError(f"unknown kernel kind {kind!r}; expected one of {KERNEL_KINDS}")

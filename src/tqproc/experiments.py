@@ -155,19 +155,20 @@ def _median(values) -> float:
     """``np.median`` of a sample, bit for bit: the middle order statistic,
     or (a + b) / 2 of the middle two; NaN if any value is NaN.
 
-    np.median's NaN check loads numpy.ma, which no study otherwise needs.
-    As in np.median's mean, the sum starts from 0.0, so a median of -0.0
-    reads 0.0.
+    The sample is sorted as Python floats: np.median's NaN check loads
+    numpy.ma, and numpy's partition its selection kernels, which no study
+    otherwise needs in the run process.  As in np.median's mean, the sum
+    starts from 0.0, so a median of -0.0 reads 0.0, and which of two
+    equal zeros sorts first does not matter.
     """
-    values = np.asarray(values, dtype=float)
-    half, odd = divmod(len(values), 2)
-    # the largest value goes last, and a NaN sorts above every number
-    part = np.partition(values, [half, -1] if odd else [half - 1, half, -1])
-    if math.isnan(part[-1]):
+    v = sorted(np.asarray(values, dtype=float).tolist())
+    # a NaN compares false with everything, so it may sort anywhere
+    if any(map(math.isnan, v)):
         return math.nan
+    half, odd = divmod(len(v), 2)
     if odd:
-        return 0.0 + float(part[half])
-    return (0.0 + float(part[half - 1]) + float(part[half])) / 2.0
+        return 0.0 + v[half]
+    return (0.0 + v[half - 1] + v[half]) / 2.0
 
 
 def _summarize(n: int, values: np.ndarray, statistic: str) -> dict:

@@ -311,6 +311,9 @@ def parse_config(text: str) -> RunConfig:
     kind = _want(cfg, "kind", str, None,
                  lambda v: v in analytic.KERNEL_KINDS,
                  f"must be one of {list(analytic.KERNEL_KINDS)}")
+    if kind == "swanson" and H != 0.5:
+        raise ConfigError(f"H must be 0.5 for kind 'swanson', the Brownian "
+                          f"kernel; got {H!r}")
     # the swanson and weightedK kernels are defined at t = 0, G and K are not
     zero_time = kind in ("swanson", "weightedK")
     if kind == "swanson":

@@ -444,6 +444,11 @@ class TestKernelEvalDispatch:
         wtd = analytic.kernel_eval("G", 1.0, 0.0, 4.0, 0.0, H=0.5, kappa=0.5)
         assert wtd == pytest.approx(2.0 * base, rel=1e-12)
 
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_swanson_only_brownian(self, H):
+        with pytest.raises(DomainError, match="H=0"):
+            analytic.kernel_eval("swanson", 1.0, None, 4.0, None, H=H)
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             analytic.kernel_eval("Q", 1.0, 0.0, 2.0, 0.0)

@@ -156,8 +156,9 @@ class TestMedian:
             want = float(np.median(values))
         assert experiments._median(values).hex() == want.hex()
 
+    # up to the sizes runs feed it: swanson's R = 5000 and MAX_TASKS
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 100,
-                                   101, 512, 1000, 1001])
+                                   101, 512, 1000, 1001, 5000, 100_000])
     def test_random_samples(self, n):
         rng = np.random.default_rng(n)
         for trial in range(40):

@@ -67,6 +67,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="H"):
             parse_config('{"study": "swanson", "H": 0.7}')
 
+    @pytest.mark.parametrize("conf", [
+        {"study": "kernel_eval", "kind": "swanson", "H": 0.3},
+        {"study": "kernel_eval", "H": 0.7}], ids=["kind", "default-kind"])
+    def test_swanson_kernel_h_rejected(self, conf):
+        # the swanson kernel is Brownian: at any other H it would write the
+        # H = 1/2 values
+        with pytest.raises(ConfigError, match="^H must be 0.5"):
+            parse_config(json.dumps(conf))
+
     def test_eta_hypothesis_rejected(self):
         with pytest.raises(ConfigError, match="eta"):
             parse_config('{"study": "bk_rate", "H": 0.5, "eta": 1.1}')
@@ -1033,8 +1042,10 @@ class TestCli:
         (["G", "1", "0", "4", "0", "--hurst", "1.5"], "H must satisfy 0 < H < 1"),
         (["weightedK", "1e300", "0.5", "2e300", "0.6", "--hurst", "0.9"],
          "H=0.9 makes the weight t1^H t2^H overflow"),
+        (["swanson", "1", "2", "--hurst", "0.3"],
+         "H must be 0.5 for kind 'swanson'"),
     ], ids=["K-level", "K-level-exponent", "G-time", "H-range",
-            "weightedK-overflow"])
+            "weightedK-overflow", "swanson-H"])
     def test_kernel_checked_as_config(self, capsys, argv, match):
         assert main(["kernel", *argv]) == 1
         captured = capsys.readouterr()
@@ -1246,6 +1257,21 @@ steps["run"] = loaded()
 print(json.dumps(steps))
 """
 
+# Run in a fresh interpreter: make numpy.partition raise, then parse the
+# config in the first argument and run it.  The pool gets the workers the
+# config asks for, and they inherit the patch.
+_NO_PARTITION_SCRIPT = """
+import json, sys
+import numpy
+def partition(*args, **kwargs):
+    raise AssertionError("numpy.partition called")
+numpy.partition = partition
+from tqproc import experiments, runner
+experiments.usable_cpus = lambda: 64
+runner.run_study(runner.parse_config(sys.argv[1]))
+print(json.dumps({"ran": True}))
+"""
+
 # a tiny config of every study; kernel_eval's swanson kernel evaluates no
 # normal CDF
 FOOTPRINT_CONFIGS = {
@@ -1324,6 +1350,18 @@ class TestImportFootprint:
         assert steps == {"import": [], "parse": [], "pool": scipy_loaded,
                          "run": scipy_loaded}
         # the workers ran the tasks
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["worker_peak_rss_mb"] is not None
+
+    @pytest.mark.parametrize("study", sorted(set(STUDIES) - POOLLESS_STUDIES))
+    def test_pooled_run_calls_no_numpy_partition(self, tmp_path, study):
+        # medians are taken from a Python sort, so a run process never
+        # loads numpy's selection kernels, and the workers sort in place
+        out = tmp_path / "out"
+        conf = {"study": study, "threads": 2, "out_dir": str(out),
+                **FOOTPRINT_CONFIGS[study]}
+        assert _fresh_python(_NO_PARTITION_SCRIPT, json.dumps(conf)) == {
+            "ran": True}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["worker_peak_rss_mb"] is not None
 
