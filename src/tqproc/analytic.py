@@ -41,7 +41,7 @@ __all__ = [
     "limit_kernel_G",
     "quantile_kernel_K",
     "swanson_kernel",
-    "lil_constants",
+    "lil_constant",
     "kernel_eval",
     "KERNEL_KINDS",
 ]
@@ -369,19 +369,17 @@ def swanson_kernel(t1: float, t2: float) -> float:
 # LIL constants
 # ---------------------------------------------------------------------------
 
-def lil_constants(gamma: float, T: float, kappa: float) -> tuple[float, float]:
-    """Normalizing constants for the iterated-logarithm traces.
-
-    The sup-variance of the limit field over [gamma, T] x R is 1/4 for any
-    window, and the t^kappa-weighted sup-variance over [0, T] x R is
-    T^{2 kappa}/4; the returned values are their square roots
-    (1/2, T^kappa / 2).
+def lil_constant(T: float, kappa: float) -> float:
+    """Normalizing constant of the iterated-logarithm trace: the
+    t^kappa-weighted sup-variance of the limit field over [0, T] x R is
+    T^{2 kappa}/4, and the constant is its square root T^kappa / 2.
     """
-    if not (0.0 < gamma <= 1.0 <= T):
-        raise DomainError(f"window must satisfy 0 < gamma <= 1 <= T; got ({gamma}, {T})")
+    # both written so that NaN fails too
+    if not (T >= 1.0):
+        raise DomainError(f"horizon must satisfy T >= 1; got {T}")
     if not (kappa > 0.0):
         raise DomainError(f"kappa must be positive; got {kappa}")
-    return 0.5, T**kappa / 2.0
+    return T**kappa / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -73,6 +74,15 @@ CLASSICAL_MIN_N = 3
 # Ladders, fits, results
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    """Whether ``operator.index`` takes value, and it is no bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NLadder:
     """Increasing sample sizes with a replication count per size."""
@@ -81,6 +91,10 @@ class NLadder:
 
     def __post_init__(self):
         ns = tuple(self.ns)
+        if not all(_is_int(v) for v in (*ns, self.replications)):
+            raise DomainError(f"ladder sizes and replications must be "
+                              f"integers; got ns={ns}, "
+                              f"replications={self.replications!r}")
         if len(ns) < 2 or len(set(ns)) != len(ns) or list(ns) != sorted(ns):
             raise DomainError(
                 f"ladder needs >= 2 distinct increasing sizes; got {ns}")
@@ -116,9 +130,10 @@ def loglog_fit(ns, stats) -> RateFit:
     # a set, as np.unique loads numpy.ma
     if len(set(ns.tolist())) < 3:
         raise DataError(f"rate fit needs >= 3 distinct sample sizes; got {ns}")
-    if np.any(stats <= 0.0):
-        raise DataError("rate fit needs positive statistics (log scale); "
-                        f"got min={stats.min()}")
+    # written so that NaN fails too
+    if not np.all((stats > 0.0) & (stats < math.inf)):
+        raise DataError("rate fit needs positive finite statistics (log "
+                        f"scale); got {stats.tolist()}")
     x = np.log(ns)
     y = np.log(stats)
     xbar = x.mean()
@@ -552,7 +567,7 @@ def lil_trace_study(ladder: NLadder, H: float = 0.5, kappa: float = 0.5,
     if ladder.ns[0] < LIL_MIN_N:
         raise DomainError(f"iterated-logarithm trace needs n >= {LIL_MIN_N} "
                           f"on the ladder; got {list(ladder.ns)}")
-    _, sigma_kappa = analytic.lil_constants(1.0, T, kappa)
+    sigma_kappa = analytic.lil_constant(T, kappa)
     R = ladder.replications
     # the tasks evaluate the normal CDF: loaded here, forked workers inherit it
     import scipy.special  # noqa: F401

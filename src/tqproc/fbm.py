@@ -43,15 +43,8 @@ from . import analytic
 from .errors import DataError, DomainError, NumericError
 from .seeding import ROW_BYTES, derive_seed, normal_matrix
 
-__all__ = [
-    "GridSpec",
-    "Ensemble",
-    "TailFit",
-    "ensemble_bytes",
-    "make_ensemble",
-    "sorted_ensemble",
-    "tail_fit",
-]
+__all__ = ["GridSpec", "Ensemble", "TailFit", "ensemble_bytes",
+           "make_ensemble", "sorted_ensemble", "tail_fit"]
 
 MAX_CHOLESKY_POINTS = 4096
 _LATTICE_RTOL = 1e-9
@@ -61,17 +54,28 @@ _LATTICE_RTOL = 1e-9
 # Grids
 # ---------------------------------------------------------------------------
 
+def _on_lattice(ts: np.ndarray, step: float) -> bool:
+    """``GridSpec``'s lattice rule, for a step > 0."""
+    # below 2**53 a float holds each index exactly, and the ratios are finite
+    if not (step < math.inf and np.all(np.abs(ts) < 2.0**53 * float(step))):
+        return False
+    ratios = ts / step
+    return bool(np.all(np.abs(ratios - np.rint(ratios))
+                       <= _LATTICE_RTOL * np.maximum(1.0, ratios)))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A strictly increasing time grid on [0, T].
 
-    ``uniform`` means the points sit on a lattice {k*step} anchored at 0
-    (the grid itself may start at 0 or at any positive lattice point), which
-    is the geometry the circulant sampler requires.
+    A positive ``step`` means the points sit on a lattice {k*step} anchored
+    at 0 (the grid itself may start at 0 or at any positive lattice point),
+    which is the geometry the circulant sampler requires; 0 means none.  A
+    time sits on the lattice when within a relative 1e-9 of some k*step
+    with k below 2**53, and a positive step that a time misses is rejected.
     """
     times: tuple[float, ...]
     T: float
-    uniform: bool
     step: float = 0.0
 
     def __post_init__(self):
@@ -83,6 +87,14 @@ class GridSpec:
             raise DomainError("grid times must be strictly increasing")
         if not (ts[0] >= 0.0 and ts[-1] <= self.T + 1e-12 * max(1.0, self.T)):
             raise DomainError(f"grid times must lie in [0, T={self.T}]")
+        if not (self.step == 0.0
+                or self.step > 0.0 and _on_lattice(ts, self.step)):
+            raise DomainError(f"grid step must be 0 or a finite step with "
+                              f"every time on its lattice; got {self.step}")
+
+    @property
+    def uniform(self) -> bool:
+        return self.step > 0.0
 
     @classmethod
     def uniform_grid(cls, T: float, M: int, include_zero: bool = False) -> "GridSpec":
@@ -97,31 +109,20 @@ class GridSpec:
         else:
             ts = np.arange(1, M + 1) * (T / M)
             step = T / M
-        return cls(times=tuple(float(t) for t in ts), T=float(T),
-                   uniform=True, step=float(step))
+        return cls(times=tuple(ts.tolist()), T=float(T), step=float(step))
 
     @classmethod
     def from_times(cls, times) -> "GridSpec":
-        """Build a grid on [0, max(times)] from explicit times, detecting
-        lattice uniformity."""
+        """A grid on [0, max(times)]; its step is the smallest positive gap
+        between consecutive times or from 0 to the first (so one positive
+        time is a lattice of its own) if the times sit on that lattice,
+        else 0."""
         ts = np.asarray(sorted(float(t) for t in times), dtype=float)
-        uniform, step = False, 0.0
-        if ts.size >= 2:
-            # candidate lattice step: the smallest positive gap (including the
-            # anchor gap to 0); the grid is uniform when every time is an
-            # integer multiple of it, below 2**53 so that it is exact in a float
-            diffs = np.diff(ts)
-            cand = float(min(diffs.min(), ts[0])) if ts[0] > 0 else float(diffs.min())
-            if 0.0 < cand and ts[-1] < 2**53 * cand:
-                ratios = ts / cand
-                on_lattice = np.abs(ratios - np.rint(ratios)) <= (
-                    _LATTICE_RTOL * np.maximum(1.0, ratios))
-                if bool(np.all(on_lattice)):
-                    uniform, step = True, cand
-        elif ts.size == 1 and ts[0] > 0.0:
-            uniform, step = True, float(ts[0])
-        return cls(times=tuple(ts.tolist()), T=float(ts[-1]), uniform=uniform,
-                   step=step if uniform else 0.0)
+        gaps = np.diff(ts, prepend=0.0)
+        step = float(gaps[gaps > 0.0].min(initial=math.inf))
+        return cls(times=tuple(ts.tolist()),
+                   T=float(ts[-1]) if ts.size else 0.0,
+                   step=step if _on_lattice(ts, step) else 0.0)
 
     def __getstate__(self) -> dict:
         # pickle the fields only: each process builds its own cached arrays
@@ -142,16 +143,13 @@ class GridSpec:
     def _lattice(self) -> np.ndarray:
         if not self.uniform:
             raise DomainError("grid is not a uniform lattice anchored at 0")
+        # __post_init__ checked the times against the lattice
         idx = np.rint(self.array / self.step).astype(int)
-        if not np.allclose(idx * self.step, self.array,
-                           rtol=_LATTICE_RTOL, atol=1e-15):
-            raise DomainError("grid times do not sit on the lattice {k*step}")
         idx.setflags(write=False)
         return idx
 
     def lattice_indices(self) -> np.ndarray:
-        """Integer lattice positions k with t = k*step (read-only, checked
-        once per grid); requires uniform."""
+        """Lattice positions k with t = k*step; read-only, built once."""
         return self._lattice
 
 

@@ -164,7 +164,8 @@ def _check_tasks(cfg: RunConfig, spec: Study) -> None:
             grid, key = spec.grid(cfg)
         except DomainError as exc:
             # the other grids are built from times parse_config checked, so
-            # only M_t times spread over a T too small to part them collapse
+            # only M_t times spread over a T too small to part them, or to
+            # hold their lattice, fail
             raise ConfigError(f"T / M_t {exc}; T={cfg.T!r} is too small "
                               f"for {cfg.M_t} grid times") from None
         try:
@@ -274,6 +275,17 @@ def parse_config(text: str) -> RunConfig:
         if ladder.ns[0] < spec.n_floor:
             raise ConfigError(f"ladder sizes must be >= {spec.n_floor} for "
                               f"study {study!r}; got {list(ladder.ns)}")
+    # lil_trace's statistic is below T**kappa * sqrt(n), and its spread sums
+    # the squares of R of them: that sum must stay finite.  T**kappa is
+    # finite, so kappa * log(T) cannot overflow
+    if "kappa" in spec.keys and (
+            2.0 * (kappa * math.log(T))
+            + math.log(ladder.replications * ladder.ns[-1])
+            > math.log(sys.float_info.max)):
+        raise ConfigError(
+            f"kappa must keep T**(2*kappa) * replications * max(ns) finite; "
+            f"got kappa={kappa!r} with T={T!r}, replications="
+            f"{ladder.replications} and max(ns)={ladder.ns[-1]}")
     if "eta" in spec.keys and experiments._window_floor(
             ladder.ns[-1], gamma0, eta) == 0.0:
         raise ConfigError(

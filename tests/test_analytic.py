@@ -163,7 +163,7 @@ class TestNanTimes:
 
     def test_nan_kappa_rejected(self):
         with pytest.raises(DomainError, match="kappa"):
-            analytic.lil_constants(0.5, 2.0, math.nan)
+            analytic.lil_constant(2.0, math.nan)
 
 
 class TestMarginal:
@@ -407,24 +407,19 @@ class TestLimitKernels:
 
 
 class TestLilConstants:
-    def test_sigma_is_half(self):
-        sigma, _ = analytic.lil_constants(0.25, 2.0, 1.0)
-        assert sigma == 0.5
-
     def test_sigma_kappa(self):
-        _, sk = analytic.lil_constants(0.5, 2.0, 0.5)
+        sk = analytic.lil_constant(2.0, 0.5)
         assert sk == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-15)
 
     def test_unit_horizon(self):
         for kappa in (0.1, 1.0, 3.0):
-            _, sk = analytic.lil_constants(1.0, 1.0, kappa)
-            assert sk == 0.5
+            assert analytic.lil_constant(1.0, kappa) == 0.5
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            analytic.lil_constants(0.0, 2.0, 1.0)
-        with pytest.raises(DomainError):
-            analytic.lil_constants(0.5, 0.9, 1.0)
+        for T, kappa in ((0.9, 1.0), (math.nan, 1.0), (2.0, 0.0),
+                         (2.0, -1.0)):
+            with pytest.raises(DomainError):
+                analytic.lil_constant(T, kappa)
 
 
 class TestKernelEvalDispatch:

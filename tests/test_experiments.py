@@ -107,6 +107,19 @@ class TestNLadder:
         with pytest.raises(DomainError):
             NLadder(ns=(256, 512), replications=0)
 
+    @pytest.mark.parametrize("ns, replications", [
+        ((16, 32, 64), 1.5), ((16.0, 32.0, 64.0), 2), ((16, 32, 64), True),
+        ((16, 32, 64), "2"), ((True, 32, 64), 2)],
+        ids=["float-replications", "float-sizes", "bool-replications",
+             "str-replications", "bool-size"])
+    def test_non_integers_rejected(self, ns, replications):
+        with pytest.raises(DomainError, match="must be integers"):
+            NLadder(ns=ns, replications=replications)
+
+    def test_integer_likes_taken(self):
+        lad = NLadder(ns=tuple(np.array([16, 32])), replications=np.int64(2))
+        assert lad.replications == 2
+
 
 class TestLoglogFit:
     def test_exact_power_law(self):
@@ -131,6 +144,13 @@ class TestLoglogFit:
             loglog_fit([256, 512], [1.0, 0.5])
         with pytest.raises(DataError):
             loglog_fit([256, 512, 1024], [1.0, -0.5, 0.2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_non_finite_statistic_rejected(self, bad):
+        # a DataError, not a NaN slope with numpy warnings
+        with pytest.raises(DataError, match="finite statistics"):
+            loglog_fit([1, 2, 3], [1.0, bad, 2.0])
 
     def test_points_recorded(self):
         ns = [16, 32, 64]
@@ -447,11 +467,11 @@ class TestNanRejected:
 
     # each message names the check that must catch the NaN, not a later one
     @pytest.mark.parametrize("call, match", [
-        (lambda: GridSpec(times=(math.nan,), T=1.0, uniform=False),
+        (lambda: GridSpec(times=(math.nan,), T=1.0),
          "must lie in"),
-        (lambda: GridSpec(times=(0.5, math.nan, 1.0), T=1.0, uniform=False),
+        (lambda: GridSpec(times=(0.5, math.nan, 1.0), T=1.0),
          "strictly increasing"),
-        (lambda: GridSpec(times=(0.5, 1.0), T=math.nan, uniform=False),
+        (lambda: GridSpec(times=(0.5, 1.0), T=math.nan),
          "must lie in"),
         (lambda: GridSpec.uniform_grid(math.nan, 4), "T > 0"),
         (lambda: GridSpec.uniform_grid(math.nan, 4, include_zero=True),

@@ -351,17 +351,53 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec.from_times([1.0, 1.0, 2.0])
         with pytest.raises(DomainError):
-            GridSpec(times=(0.5, 0.2), T=1.0, uniform=False)
+            GridSpec(times=(0.5, 0.2), T=1.0)
+        with pytest.raises(DomainError, match="at least one time"):
+            GridSpec.from_times([])
 
-    def test_arrays_built_once_and_read_only(self, monkeypatch):
+    @pytest.mark.parametrize("times", [[0.5, 0.0, 1.0, -math.inf],
+                                       [-math.inf, 2.0]])
+    def test_from_times_non_finite_rejected(self, times):
+        # the lattice rule takes no ratio of an infinite time: no warning
+        with pytest.raises(DomainError, match="must lie in"):
+            GridSpec.from_times(times)
+
+    def test_fields_and_uniform(self):
+        assert [f.name for f in fields(GridSpec)] == ["times", "T", "step"]
+        assert not GridSpec(times=(0.5, 1.0), T=1.0).uniform
+        assert GridSpec(times=(0.5, 1.0), T=1.0, step=0.5).uniform
+        with pytest.raises(AttributeError):
+            GridSpec.uniform_grid(1.0, 4).uniform = False
+
+    @pytest.mark.parametrize("times, step", [
+        ((1e-20, 2.5e-20), 1e-20),   # 2.5e-20 is no multiple, however small
+        ((0.5, 1.0), -0.5),
+        ((0.5, 1.0), math.nan),
+        ((0.5, 1.0), math.inf),
+        ((0.5, 1.0), 0.3),
+        ((1.0 / 2**53 * 3.0, 1.0), 1.0 / 2**53),  # index of t = 1 is 2**53
+    ], ids=["tiny-off-lattice", "negative", "nan", "inf", "off-lattice",
+            "index-2**53"])
+    def test_step_off_its_lattice_rejected(self, times, step):
+        # the one lattice rule decides, not a numpy warning or a math error
+        with pytest.raises(DomainError, match="^grid step must be 0 or"):
+            GridSpec(times=times, T=max(times), step=step)
+
+    def test_lattice_rule_runs_once_per_grid(self, monkeypatch):
         calls = []
-        allclose = np.allclose
-        monkeypatch.setattr(np, "allclose",
-                            lambda *a, **k: calls.append(1) or allclose(*a, **k))
+        rule = fbm._on_lattice
+        monkeypatch.setattr(fbm, "_on_lattice",
+                            lambda *a: calls.append(1) or rule(*a))
         g = GridSpec.uniform_grid(2.0, 9, include_zero=True)
+        assert len(calls) == 1  # checked where the grid is built
         for _ in range(2):
             make_ensemble(3, g, 0.5)
-        assert len(calls) == 1  # the lattice check runs once per grid
+        copy = pickle.loads(pickle.dumps(g))
+        assert list(copy.lattice_indices()) == list(range(9))
+        assert len(calls) == 1
+
+    def test_arrays_built_once_and_read_only(self):
+        g = GridSpec.uniform_grid(2.0, 9, include_zero=True)
         assert g.array is g.array and g.lattice_indices() is g.lattice_indices()
         for arr in (g.array, g.lattice_indices()):
             with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Configuration parsing, CLI surface, persistence, and determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -498,6 +499,31 @@ class TestParseConfig:
         # T = 1 keeps any kappa finite
         assert parse_config(json.dumps({**conf, "T": 1})).kappa == 1e300
 
+    def test_kappa_overflowing_the_spread_rejected(self, tmp_path, capsys):
+        # T**kappa is finite, but the squares of R statistics below
+        # T**kappa * sqrt(n) that the spread sums are not
+        conf = {"study": "lil_trace", "kappa": 1000, "M_t": 4,
+                "ladder": {"ns": [16, 32], "replications": 2}}
+        match = r"^kappa must keep T\*\*\(2\*kappa\) \* replications \* max\(ns\)"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+        _assert_cli_rejects(tmp_path, capsys, json.dumps(conf), match)
+        # at T = 2 the default ladder still takes kappa 500
+        assert parse_config(json.dumps(
+            {"study": "lil_trace", "kappa": 500})).kappa == 500
+
+    def test_largest_kappa_runs_with_finite_spread(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = parse_config(json.dumps({
+            "study": "lil_trace", "kappa": 500, "M_t": 4, "threads": 1,
+            "ladder": {"ns": [16, 32], "replications": 2},
+            "out_dir": str(out)}))
+        assert run_study(cfg)[0] == 0
+        per_n = json.loads((out / "result.json").read_text())["per_n"]
+        assert all(type(row["se"]) is float and math.isfinite(row["se"])
+                   for row in per_n)
+        assert "inf" not in (out / "summary.csv").read_text()
+
     def test_level_grid_size_bounded(self, tmp_path, capsys):
         # parsed only: a run would build a 10**9-level grid
         conf = {"study": "weighted_bk_rate", "M_alpha": 10**9}
@@ -567,6 +593,28 @@ class TestStudyRegistry:
         for spec in STUDIES.values():
             assert set(spec.keys) <= names
             assert set(spec.defaults) <= set(spec.keys)
+
+    @pytest.mark.parametrize("study", sorted(
+        name for name, spec in STUDIES.items() if spec.function))
+    def test_defaults_agree_with_study_function(self, study):
+        # a study's defaults live in the runner and again in its function's
+        # keyword defaults; both must resolve to the same values
+        def as_lists(value):
+            if isinstance(value, (tuple, list)):
+                return [as_lists(v) for v in value]
+            return value
+
+        spec = STUDIES[study]
+        params = inspect.signature(
+            getattr(experiments, spec.function)).parameters
+        cfg = parse_config(json.dumps({"study": study}))
+        checked = 0
+        for key in spec.keys:
+            default = params["seed" if key == "master_seed" else key].default
+            if default is not inspect.Parameter.empty:
+                assert as_lists(getattr(cfg, key)) == as_lists(default), key
+                checked += 1
+        assert checked
 
     @pytest.mark.parametrize("study", sorted(STUDIES))
     def test_round_trip_every_study(self, study):
