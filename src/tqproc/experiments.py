@@ -5,7 +5,8 @@ deterministically: replication r at sample size n draws its randomness from
 ``derive_seed(seed, n, r)``, tasks are farmed to a worker pool largest n
 first (so the pool's last chunks hold the cheapest tasks), and results are
 aggregated in ladder order, so the outcome depends neither on the number of
-workers nor on the dispatch order.
+workers nor on the dispatch order.  The pool (``_run_tasks``) forks its
+workers with ``os.fork`` and talks to them over pipes.
 
 Every study that samples fBm and replicates runs each replication as one
 task, ``_sampled``: sample the paths and sort each time's column in place,
@@ -24,10 +25,11 @@ fitting the exact rate sequence itself (see ``loglog_fit``).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -212,20 +214,106 @@ def _run_tasks(worker, tasks: list, workers: int) -> list:
     """Map worker over tasks, preserving order; results never depend on pool size.
 
     The pool never has more processes than there are CPUs this process
-    may use.  It forks its workers where the platform can, whatever the
-    interpreter's default start method, so they inherit the modules this
-    process has loaded instead of importing them again.
+    may use, nor than there are tasks.  Its workers are forked by hand, so
+    they inherit the modules and the tasks this process holds: the tasks
+    go in chunks of consecutive tasks, whose numbers wait in one pipe and
+    go to whichever worker reads next, and each worker sends back all its
+    chunks' results, or its exception, as one pickle on a pipe of its own.
+    A worker's exception is raised here with its traceback as the cause.
+    No worker outlives the call, whether it returns, raises or is
+    interrupted.  Where the
+    platform cannot fork, the tasks run in this process.
     """
-    workers = min(workers, usable_cpus())
-    if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        context = (multiprocessing.get_context("fork")
-                   if "fork" in multiprocessing.get_all_start_methods()
-                   else None)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            return list(pool.map(worker, tasks, chunksize=chunk))
-    return [worker(t) for t in tasks]
+    workers = min(workers, usable_cpus(), len(tasks))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [worker(t) for t in tasks]
+    chunk = max(1, len(tasks) // (workers * 4))
+    n_chunks = -(-len(tasks) // chunk)
+    queue, feed = os.pipe()
+    # at most 8 * workers + 1 numbers of 4 bytes: far below a pipe's buffer
+    os.write(feed, b"".join(c.to_bytes(4, "little") for c in range(n_chunks)))
+    os.close(feed)
+    fds, children = [queue], {}  # pipe ends open here; unreaped pid -> pipe
+    try:
+        with _sigint_deferred():
+            for _ in range(workers):
+                r, w = os.pipe()
+                fds += (r, w)
+                pid = os.fork()
+                if pid == 0:
+                    _pool_worker(worker, tasks, chunk, queue, w)
+                children[pid] = r
+                fds.remove(w)
+                os.close(w)
+        results = {}
+        for pid, r in list(children.items()):
+            with open(r, "rb", closefd=False) as f:
+                payload = f.read()
+            with _sigint_deferred():
+                status = os.waitpid(pid, 0)[1]
+                del children[pid]
+            if not payload:
+                code = os.waitstatus_to_exitcode(status)
+                how = (f"killed by signal {-code}" if code < 0
+                       else f"exit status {code}")
+                raise RuntimeError(
+                    f"pool worker {pid} ended with no result ({how})")
+            ok, value, *trace = pickle.loads(payload)
+            if not ok:
+                raise value from _WorkerTraceback(*trace)
+            results.update(value)
+    finally:
+        with _sigint_deferred():
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for fd in fds:
+                os.close(fd)
+    return [out for c in range(n_chunks) for out in results[c]]
+
+
+@contextmanager
+def _sigint_deferred():
+    """Hold SIGINT back in the block, so that a KeyboardInterrupt cannot
+    fall between a fork or a reap and its record in the pool's books.  A
+    worker forked in the block keeps it held back: the pool ends it."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+class _WorkerTraceback(Exception):
+    """A pool worker's formatted traceback, chained as the cause of the
+    exception the worker raised."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _pool_worker(worker, tasks: list, chunk: int, queue: int, out: int):
+    """The body of a forked pool worker: run the chunks whose numbers it
+    reads from ``queue`` until EOF, write ``(True, {chunk: results})`` or
+    ``(False, exception, traceback)`` to ``out`` as one pickle and leave by
+    ``os._exit``, with status 1 if that failed, never returning into the
+    caller's stack."""
+    status = 1
+    try:
+        try:
+            done = {}
+            while word := os.read(queue, 4):
+                c = int.from_bytes(word, "little")
+                done[c] = [worker(t) for t in tasks[c * chunk:(c + 1) * chunk]]
+            payload = pickle.dumps((True, done))
+        except BaseException as exc:  # raised again in the parent
+            import traceback
+            payload = pickle.dumps((False, exc, traceback.format_exc()))
+        with open(out, "wb") as f:
+            f.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _replicate(worker, seed: int, ns, R: int, args: tuple,

@@ -82,11 +82,15 @@ class GridSpec:
         ts = np.asarray(self.times, dtype=float)
         if ts.size == 0:
             raise DomainError("grid needs at least one time point")
-        # both checks are written so that a NaN time or T fails them
+        # an infinite time or T fails before any difference is taken (inf
+        # minus inf warns); a NaN time or T fails one of the two checks
+        if not (math.isfinite(self.T) and not np.isinf(ts).any()
+                and ts[0] >= 0.0
+                and ts[-1] <= self.T + 1e-12 * max(1.0, self.T)):
+            raise DomainError(
+                f"grid times must lie in [0, T={self.T}], T finite")
         if not np.all(np.diff(ts) > 0.0):
             raise DomainError("grid times must be strictly increasing")
-        if not (ts[0] >= 0.0 and ts[-1] <= self.T + 1e-12 * max(1.0, self.T)):
-            raise DomainError(f"grid times must lie in [0, T={self.T}]")
         if not (self.step == 0.0
                 or self.step > 0.0 and _on_lattice(ts, self.step)):
             raise DomainError(f"grid step must be 0 or a finite step with "
@@ -117,12 +121,13 @@ class GridSpec:
         between consecutive times or from 0 to the first (so one positive
         time is a lattice of its own) if the times sit on that lattice,
         else 0."""
-        ts = np.asarray(sorted(float(t) for t in times), dtype=float)
-        gaps = np.diff(ts, prepend=0.0)
+        ts = tuple(sorted(float(t) for t in times))
+        # checked before the gaps are taken
+        grid = cls(times=ts, T=ts[-1] if ts else 0.0)
+        gaps = np.diff(grid.array, prepend=0.0)
         step = float(gaps[gaps > 0.0].min(initial=math.inf))
-        return cls(times=tuple(ts.tolist()),
-                   T=float(ts[-1]) if ts.size else 0.0,
-                   step=step if _on_lattice(ts, step) else 0.0)
+        return (cls(times=ts, T=grid.T, step=step)
+                if _on_lattice(grid.array, step) else grid)
 
     def __getstate__(self) -> dict:
         # pickle the fields only: each process builds its own cached arrays

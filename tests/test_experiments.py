@@ -1,7 +1,9 @@
 """Study harness: regression engine, determinism, and small-scale smoke runs."""
 
 import math
-import multiprocessing
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,59 +22,98 @@ from tqproc.runner import STUDIES
 from tqproc.seeding import derive_seed
 
 
+def _pid(task) -> int:
+    return os.getpid()
+
+
+def _square(task) -> tuple:
+    return task, task * task
+
+
+def _fails_at_3(task) -> int:
+    if task == 3:
+        raise DomainError(f"task {task} is out of its domain")
+    return task
+
+
+def _killed_at_3(task) -> int:
+    if task == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task
+
+
+def _interrupts_parent(task) -> int:
+    # the parent is still in _run_tasks: it reads this worker's result
+    os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(60)
+    return task
+
+
 class TestRunTasks:
-    @staticmethod
-    def _pool_sizes(monkeypatch) -> list:
-        """Run three tasks asking for 64 workers; the pool sizes made."""
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers, mp_context):
-                # the pool forks wherever the platform can, whatever the
-                # default start method; elsewhere it takes the default
-                if "fork" in multiprocessing.get_all_start_methods():
-                    assert mp_context.get_start_method() == "fork"
-                else:
-                    assert mp_context is None
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
-        assert experiments._run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
-        return sizes
-
-    @pytest.mark.parametrize("cpus, pool", [(2, [2]), (None, [])])
-    def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, pool):
-        # no affinity mask to read: usable_cpus falls back on the CPU count
-        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        assert experiments.usable_cpus() == (cpus or 1)
-        assert self._pool_sizes(monkeypatch) == pool
-
-    def test_pool_bounded_by_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(experiments.os, "sched_getaffinity",
-                            lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    @pytest.mark.parametrize("mask", [None, {0, 1}],
+                             ids=["cpu-count", "affinity-mask"])
+    def test_pool_bounded_by_usable_cpus(self, monkeypatch, mask):
+        # 2 usable CPUs, read from the CPU count where there is no affinity
+        # mask to read, else from the mask
+        if mask is None:
+            monkeypatch.delattr(experiments.os, "sched_getaffinity",
+                                raising=False)
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                                lambda pid: mask, raising=False)
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
         assert experiments.usable_cpus() == 2
-        assert self._pool_sizes(monkeypatch) == [2]
+        pids = set(experiments._run_tasks(_pid, list(range(64)), 64))
+        assert 1 <= len(pids) <= 2 and os.getpid() not in pids
 
-    @pytest.mark.parametrize("methods", [
-        ["fork", "spawn", "forkserver"], ["forkserver", "fork", "spawn"],
-        ["spawn"]], ids=["fork-default", "forkserver-default", "no-fork"])
-    def test_pool_forks_where_it_can(self, monkeypatch, methods):
-        # the recorder checks the start method of every pool made
+    def test_runs_in_calling_process_on_one_cpu(self, monkeypatch):
+        # no affinity mask and no CPU count to read: one usable CPU
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments.usable_cpus() == 1
+        assert experiments._run_tasks(_pid, list(range(8)), 64) == [
+            os.getpid()] * 8
+
+    def test_runs_in_calling_process_without_fork(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: methods)
-        assert self._pool_sizes(monkeypatch) == [2]
+        monkeypatch.delattr(experiments.os, "fork")
+        assert experiments._run_tasks(_pid, list(range(8)), 2) == [
+            os.getpid()] * 8
+
+    def test_results_in_task_order(self, monkeypatch):
+        # 9 chunks of 125 tasks, the last of one
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        tasks = list(range(1001))
+        assert experiments._run_tasks(_square, tasks, 2) == list(
+            map(_square, tasks))
+
+    def test_worker_exception_reraised(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        with pytest.raises(DomainError, match="^task 3 is out of its domain$"):
+            experiments._run_tasks(_fails_at_3, list(range(8)), 2)
+
+    def test_worker_traceback_is_the_cause(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        with pytest.raises(DomainError) as info:
+            experiments._run_tasks(_fails_at_3, list(range(8)), 2)
+        assert "in _fails_at_3" in str(info.value.__cause__)
+
+    def test_killed_worker_raises_and_is_reaped(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="killed by signal 9"):
+            experiments._run_tasks(_killed_at_3, list(range(8)), 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupted_parent_kills_its_workers(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            experiments._run_tasks(_interrupts_parent, [0, 1], 2)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestReplicate:

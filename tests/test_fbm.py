@@ -362,6 +362,18 @@ class TestGridSpec:
         with pytest.raises(DomainError, match="must lie in"):
             GridSpec.from_times(times)
 
+    @pytest.mark.parametrize("make", [
+        lambda: GridSpec.from_times([math.inf, math.inf]),
+        lambda: GridSpec.from_times([-math.inf, -math.inf, 1.0]),
+        lambda: GridSpec.from_times([0.5, math.inf]),
+        lambda: GridSpec((0.5, math.inf), math.inf),
+    ], ids=["from_times-inf-inf", "from_times-neg-inf-twice",
+            "from_times-inf-last", "T-inf"])
+    def test_infinite_time_or_T_rejected(self, make):
+        # before any difference of two times is taken: no numpy warning
+        with pytest.raises(DomainError, match="T finite"):
+            make()
+
     def test_fields_and_uniform(self):
         assert [f.name for f in fields(GridSpec)] == ["times", "T", "step"]
         assert not GridSpec(times=(0.5, 1.0), T=1.0).uniform

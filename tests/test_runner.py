@@ -1401,6 +1401,22 @@ class TestImportFootprint:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["worker_peak_rss_mb"] is not None
 
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_no_pool_machinery_loaded(self, tmp_path, study):
+        # the pool forks its workers by hand: no step of a run loads
+        # multiprocessing or concurrent.futures, nor the logging and socket
+        # they bring.  scipy.special loads concurrent.futures, logging and
+        # socket itself, so a study in NORMAL_CDF_STUDIES has them from
+        # its pool on
+        conf = {"study": study, "threads": 2, "out_dir": str(tmp_path / "out"),
+                **FOOTPRINT_CONFIGS[study]}
+        steps = _fresh_python(_STEPS_SCRIPT, json.dumps(conf), json.dumps(
+            ["concurrent.futures", "logging", "multiprocessing", "socket"]))
+        cdf_steps = {"pool", "run"} if study in NORMAL_CDF_STUDIES else set()
+        for step, modules in steps.items():
+            assert modules == (["concurrent.futures", "logging", "socket"]
+                               if step in cdf_steps else [])
+
     @pytest.mark.parametrize("study", sorted(set(STUDIES) - POOLLESS_STUDIES))
     def test_pooled_run_calls_no_numpy_partition(self, tmp_path, study):
         # medians are taken from a Python sort, so a run process never
