@@ -2,11 +2,13 @@
 
 Each study maps a configuration and a master seed to a ``StudyResult``
 deterministically: replication r at sample size n draws its randomness from
-``derive_seed(seed, n, r)``, tasks are farmed to a worker pool largest n
-first (so the pool's last chunks hold the cheapest tasks), and results are
-aggregated in ladder order, so the outcome depends neither on the number of
-workers nor on the dispatch order.  The pool (``_run_tasks``) forks its
-workers with ``os.fork`` and talks to them over pipes.
+``derive_seed(seed, n, r)``, replications are farmed to a worker pool
+largest n first (so the pool's last chunks hold the cheapest ones), and
+results are aggregated in ladder order, so the outcome depends neither on
+the number of workers nor on the dispatch order.  The pool (``_run_tasks``)
+forks its workers with ``os.fork`` and talks to them over pipes; it hands
+out ranges of replication indices, the workers derive their own seeds, and
+each range comes back as one float64 array of its replications' values.
 
 Every study that samples fBm and replicates runs each replication as one
 task, ``_sampled``: sample the paths and sort each time's column in place,
@@ -210,25 +212,29 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_tasks(worker, tasks: list, workers: int) -> list:
-    """Map worker over tasks, preserving order; results never depend on pool size.
+def _run_tasks(run_chunk, count: int, workers: int) -> list:
+    """Run ``run_chunk(lo, hi)`` over consecutive ranges that cover
+    ``0..count`` and return its results in range order.  Where the ranges
+    are cut depends on the pool size, so a caller whose results must not
+    (``_replicate``) joins the chunks in order.
 
     The pool never has more processes than there are CPUs this process
-    may use, nor than there are tasks.  Its workers are forked by hand, so
-    they inherit the modules and the tasks this process holds: the tasks
-    go in chunks of consecutive tasks, whose numbers wait in one pipe and
-    go to whichever worker reads next, and each worker sends back all its
-    chunks' results, or its exception, as one pickle on a pipe of its own.
-    A worker's exception is raised here with its traceback as the cause.
-    No worker outlives the call, whether it returns, raises or is
-    interrupted.  Where the
-    platform cannot fork, the tasks run in this process.
+    may use, nor than there are items.  Its workers are forked by hand, so
+    they inherit the modules and the ``run_chunk`` this process holds: the
+    items go in chunks of consecutive indices, whose numbers wait in one
+    pipe and go to whichever worker reads next, and each worker sends back
+    its chunks' results, one object per chunk, or its exception, as one
+    pickle on a pipe of its own.  A worker's exception is raised here with
+    its traceback as the cause; a worker that sends nothing readable raises
+    ``RuntimeError``.  No worker outlives the call, whether it returns,
+    raises or is interrupted.  With one worker, or where the platform
+    cannot fork, ``run_chunk(0, count)`` runs in this process.
     """
-    workers = min(workers, usable_cpus(), len(tasks))
+    workers = min(workers, usable_cpus(), count)
     if workers < 2 or not hasattr(os, "fork"):
-        return [worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
-    n_chunks = -(-len(tasks) // chunk)
+        return [run_chunk(0, count)]
+    chunk = max(1, count // (workers * 4))
+    n_chunks = -(-count // chunk)
     queue, feed = os.pipe()
     # at most 8 * workers + 1 numbers of 4 bytes: far below a pipe's buffer
     os.write(feed, b"".join(c.to_bytes(4, "little") for c in range(n_chunks)))
@@ -241,7 +247,7 @@ def _run_tasks(worker, tasks: list, workers: int) -> list:
                 fds += (r, w)
                 pid = os.fork()
                 if pid == 0:
-                    _pool_worker(worker, tasks, chunk, queue, w)
+                    _pool_worker(run_chunk, count, chunk, queue, w)
                 children[pid] = r
                 fds.remove(w)
                 os.close(w)
@@ -252,13 +258,14 @@ def _run_tasks(worker, tasks: list, workers: int) -> list:
             with _sigint_deferred():
                 status = os.waitpid(pid, 0)[1]
                 del children[pid]
-            if not payload:
+            try:
+                ok, value, *trace = pickle.loads(payload)
+            except (EOFError, pickle.UnpicklingError):  # empty or cut short
                 code = os.waitstatus_to_exitcode(status)
                 how = (f"killed by signal {-code}" if code < 0
                        else f"exit status {code}")
-                raise RuntimeError(
-                    f"pool worker {pid} ended with no result ({how})")
-            ok, value, *trace = pickle.loads(payload)
+                raise RuntimeError(f"pool worker {pid} ended with no "
+                                   f"readable result ({how})") from None
             if not ok:
                 raise value from _WorkerTraceback(*trace)
             results.update(value)
@@ -269,7 +276,7 @@ def _run_tasks(worker, tasks: list, workers: int) -> list:
                 os.waitpid(pid, 0)
             for fd in fds:
                 os.close(fd)
-    return [out for c in range(n_chunks) for out in results[c]]
+    return [results[c] for c in range(n_chunks)]
 
 
 @contextmanager
@@ -292,9 +299,9 @@ class _WorkerTraceback(Exception):
         return f'\n"""\n{self.args[0]}"""'
 
 
-def _pool_worker(worker, tasks: list, chunk: int, queue: int, out: int):
+def _pool_worker(run_chunk, count: int, chunk: int, queue: int, out: int):
     """The body of a forked pool worker: run the chunks whose numbers it
-    reads from ``queue`` until EOF, write ``(True, {chunk: results})`` or
+    reads from ``queue`` until EOF, write ``(True, {chunk: result})`` or
     ``(False, exception, traceback)`` to ``out`` as one pickle and leave by
     ``os._exit``, with status 1 if that failed, never returning into the
     caller's stack."""
@@ -304,7 +311,7 @@ def _pool_worker(worker, tasks: list, chunk: int, queue: int, out: int):
             done = {}
             while word := os.read(queue, 4):
                 c = int.from_bytes(word, "little")
-                done[c] = [worker(t) for t in tasks[c * chunk:(c + 1) * chunk]]
+                done[c] = run_chunk(c * chunk, min((c + 1) * chunk, count))
             payload = pickle.dumps((True, done))
         except BaseException as exc:  # raised again in the parent
             import traceback
@@ -317,26 +324,42 @@ def _pool_worker(worker, tasks: list, chunk: int, queue: int, out: int):
 
 
 def _replicate(worker, seed: int, ns, R: int, args: tuple,
-               workers: int) -> tuple[list[list], float, tuple[str, ...]]:
+               workers: int) -> tuple[list[np.ndarray], float, tuple[str, ...]]:
     """Run R replications of ``worker`` at each sample size in ``ns``.
 
     Replication r at size n is the task ``(derive_seed(seed, n, r), n,
-    *args)``; the worker returns ``(value, tie_violation, warnings)``.
-    A task costs roughly in proportion to n, so tasks are dispatched largest
-    n first (r ascending within each n): the pool hands out contiguous
-    chunks, and in ladder order one worker would be left with a chunk of
-    the largest tasks while the others idle.  Returns the values grouped
-    per n in ladder order, the largest tie violation and the sorted union
-    of the warnings.
+    *args)``; the worker returns ``(value, tie_violation, warnings)``, its
+    value a float or a fixed-length float array.  A task costs roughly in
+    proportion to n, so tasks are dispatched largest n first (r ascending
+    within each n): the pool hands out contiguous chunks, and in ladder
+    order one worker would be left with a chunk of the largest tasks while
+    the others idle.  The pool maps over the flat replication indices in
+    that order; each chunk derives its own seeds and comes back as one
+    float64 array of its values, with its largest violation and its
+    warnings, so no process holds a Python object per replication.
+    Returns the values per n in ladder order, as arrays of shape (R,) or
+    (R, width), the largest tie violation and the sorted union of the
+    warnings.
     """
-    tasks = [(derive_seed(seed, n, r), n) + args
-             for n in reversed(ns) for r in range(R)]
-    out = _run_tasks(worker, tasks, workers)
-    values = [[o[0] for o in out[i * R:(i + 1) * R]]
-              for i in reversed(range(len(ns)))]
-    tie_violation = max(o[1] for o in out)
-    warnings = tuple(sorted(set().union(*(o[2] for o in out))))
-    return values, tie_violation, warnings
+    last = len(ns) - 1
+
+    def run_chunk(lo: int, hi: int) -> tuple:
+        values, violation, warnings = None, -math.inf, set()
+        for i in range(lo, hi):
+            n, r = ns[last - i // R], i % R
+            value, v, w = worker((derive_seed(seed, n, r), n) + args)
+            if values is None:
+                values = np.empty((hi - lo,) + np.shape(value))
+            values[i - lo] = value
+            violation = max(violation, v)
+            warnings.update(w)
+        return values, violation, tuple(sorted(warnings))
+
+    chunks = _run_tasks(run_chunk, len(ns) * R, workers)
+    values = np.concatenate([c[0] for c in chunks])
+    per_n = [values[(last - i) * R:(last - i + 1) * R] for i in range(len(ns))]
+    return (per_n, max(c[1] for c in chunks),
+            tuple(sorted(set().union(*(c[2] for c in chunks)))))
 
 
 def _sampled(task) -> tuple:
@@ -480,12 +503,14 @@ def _node_truths(grid: GridSpec, x_nodes, alpha_nodes, H: float,
 
 
 def _node_values(ens, x_cols, xs, F, rows, alpha_cols, f,
-                 tau) -> tuple[np.ndarray, np.ndarray]:
-    """v_n at the x nodes and f * u_n at the alpha nodes, read off the
-    ensemble's sorted columns at the places ``_node_truths`` gives."""
+                 tau) -> np.ndarray:
+    """v_n at the x nodes, then f * u_n at the alpha nodes, in one array,
+    read off the ensemble's sorted columns at the places ``_node_truths``
+    gives."""
     sv, sqrt_n = ens.sorted_values, math.sqrt(ens.n)
     Fn = empirical._fn_at(sv[:, x_cols], xs[None, :])[0]
-    return sqrt_n * (Fn - F), f * sqrt_n * (sv[rows, alpha_cols] - tau)
+    return np.concatenate((sqrt_n * (Fn - F),
+                           f * sqrt_n * (sv[rows, alpha_cols] - tau)))
 
 
 def _cov_table(samples: np.ndarray, nodes, kernel_fn) -> list[dict]:
@@ -542,8 +567,8 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
         _sampled, seed, (n,), R,
         (grid, H, sampler_id, _node_ties(alpha_nodes), _node_values,
          *_node_truths(grid, x_nodes, alpha_nodes, H, n)), workers)
-    v_samples = np.vstack([v for v, _ in out])
-    fu_samples = np.vstack([fu for _, fu in out])
+    # (R, nodes): v_n's columns, then f * u_n's
+    v_samples, fu_samples = out[:, :len(x_nodes)], out[:, len(x_nodes):]
     v_rows = _cov_table(v_samples, x_nodes,
                         lambda a, b: analytic.limit_kernel_G(a[0], a[1], b[0], b[1], H))
     u_rows = _cov_table(fu_samples, alpha_nodes,
@@ -592,13 +617,17 @@ def swanson_median_study(times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     times = tuple(float(t) for t in times)
     if not all(t > 0.0 for t in times):  # NaN fails too
         raise DomainError("median study times must be positive")
+    # the grid's columns are the sorted times, which the tables walk in
+    # the order given
+    if not all(a < b for a, b in zip(times, times[1:])):
+        raise DomainError(f"median study times must be strictly "
+                          f"increasing; got {times}")
     if R < 2:
         raise DomainError(f"covariances need R >= 2 replications; got {R}")
-    (out,), tie_violation, warns = _replicate(
+    (med,), tie_violation, warns = _replicate(
         _sampled, seed, (n,), R,
         (GridSpec.from_times(times), 0.5, sampler_id, _MEDIAN,
-         _scaled_median), workers)
-    med = np.vstack(out)  # (R, times)
+         _scaled_median), workers)  # med: (R, times)
     var_rows, cov_rows = [], []
     for i, t in enumerate(times):
         mc = float(med[:, i].var(ddof=1))

@@ -143,8 +143,8 @@ def _nodes(cfg: dict, key: str, width: int, shape: str, times=(0,),
 # a time.  A fixed bound, not a config key.
 WORKER_BYTES_BUDGET = 2 << 30
 # The most tasks one run may have (replications times ladder sizes, or R):
-# the parent process holds every task and every result at once.  Also a
-# fixed bound.
+# the run process holds every task's value, packed in one float64 array,
+# at once.  Also a fixed bound.
 MAX_TASKS = 100_000
 
 

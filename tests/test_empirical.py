@@ -53,9 +53,10 @@ def tau_n(e: Ensemble, alphas) -> np.ndarray:
 
 
 def v_n(e: Ensemble, t: float, x: float) -> float:
-    """v_n(t, x) as kernel validation's node values compute it."""
+    """v_n(t, x) as kernel validation's node values compute it: the
+    first, and here only, value."""
     truths = _node_truths(e.grid, [(t, x)], [], e.H, e.n)
-    return float(_node_values(e, *truths)[0][0])
+    return float(_node_values(e, *truths)[0])
 
 
 class TestEmpiricalCdf:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import signal
 import time
 import tracemalloc
@@ -20,6 +21,11 @@ from tqproc.experiments import (NLadder, bk_rate_study, classical_bk_study,
 from tqproc.fbm import GridSpec, ensemble_bytes, make_ensemble, tail_fit
 from tqproc.runner import STUDIES
 from tqproc.seeding import derive_seed
+
+
+def _per_task(fn):
+    """A run_chunk for ``_run_tasks`` that maps fn over its range."""
+    return lambda lo, hi: [fn(t) for t in range(lo, hi)]
 
 
 def _pid(task) -> int:
@@ -49,6 +55,17 @@ def _interrupts_parent(task) -> int:
     return task
 
 
+def _truncating_reply(parent: int):
+    """A per-task function whose worker, in its own forked process, cuts
+    the last 5 bytes off every pickle it sends."""
+    def task(t):
+        if os.getpid() != parent:
+            dumps = pickle.dumps
+            experiments.pickle.dumps = lambda *a, **k: dumps(*a, **k)[:-5]
+        return t
+    return task
+
+
 class TestRunTasks:
     @pytest.mark.parametrize("mask", [None, {0, 1}],
                              ids=["cpu-count", "affinity-mask"])
@@ -64,45 +81,59 @@ class TestRunTasks:
                                 lambda pid: mask, raising=False)
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
         assert experiments.usable_cpus() == 2
-        pids = set(experiments._run_tasks(_pid, list(range(64)), 64))
+        chunks = experiments._run_tasks(_per_task(_pid), 64, 64)
+        pids = {p for c in chunks for p in c}
         assert 1 <= len(pids) <= 2 and os.getpid() not in pids
 
     def test_runs_in_calling_process_on_one_cpu(self, monkeypatch):
-        # no affinity mask and no CPU count to read: one usable CPU
+        # no affinity mask and no CPU count to read: one usable CPU, and
+        # the whole range is one call
         monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert experiments.usable_cpus() == 1
-        assert experiments._run_tasks(_pid, list(range(8)), 64) == [
-            os.getpid()] * 8
+        assert experiments._run_tasks(_per_task(_pid), 8, 64) == [
+            [os.getpid()] * 8]
 
     def test_runs_in_calling_process_without_fork(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         monkeypatch.delattr(experiments.os, "fork")
-        assert experiments._run_tasks(_pid, list(range(8)), 2) == [
-            os.getpid()] * 8
+        assert experiments._run_tasks(_per_task(_pid), 8, 2) == [
+            [os.getpid()] * 8]
 
     def test_results_in_task_order(self, monkeypatch):
-        # 9 chunks of 125 tasks, the last of one
+        # 9 chunks of 125 items, the last of one
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-        tasks = list(range(1001))
-        assert experiments._run_tasks(_square, tasks, 2) == list(
-            map(_square, tasks))
+        chunks = experiments._run_tasks(_per_task(_square), 1001, 2)
+        assert [len(c) for c in chunks] == [125] * 8 + [1]
+        assert [out for c in chunks for out in c] == list(
+            map(_square, range(1001)))
 
     def test_worker_exception_reraised(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         with pytest.raises(DomainError, match="^task 3 is out of its domain$"):
-            experiments._run_tasks(_fails_at_3, list(range(8)), 2)
+            experiments._run_tasks(_per_task(_fails_at_3), 8, 2)
 
     def test_worker_traceback_is_the_cause(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         with pytest.raises(DomainError) as info:
-            experiments._run_tasks(_fails_at_3, list(range(8)), 2)
+            experiments._run_tasks(_per_task(_fails_at_3), 8, 2)
         assert "in _fails_at_3" in str(info.value.__cause__)
 
     def test_killed_worker_raises_and_is_reaped(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="killed by signal 9"):
-            experiments._run_tasks(_killed_at_3, list(range(8)), 2)
+            experiments._run_tasks(_per_task(_killed_at_3), 8, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_truncated_reply_names_the_worker(self, monkeypatch):
+        # a reply cut short is no result: the pool's RuntimeError, naming
+        # the worker and its exit status, not an UnpicklingError
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError,
+                           match=r"^pool worker \d+ .*\(exit status 0\)$"):
+            experiments._run_tasks(_per_task(_truncating_reply(os.getpid())),
+                                   8, 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -110,7 +141,7 @@ class TestRunTasks:
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            experiments._run_tasks(_interrupts_parent, [0, 1], 2)
+            experiments._run_tasks(_per_task(_interrupts_parent), 2, 2)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -118,21 +149,62 @@ class TestRunTasks:
 
 class TestReplicate:
     def test_dispatch_largest_n_first_values_in_ladder_order(self, monkeypatch):
-        dispatched = []
+        ranges, dispatched = [], []
 
-        def record(worker, tasks, workers):
-            dispatched.extend(tasks)
-            return [(t[0], -float(t[1]), (f"w{t[1]}",)) for t in tasks]
+        def record(run_chunk, count, workers):
+            # two ranges, split inside the largest size's replications
+            ranges.append(count)
+            return [run_chunk(0, 2), run_chunk(2, count)]
+
+        def worker(task):
+            dispatched.append(task)
+            n = task[1]
+            return float(len(dispatched)), -float(n), (f"w{n}",)
 
         monkeypatch.setattr(experiments, "_run_tasks", record)
         ns, R = (16, 32, 64), 3
         values, violation, warns = experiments._replicate(
-            None, 5, ns, R, ("x",), 2)
+            worker, 5, ns, R, ("x",), 2)
+        assert ranges == [len(ns) * R]
         assert dispatched == [(derive_seed(5, n, r), n, "x")
                               for n in (64, 32, 16) for r in range(R)]
-        assert values == [[derive_seed(5, n, r) for r in range(R)] for n in ns]
+        # dispatch positions 1..9: n = 64 first
+        assert [v.tolist() for v in values] == [[7.0, 8.0, 9.0],
+                                                [4.0, 5.0, 6.0],
+                                                [1.0, 2.0, 3.0]]
         assert violation == -16.0
         assert warns == ("w16", "w32", "w64")
+
+    def test_packed_values_independent_of_pool(self, monkeypatch):
+        # 21 replications on 2 workers: chunks of 2, so chunk boundaries
+        # fall inside every ladder size and one chunk spans two sizes
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        levels = LevelGrid.uniform(0.1, 5)
+        args = (experiments.ladder_grid(2.0, 9), 0.5, "circulant", levels,
+                experiments._bk_sup, levels, False, 0.25, 0.0)
+        one, two = (experiments._replicate(experiments._sampled, 7,
+                                           (16, 32, 64), 7, args, w)
+                    for w in (1, 2))
+        assert len(one[0]) == len(two[0]) == 3
+        for a, b in zip(one[0], two[0]):
+            assert a.shape == b.shape == (7,)
+            np.testing.assert_array_equal(a.view(np.uint64),
+                                          b.view(np.uint64))
+        assert one[1:] == two[1:]
+
+    def test_run_process_memory_bounded_per_replication(self):
+        # the run process holds packed values, 16 bytes a replication here,
+        # and no Python object per replication
+        kw = dict(times=(1.0, 2.0), n=11, workers=2)
+        swanson_median_study(R=8, **kw)  # caches
+        R = 5000
+        tracemalloc.start()
+        try:
+            swanson_median_study(R=R, **kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * R
 
 
 class TestNLadder:
@@ -433,7 +505,8 @@ class TestNodeValues:
             ens = make_ensemble(n, grid, H, master_seed=derive_seed(seed, n, 0))
             got = experiments._node_values(ens, *truths)
             want = _node_values_reference(ens, x_nodes, alpha_nodes)
-            for g, w in zip(got, want):
+            assert got.shape == (len(x_nodes) + len(alpha_nodes),)
+            for g, w in zip(np.split(got, [len(x_nodes)]), want):
                 assert g.shape == w.shape
                 np.testing.assert_array_equal(g.view(np.uint64),
                                               w.view(np.uint64))
@@ -575,6 +648,15 @@ class TestSwansonStudy:
     def test_time_validation(self):
         with pytest.raises(DomainError):
             swanson_median_study(times=(0.0, 1.0), n=11, R=5)
+
+    @pytest.mark.parametrize("times", [(4.0, 1.0), (1.0, 1.0, 2.0),
+                                       (1.0, 4.0, 2.0)],
+                             ids=["decreasing", "repeated", "unsorted"])
+    def test_times_must_increase(self, times):
+        # the grid's columns are the sorted times: any other order would
+        # pair a time with another time's column
+        with pytest.raises(DomainError, match="strictly increasing"):
+            swanson_median_study(times=times, n=11, R=5)
 
     def test_one_replication_rejected(self):
         with pytest.raises(DomainError, match="R >= 2"):

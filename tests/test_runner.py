@@ -1294,9 +1294,9 @@ from tqproc import experiments, runner
 experiments.usable_cpus = lambda: 64
 steps = {"import": loaded()}
 run_tasks = experiments._run_tasks
-def entered(worker, tasks, workers):
+def entered(run_chunk, count, workers):
     steps.setdefault("pool", loaded())
-    return run_tasks(worker, tasks, workers)
+    return run_tasks(run_chunk, count, workers)
 experiments._run_tasks = entered
 cfg = runner.parse_config(sys.argv[1])
 steps["parse"] = loaded()
@@ -1442,10 +1442,10 @@ class TestImportFootprint:
             calls[where[0]] += 1
             return cdf(x)
 
-        def entered(worker, tasks, workers):
+        def entered(run_chunk, count, workers):
             where[0] = "tasks"
             try:
-                return run_tasks(worker, tasks, workers)
+                return run_tasks(run_chunk, count, workers)
             finally:
                 where[0] = "after"
 
