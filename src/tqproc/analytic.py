@@ -10,14 +10,15 @@ Importing this module loads numpy only.  The normal quantile is an
 in-repo port of Cephes ``ndtri`` that matches ``scipy.special.ndtri`` bit
 for bit, so no quantile evaluation loads scipy.  Every normal CDF goes
 through ``std_normal_cdf``, which loads ``scipy.special`` (``ndtr``) on its
-first call, and ``scipy.integrate`` loads on the first bivariate-CDF call,
-that is, when a ``G`` or ``K`` kernel is first evaluated; a study that
-never evaluates one never pays for it.  A study whose pool tasks evaluate
-the normal CDF (``lil_trace``) loads ``scipy.special`` before its pool
-starts, so forked workers inherit it rather than each import it again;
-``kernel_validation`` evaluates its node truths in the parent, which loads
-it there.  Domain checks are negated comparisons such as
-``not (t >= 0.0)``, so that a NaN fails them too.
+first call, and ``scipy.integrate`` loads on the first evaluation of the
+bivariate dependence integral, that is, of a bivariate CDF at |rho| < 1 or
+of a ``G`` or ``K`` kernel off its diagonal; a study that never evaluates
+one never pays for it.  A study whose pool tasks evaluate the normal CDF
+(``lil_trace``) loads ``scipy.special`` before its pool starts, so forked
+workers inherit it rather than each import it again; ``kernel_validation``
+evaluates its node truths in the parent, which loads it there.  Domain
+checks are negated comparisons such as ``not (t >= 0.0)``, so that a NaN
+fails them too.
 """
 
 from __future__ import annotations
@@ -48,19 +49,11 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
-# logs of the smallest and largest powers the direct fBm correlation forms,
-# a factor e inside the normal range so that a sum of two stays inside
-_LOG_POW_MIN = math.log(_FLOAT_MIN) + 1.0
-_LOG_POW_MAX = math.log(sys.float_info.max) - 1.0
-# below this ratio min/max of two times the direct fBm correlation loses
-# digits to the cancellation 1 - (1-q)^{2H}; the ratio form keeps them
-_DIRECT_Q_MIN = 2.0**-10
 
 
-def _check_hurst(H: float) -> float:
+def _check_hurst(H: float) -> None:
     if not 0.0 < H < 1.0:
         raise DomainError(f"Hurst index must satisfy 0 < H < 1; got {H}")
-    return float(H)
 
 
 # ---------------------------------------------------------------------------
@@ -229,32 +222,30 @@ def fbm_covariance(s, t, H: float):
 def fbm_correlation(s: float, t: float, H: float) -> float:
     """Correlation of (B(s), B(t)), i.e. the covariance over s^H t^H.
 
-    Where the times are far apart (q = min/max < 2^-10), or min(s, t)^{2H}
-    or max(s, t)^{2H} leaves the normal float range, the same ratio is
-    taken over max^{2H}: (1 + q^{2H} - (1-q)^{2H}) / (2 q^H), which holds at
-    any positive times and keeps the digits the direct form's difference
-    cancels.
+    Taken over max(s, t)^{2H} it is a function of the ratio q = min/max
+    alone, (1 + q^{2H} - (1-q)^{2H}) / (2 q^H), and that is how it is
+    computed at any positive times: the difference without cancellation,
+    log(1 - q) from the difference of the times, and the powers of q
+    through its log, so that q may underflow.
     """
     _check_hurst(H)
     if not (s > 0.0 and t > 0.0):
         raise DomainError(f"correlation needs s, t > 0; got s={s}, t={t}")
     if s == t:
         # exactly 1 only on the diagonal; avoids a rounding loss of ~1 ulp
-        # that would otherwise dodge the comonotone branch downstream
+        # that would otherwise dodge the kernels' diagonal branch
         return 1.0
     lo, hi = min(s, t), max(s, t)
-    h2 = 2.0 * H
     q = lo / hi
-    if (q >= _DIRECT_Q_MIN and _LOG_POW_MIN <= h2 * math.log(lo)
-            and h2 * math.log(hi) <= _LOG_POW_MAX):
-        r = fbm_covariance(s, t, H) / (s**H * t**H)
-    else:
-        # q^H / 2 + (1 - (1-q)^{2H}) / q * q^{1-H} / 2, with the difference
-        # taken without cancellation and the powers of q through its log,
-        # so that q may underflow; (1 - (1-q)^{2H}) / q tends to 2H
-        log_q = math.log(q) if q > 0.0 else math.log(lo) - math.log(hi)
-        slope = -math.expm1(h2 * math.log1p(-q)) / q if q > 0.0 else h2
-        r = 0.5 * (math.exp(H * log_q) + slope * math.exp((1.0 - H) * log_q))
+    # q^H / 2 + (1 - (1-q)^{2H}) / q * q^{1-H} / 2.  log(1 - q) is
+    # -log1p(lo / (hi - lo)), which keeps its digits at every q, where
+    # log1p(-q) loses them as q nears 1.  Below the normal range q rounds
+    # to fewer digits, or to 0: there log q comes from the times, and
+    # (1 - (1-q)^{2H}) / q is 2H to double precision
+    log_q = math.log(q) if q >= _FLOAT_MIN else math.log(lo) - math.log(hi)
+    slope = (-math.expm1(-2.0 * H * math.log1p(lo / (hi - lo))) / q
+             if q >= _FLOAT_MIN else 2.0 * H)
+    r = 0.5 * (math.exp(H * log_q) + slope * math.exp((1.0 - H) * log_q))
     # the exact value is within (-1, 1); guard rounding for downstream arcsin
     return min(1.0, max(-1.0, r))
 
@@ -269,37 +260,51 @@ def _biv_integrand(theta: float, x: float, y: float) -> float:
     return math.exp(-(x * x - 2.0 * s * x * y + y * y) / (2.0 * c2))
 
 
+def _dependence(x: float, y: float, rho: float) -> float:
+    """P{Z1 <= x, Z2 <= y} - Phi(x) Phi(y) for standard normals with
+    correlation -1 < rho <= 1.
+
+    At rho = 1 it is min(Phi(x), Phi(y)) - Phi(x) Phi(y).  Below, the
+    correlation derivative of the bivariate CDF is the bivariate density at
+    (x, y); integrated from 0 to rho after substituting r = sin(theta),
+    which removes the 1/sqrt(1-r^2) endpoint singularity:
+
+        (1/2pi) * int_0^{arcsin rho} exp(-(x^2 - 2xy sin t + y^2)
+                                         / (2 cos^2 t)) dt
+
+    Absolute error is held below 1e-10 (in practice ~1e-14); where the term
+    is small its relative error stays near machine precision, since no
+    marginal product is added and taken away again.
+    """
+    if math.isnan(x) or math.isnan(y):
+        raise DomainError("bivariate CDF arguments must not be NaN")
+    if rho == 1.0:
+        a, b = float(std_normal_cdf(x)), float(std_normal_cdf(y))
+        return min(a, b) - a * b
+    # clamp extreme arguments; beyond |40| the term is 0 to full precision
+    x, y = min(40.0, max(-40.0, x)), min(40.0, max(-40.0, y))
+    from scipy.integrate import quad
+    corr, _ = quad(_biv_integrand, 0.0, math.asin(rho), args=(x, y),
+                   epsabs=1e-13, epsrel=1e-13, limit=200)
+    return corr / (2.0 * math.pi)
+
+
 def bivariate_normal_cdf(x: float, y: float, rho: float) -> float:
     """P{Z1 <= x, Z2 <= y} for standard normals with correlation rho.
 
-    Computed by integrating the correlation derivative of the CDF from 0 to
-    rho (the integrand at correlation r is the bivariate density at (x, y)),
-    after substituting r = sin(theta) to remove the 1/sqrt(1-r^2) endpoint
-    singularity:
-
-        Phi2(x, y; rho) = Phi(x) Phi(y)
-            + (1/2pi) * int_0^{arcsin rho} exp(-(x^2 - 2xy sin t + y^2)
-                                               / (2 cos^2 t)) dt
-
-    Absolute error is held below 1e-10 (in practice ~1e-14).  At rho = +-1
-    the comonotone/antimonotone limits are returned.
+    Phi(x) Phi(y) plus the dependence term of ``_dependence``, clamped to
+    [0, 1].  At rho = +-1 the comonotone/antimonotone limits are returned.
     """
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"correlation must lie in [-1, 1]; got {rho}")
     if math.isnan(x) or math.isnan(y):
         raise DomainError("bivariate CDF arguments must not be NaN")
+    px, py = float(std_normal_cdf(x)), float(std_normal_cdf(y))
     if rho == 1.0:
-        return float(min(std_normal_cdf(x), std_normal_cdf(y)))
+        return min(px, py)
     if rho == -1.0:
-        return float(max(0.0, std_normal_cdf(x) + std_normal_cdf(y) - 1.0))
-    # clamp extreme arguments; beyond |40| the marginal is 0/1 to full precision
-    x = min(40.0, max(-40.0, x))
-    y = min(40.0, max(-40.0, y))
-    from scipy.integrate import quad
-    corr, _ = quad(_biv_integrand, 0.0, math.asin(rho), args=(x, y),
-                   epsabs=1e-13, epsrel=1e-13, limit=200)
-    val = float(std_normal_cdf(x)) * float(std_normal_cdf(y)) + corr / (2.0 * math.pi)
-    return min(1.0, max(0.0, val))
+        return max(0.0, px + py - 1.0)
+    return min(1.0, max(0.0, px * py + _dependence(x, y, rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +314,13 @@ def bivariate_normal_cdf(x: float, y: float, rho: float) -> float:
 def limit_kernel_G(s: float, x: float, t: float, y: float, H: float) -> float:
     """Covariance of the limiting empirical-process field:
 
-    E[G(s,x) G(t,y)] = P{B(s) <= x, B(t) <= y} - F(s,x) F(t,y).
+    E[G(s,x) G(t,y)] = P{B(s) <= x, B(t) <= y} - F(s,x) F(t,y),
+
+    the dependence term at (x / s^H, y / t^H) and the fBm correlation, so
+    min(F(s,x), F(t,y)) - F(s,x) F(t,y) where the correlation is 1.
     """
     rho = fbm_correlation(s, t, H)
-    joint = bivariate_normal_cdf(x / s**H, y / t**H, rho)
-    return joint - float(marginal_cdf(s, x, H)) * float(marginal_cdf(t, y, H))
+    return _dependence(x / s**H, y / t**H, rho)
 
 
 def quantile_kernel_K(t1: float, alpha1: float, t2: float, alpha2: float,
@@ -322,8 +329,10 @@ def quantile_kernel_K(t1: float, alpha1: float, t2: float, alpha2: float,
 
         K = P{B(t1) <= t1^H z_{a1}, B(t2) <= t2^H z_{a2}} - a1 a2,
 
-    optionally premultiplied by t1^H t2^H (the weighted form, defined and
-    equal to 0 when either time vanishes).
+    the dependence term at (z_{a1}, z_{a2}), since Phi(z_a) = a; on the
+    diagonal (correlation 1) min(a1, a2) - a1 a2.  Optionally premultiplied
+    by t1^H t2^H (the weighted form, defined and equal to 0 when either time
+    vanishes).
     """
     _check_hurst(H)
     for a in (alpha1, alpha2):
@@ -337,9 +346,11 @@ def quantile_kernel_K(t1: float, alpha1: float, t2: float, alpha2: float,
     elif not (t1 > 0.0 and t2 > 0.0):
         raise DomainError(f"unweighted kernel needs t1, t2 > 0; got {t1}, {t2}")
     rho = fbm_correlation(t1, t2, H)
-    z1 = std_normal_quantile(alpha1)
-    z2 = std_normal_quantile(alpha2)
-    val = bivariate_normal_cdf(z1, z2, rho) - alpha1 * alpha2
+    if rho < 1.0:
+        val = _dependence(std_normal_quantile(alpha1),
+                          std_normal_quantile(alpha2), rho)
+    else:
+        val = min(alpha1, alpha2) - alpha1 * alpha2
     if weighted:
         weight = t1**H * t2**H
         if weight == math.inf:

@@ -407,6 +407,8 @@ def _rate_study(study: str, ladder: NLadder, H: float, T: float, rho: float,
                 eta: float, gamma0: float, M_t: int, M_alpha: int,
                 sampler_id: str, seed: int, workers: int,
                 weighted: bool) -> StudyResult:
+    if not 0.0 < H < 1.0:  # NaN fails too, before eta's bound reads it
+        raise DomainError(f"Hurst index must satisfy 0 < H < 1; got {H}")
     if not 0.0 <= eta < 1.0 / (2.0 * H):
         raise DomainError(
             f"eta must satisfy 0 <= eta < 1/(2H) = {1.0 / (2.0 * H):.6g}; got {eta}")
@@ -558,8 +560,15 @@ def kernel_validation_study(x_nodes, alpha_nodes, H: float = 0.5, n: int = 500,
     """
     x_nodes = [(float(t), float(x)) for t, x in x_nodes]
     alpha_nodes = [(float(t), float(a)) for t, a in alpha_nodes]
-    if not all(t > 0.0 for t, _ in x_nodes + alpha_nodes):  # NaN fails too
+    # all three fail on a NaN too, before any replication runs
+    if not all(t > 0.0 for t, _ in x_nodes + alpha_nodes):
         raise DomainError("kernel validation nodes need t > 0")
+    if not all(math.isfinite(x) for _, x in x_nodes):
+        raise DomainError(f"kernel validation x nodes need a finite x; "
+                          f"got {x_nodes}")
+    if not all(0.0 < a < 1.0 for _, a in alpha_nodes):
+        raise DomainError(f"kernel validation alpha nodes need 0 < alpha < 1; "
+                          f"got {alpha_nodes}")
     if R < 2:
         raise DomainError(f"covariances need R >= 2 replications; got {R}")
     grid = node_grid(x_nodes, alpha_nodes)

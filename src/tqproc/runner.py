@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__, analytic, experiments
 from .errors import ConfigError, DataError, DomainError, NumericError
+from .empirical import LevelGrid
 from .experiments import NLadder
 from .fbm import Ensemble, GridSpec, _check_scale, ensemble_bytes, make_ensemble
 
@@ -298,6 +299,14 @@ def parse_config(text: str) -> RunConfig:
                 "must lie in [2, 4096]")
     M_alpha = _want(cfg, "M_alpha", int, 21, lambda v: 1 <= v <= 4096,
                     "must lie in [1, 4096]")
+    if "M_alpha" in spec.keys:
+        # the rate studies' level grid; near rho = 1/2 its levels collapse
+        try:
+            LevelGrid.uniform(rho, M_alpha)
+        except DomainError as exc:
+            raise ConfigError(f"rho and M_alpha must give a valid level grid "
+                              f"({exc}); got rho={rho!r}, M_alpha={M_alpha}"
+                              ) from None
     sampler_id = _want(cfg, "sampler_id", str, "circulant",
                        lambda v: v in ("circulant", "cholesky"),
                        "must be 'circulant' or 'cholesky'")

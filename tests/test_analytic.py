@@ -201,12 +201,13 @@ class TestMarginal:
         assert analytic.true_quantile(0.0, 0.2, 0.7) == 0.0
 
 
-def _correlation_oracle(q: float, H: float) -> float:
-    """fbm_correlation(q, 1, H) in 400-digit decimal arithmetic:
-    (1 + q^{2H} - (1-q)^{2H}) / (2 q^H)."""
+def _correlation_oracle(s: float, t: float, H: float) -> float:
+    """fbm_correlation(s, t, H) in 400-digit decimal arithmetic:
+    (s^{2H} + t^{2H} - |s-t|^{2H}) / (2 s^H t^H)."""
     with decimal.localcontext(decimal.Context(prec=400)):
-        q, h = decimal.Decimal(q), decimal.Decimal(H)
-        return float((1 + q ** (2 * h) - (1 - q) ** (2 * h)) / (2 * q ** h))
+        s, t, h = decimal.Decimal(s), decimal.Decimal(t), decimal.Decimal(H)
+        return float((s ** (2 * h) + t ** (2 * h) - abs(s - t) ** (2 * h))
+                     / (2 * s ** h * t ** h))
 
 
 class TestFbmCovariance:
@@ -253,13 +254,36 @@ class TestFbmCovariance:
         assert analytic.fbm_correlation(1e-200, 1e200, 0.9) == pytest.approx(
             0.9e-40, rel=1e-9)
 
-    @pytest.mark.parametrize("q", [0.5, 0.1, 0.01, 2.0**-10, 2.0**-11, 1e-5,
+    @pytest.mark.parametrize("q", [0.999, 0.99, 0.9, 0.75, 0.5, 0.25, 0.1,
+                                   2.0**-5, 0.01, 2.0**-10, 2.0**-11, 1e-5,
                                    1e-12, 1e-20, 1e-100, 1e-300])
     @pytest.mark.parametrize("H", [0.1, 0.5, 0.9])
     def test_correlation_matches_decimal_oracle(self, H, q):
-        # far apart, 1 - (1-q)^{2H} cancels in the direct form
+        # one formula at every q, to an ulp or two; far below 2^-10, log q
+        # itself rounds by up to half an ulp of |log q|, some 1e-14 of q^H
         assert analytic.fbm_correlation(q, 1.0, H) == pytest.approx(
-            _correlation_oracle(q, H), rel=1e-13, abs=0.0)
+            _correlation_oracle(q, 1.0, H),
+            rel=1e-15 if q >= 2.0**-10 else 1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("gap", [1e-3, 2.0**-12, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("H", [0.05, 0.1, 0.3, 0.9])
+    def test_correlation_of_close_times_matches_decimal_oracle(self, H, gap):
+        # min/max rounds away the digits of 1 - q when the times are close;
+        # the difference of the times keeps them
+        s, t = 0.7, 0.7 * (1.0 + gap)
+        assert analytic.fbm_correlation(s, t, H) == pytest.approx(
+            _correlation_oracle(s, t, H), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("s, t", [(1e-200, 1.5e110), (3e-200, 1.7e112),
+                                      (1e-300, 3e20), (1.3e-300, 1e10)])
+    @pytest.mark.parametrize("H", [0.1, 0.5, 0.9])
+    def test_correlation_of_subnormal_ratio_matches_decimal_oracle(self, H,
+                                                                   s, t):
+        # min/max rounds to a subnormal with fewer digits (3e-200 / 1.7e112
+        # keeps about 38 bits, 1e-300 / 3e20 about 9); log q then comes
+        # from the times, to half an ulp of each log
+        assert analytic.fbm_correlation(s, t, H) == pytest.approx(
+            _correlation_oracle(s, t, H), rel=1e-13, abs=0.0)
 
     def test_correlation_domain(self):
         with pytest.raises(DomainError):
@@ -350,6 +374,22 @@ class TestLimitKernels:
         for a in (0.1, 0.5, 0.9):
             assert analytic.quantile_kernel_K(2.0, a, 2.0, a, 0.5) == pytest.approx(
                 a * (1.0 - a), abs=1e-12)
+
+    @pytest.mark.parametrize("q", [0.99, 0.5, 1e-2, 1e-5, 1e-10, 1e-20,
+                                   1e-50, 1e-100, 1e-200, 1e-300])
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_k_at_medians_is_sheppard(self, H, q):
+        # at the medians K = arcsin(rho) / 2 pi (Sheppard): no marginal
+        # product is added and taken away, so a small K keeps its digits
+        want = math.asin(_correlation_oracle(q, 1.0, H)) / (2.0 * math.pi)
+        assert analytic.quantile_kernel_K(q, 0.5, 1.0, 0.5, H) == pytest.approx(
+            want, rel=2e-14, abs=0.0)
+
+    def test_k_diagonal_is_exact(self):
+        # on the diagonal K is min(a1, a2) - a1 a2 from the levels themselves
+        for a1, a2 in [(0.1, 0.7), (0.5, 0.5), (0.9, 0.3)]:
+            assert analytic.quantile_kernel_K(2.0, a1, 2.0, a2, 0.4) == (
+                min(a1, a2) - a1 * a2)
 
     def test_k_weighted_brownian_median(self):
         assert analytic.quantile_kernel_K(1.0, 0.5, 4.0, 0.5, 0.5,

@@ -607,6 +607,35 @@ class TestNanRejected:
             call()
 
 
+class TestCheckedBeforeSampling:
+    """A library call with a bad argument fails before any replication
+    runs, with a message that names that argument."""
+
+    @pytest.fixture(autouse=True)
+    def _no_sampling(self, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("replications ran before the check")
+        monkeypatch.setattr(experiments, "_replicate", sampled)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: kernel_validation_study([(1.0, math.nan)], [], n=10, R=10),
+         "x nodes need a finite x"),
+        (lambda: kernel_validation_study([(1.0, math.inf)], [], n=10, R=10),
+         "x nodes need a finite x"),
+        (lambda: kernel_validation_study([], [(1.0, math.nan)], n=10, R=10),
+         "alpha nodes need 0 < alpha < 1"),
+        (lambda: kernel_validation_study([], [(1.0, 1.0)], n=10, R=10),
+         "alpha nodes need 0 < alpha < 1"),
+        (lambda: bk_rate_study(SMALL_LADDER, H=math.nan), "Hurst index"),
+        (lambda: weighted_bk_rate_study(SMALL_LADDER, H=math.nan),
+         "Hurst index"),
+    ], ids=["x_nan", "x_inf", "alpha_nan", "alpha_one", "bk_rate_H",
+            "weighted_bk_rate_H"])
+    def test_raises_domain_error(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call()
+
+
 class TestKernelValidation:
     def test_smoke(self):
         r = kernel_validation_study(

@@ -39,9 +39,9 @@ GOLDEN = {
     "kernel_validation": (
         {"study": "kernel_validation", "master_seed": 13, "n": 40, "R": 30},
         {"result.json":
-             "e7cc2851963914dac0f640c8d1b01e3480d91cf87aa26118cf5911bede19144d",
+             "5a1ae01c13e12361f699c43c3a0b95cc175637210abffa540cccec345f3e87b9",
          "summary.csv":
-             "014fb6b27e4df1065f1d3196ad5dfbd5c6942fab92e6bba265fef151ba19348f"}),
+             "7c42272061ebb3f2004e9b4c5f4c30ef82093507adad2582cd8266f3711726eb"}),
     "swanson": (
         {"study": "swanson", "master_seed": 14, "n": 51, "R": 30,
          "times": [0.5, 1.0, 2.0]},
@@ -73,12 +73,12 @@ GOLDEN = {
     "kernel_eval": (
         {"study": "kernel_eval", "kind": "K", "H": 0.3},
         {"kernels.csv":
-             "bcb3fcd180d5ceb50feb9c4b326d547c913c9c330544740399612f3d1e257ef8"}),
+             "0eaea57ae109d743511868ad2c8c3613384819e6ffc335c7731aea97843e782d"}),
     "kernel_eval_nodes": (
         {"study": "kernel_eval", "kind": "G",
          "kernel_nodes": [[1, 0, 1, 0], [0.5, -0.5, 2.0, 1.0]]},
         {"kernels.csv":
-             "6e9ba40fa9ec2d771c9dc32811ec11f762481ddca4fa952f7aaec827410cfabe"}),
+             "1fe7d20073234802856a374ff9d203bdfafe047338d439f3406d2cfd9526f581"}),
     "fbm_gen": (
         {"study": "fbm_gen", "master_seed": 18, "n": 4, "M_t": 5, "T": 1.0,
          "H": 0.7},

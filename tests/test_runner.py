@@ -533,6 +533,19 @@ class TestParseConfig:
         _assert_cli_rejects(tmp_path, capsys, json.dumps(conf), match)
         assert parse_config(json.dumps({**conf, "M_alpha": 4096})).M_alpha == 4096
 
+    @pytest.mark.parametrize("study", ["bk_rate", "weighted_bk_rate"])
+    def test_collapsed_level_grid_rejected(self, tmp_path, capsys, study):
+        # 1 - rho is one ulp above rho, too close for 4096 distinct levels
+        conf = {"study": study, "rho": 0.4999999999999999, "M_alpha": 4096}
+        match = (r"^rho and M_alpha must give a valid level grid \(levels "
+                 r"must be nonempty and strictly increasing\); "
+                 r"got rho=0\.4999999999999999, M_alpha=4096$")
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(conf))
+        _assert_cli_rejects(tmp_path, capsys, json.dumps(conf), match)
+        # one level at rho is a grid
+        assert parse_config(json.dumps({**conf, "M_alpha": 1})).M_alpha == 1
+
     @pytest.mark.parametrize("conf", [{"H": 0.1, "eta": 4.9},
                                       {"gamma0": 1e-13}],
                              ids=["eta", "gamma0"])
@@ -1056,6 +1069,21 @@ class TestCli:
         assert main(["kernel", *argv]) == 0
         value = float(capsys.readouterr().out.strip().split(",")[-1])
         assert value == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("argv, want", [
+        # correlation 1e-10 at the medians: K = arcsin(1e-10) / 2 pi
+        (["K", "1", "0.5", "1e20", "0.5"], math.asin(1e-10) / (2.0 * math.pi)),
+        # correlation 1e-300 at the medians, and the weight (t1 t2)^2 is 1
+        (["G", "1e300", "0", "1e-300", "0", "--kappa", "2"],
+         math.asin(1e-300) / (2.0 * math.pi)),
+    ], ids=["K", "G-kappa"])
+    def test_kernel_small_value_keeps_its_digits(self, capsys, argv, want):
+        # no marginal product is added and taken away again, so a kernel
+        # near 0 is as accurate relative to itself as one near 1/4; the
+        # correlation's log q rounds by half an ulp of |log q| at 1e-300
+        assert main(["kernel", *argv]) == 0
+        value = float(capsys.readouterr().out.strip().split(",")[-1])
+        assert value == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("argv, spelled", [
         (["G", "1", "0.5", "2", "-1e-3"], ["G", "1", "0.5", "2", "-0.001"]),
